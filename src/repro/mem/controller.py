@@ -21,16 +21,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, List, Union
 
+import numpy as _np
+
 from repro import perf
 from repro.mem.batch import RequestBatch
 from repro.mem.dram import CMD_DATA_COUPLING, DramChip, DDR4_2400, DramTiming
 from repro.mem.layout import AddressLayout
 from repro.mem.trace import MemoryRequest, TraceStats
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 
 @dataclass
@@ -110,58 +107,28 @@ class MemoryController:
         return ControllerResult(cycles=total, requests=len(trace), bursts=bursts, stats=stats)
 
     def _expand_bursts_soa(self, batch: RequestBatch):
-        """Per-burst (is_write, bank, row, run_end) lists for a batch,
-        decomposed up front — vectorized when numpy is available.
-        ``run_end[i]`` is the exclusive end of the maximal stretch of
-        consecutive bursts sharing burst ``i``'s (bank, row): the
-        schedule loop services whole row-hit runs from it without
-        rescanning the window per burst (``None`` without numpy)."""
+        """Per-burst ``(is_write, bank, row)`` numpy columns for a batch:
+        burst expansion and address decomposition, vectorized."""
         burst = self.layout.burst_bytes
         cpr = self.layout.columns_per_row
         banks = self.layout.banks
-        if _np is not None and len(batch):
-            addr = _np.frombuffer(batch.address, dtype=_np.int64)
-            size = _np.frombuffer(batch.size, dtype=_np.int64)
-            start_burst = addr // burst
-            counts = (addr + size - 1) // burst - start_burst + 1
-            total = int(counts.sum())
-            starts = _np.repeat(start_burst, counts)
-            ends = _np.cumsum(counts)
-            ramp = _np.arange(total, dtype=_np.int64) - _np.repeat(ends - counts, counts)
-            burst_index = starts + ramp
-            rest = burst_index // cpr
-            bank_arr = rest % banks
-            row_arr = rest // banks
-            write_arr = _np.repeat(
-                _np.frombuffer(batch.is_write, dtype=_np.int8), counts
-            )
-            boundary = _np.empty(total, dtype=bool)
-            boundary[-1] = True
-            boundary[:-1] = (bank_arr[1:] != bank_arr[:-1]) | (row_arr[1:] != row_arr[:-1])
-            run_ends = _np.flatnonzero(boundary) + 1
-            run_end = _np.repeat(
-                run_ends, _np.diff(_np.concatenate(([0], run_ends))))
-            return (write_arr.tolist(), bank_arr.tolist(), row_arr.tolist(),
-                    run_end.tolist())
-        writes, bank_list, row_list = [], [], []
-        decompose = self.layout.decompose
-        for address, size, is_write in zip(batch.address, batch.size, batch.is_write):
-            first = (address // burst) * burst
-            end = address + size
-            a = first
-            while a < end:
-                bank, row, _col = decompose(a)
-                writes.append(is_write)
-                bank_list.append(bank)
-                row_list.append(row)
-                a += burst
-        return writes, bank_list, row_list, None
+        addr = _np.frombuffer(batch.address, dtype=_np.int64)
+        size = _np.frombuffer(batch.size, dtype=_np.int64)
+        start_burst = addr // burst
+        counts = (addr + size - 1) // burst - start_burst + 1
+        total = int(counts.sum())
+        starts = _np.repeat(start_burst, counts)
+        ends = _np.cumsum(counts)
+        ramp = _np.arange(total, dtype=_np.int64) - _np.repeat(ends - counts, counts)
+        rest = (starts + ramp) // cpr
+        write_arr = _np.repeat(_np.frombuffer(batch.is_write, dtype=_np.int8), counts)
+        return write_arr, rest % banks, rest // banks
 
     def run_batch(self, batch: RequestBatch) -> ControllerResult:
         """Time a :class:`RequestBatch` — same FR-FCFS schedule and
         cycle accounting as :meth:`run_trace`, but burst expansion and
         address decomposition happen once, vectorized, and the schedule
-        loop services whole row-hit runs at a time (see
+        loop services whole (bank, row) chains of row hits at a time (see
         :class:`ControllerSession`, which owns the loop; this method is
         the one-shot feed + finish)."""
         session = ControllerSession(self)
@@ -205,21 +172,35 @@ class ControllerSession:
 
     The monolithic loop's only cross-request state is the DRAM timing
     state (owned by the controller, which persists anyway) plus the
-    scheduling window. The session therefore schedules only while the
-    window can be held at full depth; once a chunk cannot refill it,
-    the un-issued window residue — out-of-order leftovers first, then
-    the FIFO tail, i.e. exactly the window in age order — is carried
-    as burst descriptors and replayed ahead of the next chunk's bursts.
+    scheduling window. The session therefore picks a burst only while
+    the window is full: once fewer than ``queue_depth`` bursts are
+    unserviced, it pauses exactly where the windowed reference loop
+    would, and carries the un-issued residue (the window in age order)
+    as burst descriptors replayed ahead of the next chunk's bursts.
     Every scheduling decision is thus taken with the same window
-    contents in the same order as the monolithic run, so cycles,
-    bursts, per-bank state, and DRAM stats all match exactly (the
-    pipeline-equivalence property suite asserts this across chunk
-    sizes, including chunk seams that split a row-hit run).
+    contents as the monolithic run, so cycles, bursts, per-bank state
+    and DRAM stats match exactly, and the fast and reference loops
+    carry the same residue across every seam.
 
-    Within a chunk the loop is the one :meth:`run_batch` always ran:
-    row-hit runs serviced wholesale with a closed-form bus-bound jump
-    between refreshes on the fast path, the plain windowed reference
-    loop under ``REPRO_SCALAR=1``.
+    The fast path is a head-indexed FR-FCFS built on two invariants of
+    the policy:
+
+    * the window is always the first ``queue_depth`` unserviced bursts,
+      so a burst ``j`` is in it iff ``j < served + queue_depth`` (a
+      younger serviced burst implies ``j`` was already in the window);
+    * bursts sharing a (bank, row) are all hits or all misses at any
+      pick, so each such group is serviced in age order.
+
+    Per feed, numpy gives every burst the end of its same-(bank, row)
+    run and the start of its group's next run. The loop keeps
+    ``head[bank]``, the oldest unserviced burst of the bank's open-row
+    group, so a pick is ``min(head)`` tested against the window; a hit
+    services its group's chain — run by run, with a closed-form
+    bus-bound jump between refreshes — while the next run stays inside
+    the window and older than every other bank's head; without a hit,
+    the oldest unserviced burst opens its row through the full DRAM
+    model. Under ``REPRO_SCALAR=1`` the plain windowed loop runs
+    instead: it is the oracle.
     """
 
     def __init__(self, controller: MemoryController):
@@ -229,13 +210,9 @@ class ControllerSession:
         self._bursts = 0
         self._cycle = 0
         self._last_data_end = 0
-        self._run_hits = 0
-        # window residue carried across chunks (burst descriptors in
-        # window/age order: leftovers first, then the FIFO tail)
-        self._carry_write: List[int] = []
-        self._carry_bank: List[int] = []
-        self._carry_row: List[int] = []
-        self._leftover_hit_possible = True
+        # window residue carried across chunks: (is_write, bank, row)
+        # columns in age order
+        self._carry = _NO_BURSTS
         self._result = None
 
     def feed(self, batch: RequestBatch) -> None:
@@ -247,15 +224,12 @@ class ControllerSession:
             return
         self._stats.merge(batch.stats())
         self._requests += len(batch)
-        writes, banks, rows, run_end = self.controller._expand_bursts_soa(batch)
-        self._schedule(writes, banks, rows, run_end, final=False)
+        self._schedule(self.controller._expand_bursts_soa(batch), final=False)
 
     def finish(self) -> ControllerResult:
         """Drain the window and return the whole stream's result."""
         if self._result is None:
-            self._schedule([], [], [], None, final=True)
-            self.controller.dram.stats["row_hits"] += self._run_hits
-            self._run_hits = 0
+            self._schedule(_NO_BURSTS, final=True)
             self._result = ControllerResult(
                 cycles=max(self._cycle, self._last_data_end),
                 requests=self._requests, bursts=self._bursts, stats=self._stats)
@@ -270,152 +244,154 @@ class ControllerSession:
         checkpoint stays a few KB regardless of trace length."""
         if self._result is not None:
             raise RuntimeError("session already finished")
+        writes, banks, rows = self._carry
         return {
             "stats": self._stats.state_dict(),
             "requests": self._requests,
             "bursts": self._bursts,
             "cycle": self._cycle,
             "last_data_end": self._last_data_end,
-            "run_hits": self._run_hits,
-            "carry_write": list(self._carry_write),
-            "carry_bank": list(self._carry_bank),
-            "carry_row": list(self._carry_row),
-            "leftover_hit_possible": self._leftover_hit_possible,
+            "carry_write": writes.tolist(),
+            "carry_bank": banks.tolist(),
+            "carry_row": rows.tolist(),
             "dram": self.controller.dram.state_dict(),
         }
 
     def load_state(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output. Envelopes from the earlier
+        leftovers-list loop also carry ``run_hits`` (row hits it had
+        issued but not yet counted) and ``leftover_hit_possible`` (a
+        scan cache): the hits are folded into the DRAM stats, the flag
+        is ignored."""
         self._stats = TraceStats()
         self._stats.load_state(state["stats"])
         self._requests = int(state["requests"])
         self._bursts = int(state["bursts"])
         self._cycle = int(state["cycle"])
         self._last_data_end = int(state["last_data_end"])
-        self._run_hits = int(state["run_hits"])
-        self._carry_write = [int(v) for v in state["carry_write"]]
-        self._carry_bank = [int(v) for v in state["carry_bank"]]
-        self._carry_row = [int(v) for v in state["carry_row"]]
-        self._leftover_hit_possible = bool(state["leftover_hit_possible"])
+        self._carry = (_np.array(state["carry_write"], dtype=_np.int8),
+                       _np.array(state["carry_bank"], dtype=_np.int64),
+                       _np.array(state["carry_row"], dtype=_np.int64))
         self._result = None
-        self.controller.dram.load_state(state["dram"])
+        dram = self.controller.dram
+        dram.load_state(state["dram"])
+        dram.stats["row_hits"] += int(state.get("run_hits", 0))
 
-    @staticmethod
-    def _run_ends(bank_list, row_list):
-        """Recompute row-hit run ends over carried + fresh bursts (the
-        seam may fuse a split run back together)."""
-        bank_arr = _np.asarray(bank_list, dtype=_np.int64)
-        row_arr = _np.asarray(row_list, dtype=_np.int64)
-        boundary = _np.empty(len(bank_arr), dtype=bool)
-        boundary[-1] = True
-        boundary[:-1] = (bank_arr[1:] != bank_arr[:-1]) | (row_arr[1:] != row_arr[:-1])
-        run_ends = _np.flatnonzero(boundary) + 1
-        return _np.repeat(run_ends,
-                          _np.diff(_np.concatenate(([0], run_ends)))).tolist()
+    # -- scheduling --------------------------------------------------------
 
-    def _schedule(self, writes, bank_list, row_list, run_end, final: bool) -> None:
-        ctrl = self.controller
-        if self._carry_write:
-            writes = self._carry_write + writes
-            bank_list = self._carry_bank + bank_list
-            row_list = self._carry_row + row_list
-            run_end = None  # recomputed below: the seam may fuse runs
-            self._carry_write, self._carry_bank, self._carry_row = [], [], []
-        n = len(writes)
+    def _schedule(self, bursts, final: bool) -> None:
+        """Schedule the carried residue plus ``bursts`` (is_write, bank,
+        row columns) as far as the window allows; ``final`` drains it."""
+        if len(self._carry[0]):
+            bursts = tuple(_np.concatenate(pair) for pair in zip(self._carry, bursts))
+        n = len(bursts[0])
         if not n:
             return
-        depth = ctrl.queue_depth
-        if not final and n < depth:
-            # the window cannot fill yet: every burst carries forward
-            self._carry_write = list(writes)
-            self._carry_bank = list(bank_list)
-            self._carry_row = list(row_list)
+        if not final and n < self.controller.queue_depth:
+            self._carry = bursts  # the window cannot fill yet: carry everything
             return
-        dram = ctrl.dram
-        dram_banks = dram._banks  # the scan needs raw open-row state
-        access = dram.access_decomposed
+        if perf.fast_enabled():
+            residue = self._schedule_heads(*bursts, final=final)
+        else:
+            residue = self._schedule_window(*(column.tolist() for column in bursts),
+                                            final=final)
+        self._carry = tuple(column[residue] for column in bursts)
+
+    def _schedule_window(self, writes, bank_list, row_list, final: bool):
+        """The windowed reference loop (``REPRO_SCALAR=1``): a deque of
+        the first ``queue_depth`` unserviced bursts, scanned in age
+        order for the first row hit, else its oldest entry. Returns the
+        unserviced burst indices in age order."""
+        ctrl = self.controller
+        depth = ctrl.queue_depth
+        dram_banks = ctrl.dram._banks
+        access = ctrl.dram.access_decomposed
         cycle = self._cycle
         last_data_end = self._last_data_end
-        bursts = 0
+        n = len(writes)
+        window = deque()
+        head = 0
+        while head < n or window:
+            while head < n and len(window) < depth:
+                window.append(head)
+                head += 1
+            if not final and len(window) < depth:
+                break  # refill exhausted: pause until the next chunk
+            chosen_pos = 0
+            for pos, j in enumerate(window):
+                if dram_banks[bank_list[j]].open_row == row_list[j]:
+                    chosen_pos = pos
+                    break
+            j = window[chosen_pos]
+            del window[chosen_pos]
+            cycle, data_end = access(bank_list[j], row_list[j], bool(writes[j]), cycle)
+            if data_end > last_data_end:
+                last_data_end = data_end
+            self._bursts += 1
+        self._cycle = cycle
+        self._last_data_end = last_data_end
+        return list(window)
 
-        # REPRO_SCALAR drops even the batch entry point to the plain
-        # windowed reference loop (the escape hatch for bisecting a
-        # suspected run-servicing bug)
-        if run_end is None and _np is not None and perf.fast_enabled():
-            run_end = self._run_ends(bank_list, row_list)
-        if run_end is None or not perf.fast_enabled():
-            window = deque()
-            head = 0
-            while head < n or window:
-                while head < n and len(window) < depth:
-                    window.append(head)
-                    head += 1
-                if not final and len(window) < depth:
-                    break  # refill exhausted: pause until the next chunk
-                chosen_pos = None
-                for pos, j in enumerate(window):
-                    if dram_banks[bank_list[j]].open_row == row_list[j]:
-                        chosen_pos = pos
-                        break
-                if chosen_pos is None:
-                    chosen_pos = 0
-                j = window[chosen_pos]
-                del window[chosen_pos]
-                cycle, data_end = access(bank_list[j], row_list[j],
-                                         bool(writes[j]), cycle)
-                if data_end > last_data_end:
-                    last_data_end = data_end
-                bursts += 1
-            residue = list(window)
-            self._save(writes, bank_list, row_list, residue, cycle,
-                       last_data_end, bursts)
-            return
-
+    def _schedule_heads(self, write_arr, bank_arr, row_arr, final: bool):
+        """The head-indexed fast loop (see the class docstring). Returns
+        the unserviced burst indices in age order."""
+        ctrl = self.controller
+        depth = ctrl.queue_depth
+        dram = ctrl.dram
+        dram_banks = dram._banks
+        nbanks = len(dram_banks)
+        access = dram.access_decomposed
+        stats = dram.stats
         t = dram.timing
         tRCD = t.tRCD
         tCL = t.tCL
         tCWL = t.tCWL
         tBL = t.tBL
-        slot = max(t.tBL, t.tCCD)  # data-bus spacing between bursts
+        slot = dram._slot  # data-bus spacing between bursts
         couple = CMD_DATA_COUPLING
         # the closed form needs CAS to hide inside the command/data
         # coupling window (true for every DDR4-class timing)
         jumpable = tCL <= couple + slot and tCWL <= couple + slot
-        run_hits = 0
-        leftovers: List[int] = []  # out-of-order window residue, ascending
-        # open rows change only on miss/conflict accesses and refreshes,
-        # so once a scan proves no leftover hits, the result stands until
-        # one of those happens — the scan is skipped in between
-        leftover_hit_possible = self._leftover_hit_possible
-        tail_lo = 0  # contiguous FIFO tail [tail_lo, tail_hi)
-        while leftovers or tail_lo < n:
-            if not final and len(leftovers) + (n - tail_lo) < depth:
-                break  # the window can no longer fill: pause here
-            # FR-FCFS: the first row hit in window order wins, and
-            # leftovers precede the FIFO tail
-            j = -1
-            pre_hit = True
-            if leftovers and leftover_hit_possible:
-                for pos, candidate in enumerate(leftovers):
-                    if dram_banks[bank_list[candidate]].open_row == row_list[candidate]:
-                        j = candidate
-                        del leftovers[pos]
-                        break
-                else:
-                    leftover_hit_possible = False
-            if j < 0 and tail_lo < n:
-                j0 = tail_lo
-                bank = dram_banks[bank_list[j0]]
-                if bank.open_row == row_list[j0]:
-                    # service the whole row-hit run from the FIFO head
-                    stop = run_end[j0]
-                    next_refresh = dram._next_refresh
-                    bus_free = dram._bus_free_at
-                    act_rcd = bank.activated_at + tRCD
-                    data_end = 0
-                    i = tail_lo
+
+        n = len(write_arr)
+        run_end, next_run, heads = _group_links(bank_arr, row_arr, dram_banks)
+        # small ints come from Python's cache, so these lists are cheap;
+        # large-int columns (rows, links) are read through memoryviews,
+        # which box on access: most bursts of a long run are jumped over
+        # and never read
+        writes = write_arr.tolist()
+        bank_of = bank_arr.tolist()
+        row_of = memoryview(row_arr)
+        done = bytearray(n)
+        oldest = 0  # every burst before it is serviced
+        served = 0
+        # picks happen while the window is full, or all of them on a drain
+        picks = n if final else n - depth + 1
+        best = min(heads)  # kept equal to min(heads) throughout
+        cycle = self._cycle
+        last_data_end = self._last_data_end
+        while served < picks:
+            if best < served + depth:
+                # row hit: service the open-row group's chain from its head
+                h = best
+                b = bank_of[h]
+                heads[b] = _NONE
+                other = min(heads)
+                bank = dram_banks[b]
+                next_refresh = dram._next_refresh
+                bus_free = dram._bus_free_at
+                act_rcd = bank.activated_at + tRCD
+                serviced = 0
+                data_end = 0
+                i = h
+                while True:
+                    seg = i
+                    stop = run_end[i]
+                    if stop - i > picks - served - serviced:
+                        stop = i + picks - served - serviced
                     while i < stop:
                         if cycle >= next_refresh:
-                            break  # generic step replays this burst
+                            break  # the generic step replays this burst
                         col_issue = cycle if cycle > act_rcd else act_rcd
                         ready = col_issue + (tCWL if writes[i] else tCL)
                         data_start = ready if ready > bus_free else bus_free
@@ -441,61 +417,93 @@ class ControllerSession:
                                 bus_free = data_start + slot
                                 cycle = data_start - couple
                                 i += m
-                    serviced = i - tail_lo
-                    if serviced:
-                        run_hits += serviced
-                        bursts += serviced
-                        bank.last_data_end = data_end
-                        bank.last_was_write = bool(writes[i - 1])
-                        dram._bus_free_at = bus_free
-                        if data_end > last_data_end:
-                            last_data_end = data_end
-                        tail_lo = i
-                        continue
-                    # refresh due before the first hit: service the head
-                    # burst through the full model (it is still the first
-                    # hit in window order — no leftover hits exist here)
-                    j = j0
-                    tail_lo += 1
-            if j < 0:
-                # no leftover hit and the head is not a hit: scan the
-                # FIFO tail for the first hit, else take the oldest
-                tail_hi = tail_lo + depth - len(leftovers)
-                if tail_hi > n:
-                    tail_hi = n
-                for candidate in range(tail_lo, tail_hi):
-                    if dram_banks[bank_list[candidate]].open_row == row_list[candidate]:
-                        j = candidate
-                        leftovers.extend(range(tail_lo, candidate))
-                        tail_lo = candidate + 1
-                        break
-                if j < 0:
-                    pre_hit = False  # no hit anywhere: oldest, row opens
-                    if leftovers:
-                        j = leftovers.pop(0)
-                    else:
-                        j = tail_lo
-                        tail_lo += 1
+                    if i > seg:
+                        done[seg:i] = b"\x01" * (i - seg)
+                        serviced += i - seg
+                        last = i - 1
+                    if i == run_end[seg]:
+                        i = next_run[seg]
+                        if i < other and i < served + serviced + depth:
+                            continue  # still the oldest hit in the window
+                    break  # refresh due, pause reached, or another pick first
+                heads[b] = i
+                best = i if i < other else other
+                if serviced:
+                    bank.last_data_end = data_end
+                    bank.last_was_write = bool(writes[last])
+                    dram._bus_free_at = bus_free
+                    stats["row_hits"] += serviced
+                    if data_end > last_data_end:
+                        last_data_end = data_end
+                    served += serviced
+                    continue
+                # a refresh is due before the first hit: the full model
+                # refreshes, closing the row, and the hit becomes a miss
+                j = h
+            else:
+                # no hit in the window: the oldest burst opens its row
+                j = oldest = done.find(0, oldest)
             refresh_mark = dram._next_refresh
-            cycle, data_end = access(bank_list[j], row_list[j], bool(writes[j]), cycle)
-            if not pre_hit or dram._next_refresh != refresh_mark:
-                leftover_hit_possible = True
+            cycle, data_end = access(bank_of[j], row_of[j], bool(writes[j]), cycle)
+            b = bank_of[j]
+            succ = j + 1 if j + 1 < run_end[j] else next_run[j]
+            if dram._next_refresh != refresh_mark:
+                heads = [_NONE] * nbanks  # the refresh closed every row
+                heads[b] = best = succ
+            else:
+                replaced = heads[b]
+                heads[b] = succ
+                if succ < best:
+                    best = succ
+                elif replaced == best and succ != replaced:
+                    best = min(heads)
+            done[j] = 1
+            served += 1
             if data_end > last_data_end:
                 last_data_end = data_end
-            bursts += 1
-        self._run_hits += run_hits
-        self._leftover_hit_possible = leftover_hit_possible
-        residue = leftovers + list(range(tail_lo, n))
-        self._save(writes, bank_list, row_list, residue, cycle,
-                   last_data_end, bursts)
-
-    def _save(self, writes, bank_list, row_list, residue, cycle,
-              last_data_end, bursts) -> None:
-        """Persist loop state; ``residue`` lists the un-issued burst
-        indices in window/age order (empty on a final drain)."""
-        self._carry_write = [writes[j] for j in residue]
-        self._carry_bank = [bank_list[j] for j in residue]
-        self._carry_row = [row_list[j] for j in residue]
         self._cycle = cycle
         self._last_data_end = last_data_end
-        self._bursts += bursts
+        self._bursts += served
+        return _np.flatnonzero(_np.frombuffer(done, dtype=_np.uint8) == 0)
+
+
+#: "no such burst" in the head and next-run tables: beyond every index
+_NONE = 1 << 62
+
+#: an empty (is_write, bank, row) burst stream
+_NO_BURSTS = (_np.zeros(0, dtype=_np.int8), _np.zeros(0, dtype=_np.int64),
+              _np.zeros(0, dtype=_np.int64))
+
+
+def _group_links(bank_arr, row_arr, dram_banks):
+    """Per-burst links over one schedulable stream: ``run_end[i]`` ends
+    the maximal stretch of consecutive bursts sharing burst ``i``'s
+    (bank, row); ``next_run[i]`` starts the next such stretch of the
+    same (bank, row) group (``_NONE`` if none). Also returns the head
+    table for the chip's open rows: per bank, the group's first burst."""
+    n = len(bank_arr)
+    nbanks = len(dram_banks)
+    change = _np.empty(n, dtype=bool)
+    change[0] = True
+    _np.not_equal(bank_arr[1:], bank_arr[:-1], out=change[1:])
+    change[1:] |= row_arr[1:] != row_arr[:-1]
+    starts = _np.flatnonzero(change)
+    ends = _np.append(starts[1:], n)
+    keys = row_arr[starts] * nbanks + bank_arr[starts]
+    order = _np.argsort(keys, kind="stable")  # groups, age order within
+    sorted_keys = keys[order]
+    same = sorted_keys[1:] == sorted_keys[:-1]
+    next_start = _np.full(len(starts), _NONE, dtype=_np.int64)
+    next_start[order[:-1][same]] = starts[order[1:][same]]
+    lengths = ends - starts
+    heads = [_NONE] * nbanks
+    open_rows = [(b, bank.open_row) for b, bank in enumerate(dram_banks)
+                 if bank.open_row is not None]
+    if open_rows:
+        wanted = _np.array([row * nbanks + b for b, row in open_rows], dtype=_np.int64)
+        found = _np.minimum(_np.searchsorted(sorted_keys, wanted), len(starts) - 1)
+        for (b, _row), pos, key in zip(open_rows, found.tolist(), wanted.tolist()):
+            if sorted_keys[pos] == key:
+                heads[b] = int(starts[order[pos]])
+    return (memoryview(_np.repeat(ends, lengths)),
+            memoryview(_np.repeat(next_start, lengths)), heads)

@@ -99,6 +99,8 @@ class DramChip:
     def __init__(self, timing: DramTiming = DDR4_2400, layout: AddressLayout = None):
         self.timing = timing
         self.layout = layout or AddressLayout()
+        self._tRC = timing.tRC
+        self._slot = max(timing.tBL, timing.tCCD)  # data-bus spacing per burst
         self._banks = [_BankState() for _ in range(self.layout.banks)]
         self._bus_free_at = 0
         self._next_refresh = timing.tREFI
@@ -127,34 +129,43 @@ class DramChip:
         coordinates — the batch pipeline decomposes whole traces up
         front (vectorized) instead of per access. Identical timing to
         :meth:`access`."""
+        # the FR-FCFS loops call this once per row change (and the scalar
+        # reference once per burst), so maxima are spelled as comparisons
         t = self.timing
-        cycle = self._refresh_if_due(cycle)
+        if cycle >= self._next_refresh:
+            cycle = self._refresh_if_due(cycle)
         bank = self._banks[bank_idx]
+        activated_at = bank.activated_at
 
         if bank.open_row == row:
             self.stats["row_hits"] += 1
-            col_issue = max(cycle, bank.activated_at + t.tRCD)
+            col_issue = activated_at + t.tRCD
+            if cycle > col_issue:
+                col_issue = cycle
         else:
             if bank.open_row is None:
                 self.stats["row_misses"] += 1
-                activate_at = max(cycle, bank.activated_at + t.tRC)
+                activate_at = cycle
             else:
                 self.stats["row_conflicts"] += 1
                 recovery = t.tWR if bank.last_was_write else t.tRTP
-                precharge_at = max(
-                    cycle,
-                    bank.activated_at + t.tRAS,
-                    bank.last_data_end + recovery - t.tBL,
-                )
-                activate_at = max(precharge_at + t.tRP, bank.activated_at + t.tRC)
+                precharge_at = bank.last_data_end + recovery - t.tBL
+                if activated_at + t.tRAS > precharge_at:
+                    precharge_at = activated_at + t.tRAS
+                if cycle > precharge_at:
+                    precharge_at = cycle
+                activate_at = precharge_at + t.tRP
+            if activated_at + self._tRC > activate_at:
+                activate_at = activated_at + self._tRC
             bank.activated_at = activate_at
             bank.open_row = row
             col_issue = activate_at + t.tRCD
 
-        cas = t.tCWL if is_write else t.tCL
-        data_start = max(col_issue + cas, self._bus_free_at)
+        data_start = col_issue + (t.tCWL if is_write else t.tCL)
+        if self._bus_free_at > data_start:
+            data_start = self._bus_free_at
         data_end = data_start + t.tBL
-        self._bus_free_at = data_start + max(t.tBL, t.tCCD)
+        self._bus_free_at = data_start + self._slot
 
         bank.last_data_end = data_end
         bank.last_was_write = is_write
@@ -163,7 +174,9 @@ class DramChip:
         # Keep the command pointer loosely coupled to the data bus so the
         # model cannot run unboundedly ahead of the transfers it scheduled
         # (a real controller's queue provides the same back-pressure).
-        next_command = max(cycle + 1, data_start - CMD_DATA_COUPLING)
+        next_command = data_start - CMD_DATA_COUPLING
+        if cycle + 1 > next_command:
+            next_command = cycle + 1
         return next_command, data_end
 
     def open_row_of(self, bank_index: int):

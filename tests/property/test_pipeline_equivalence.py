@@ -10,6 +10,9 @@ that contract, plus the generator-level contracts underneath it
 (vectorized batch == scalar objects; slicing never changes a stream).
 """
 
+import contextlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 from repro import perf
 from repro.mem.batch import RequestBatch
 from repro.mem.controller import MemoryController
+from repro.mem.layout import AddressLayout
 from repro.mem.pipeline import TracePipeline, run_materialized
+from repro.mem.trace import MemoryRequest
 from repro.workloads import (
     BpMetadataSpec,
     RandomSpec,
@@ -141,29 +146,103 @@ def test_spec_slicing_is_stream_stable(spec, splits):
     assert parts == spec.batch(0, n)
 
 
-@settings(max_examples=15, deadline=None)
-@given(spec=spec_strategy, splits=st.lists(st.integers(1, 4096),
-                                           min_size=1, max_size=4))
-def test_controller_session_matches_run_batch(spec, splits):
-    """Feeding a request stream to a :class:`ControllerSession` in
-    arbitrary pieces reproduces one ``run_batch`` call exactly."""
-    whole = spec.batch()
-    mono_ctrl = MemoryController()
-    mono = mono_ctrl.run_batch(whole)
+#: queue depths the session test draws: the pick rule is bounded by
+#: ``served + queue_depth``, so the degenerate windows matter as much as
+#: the default 32
+QUEUE_DEPTHS = (1, 2, 4, 32, 64)
 
-    part_ctrl = MemoryController()
-    session = part_ctrl.session()
-    cursor = 0
-    for size in splits:
-        session.feed(spec.batch(cursor, min(cursor + size, len(whole))))
-        cursor = min(cursor + size, len(whole))
-    session.feed(spec.batch(cursor, len(whole)))
-    part = session.finish()
+
+@st.composite
+def bp_interleave_trace(draw):
+    """BP's same-bank metadata shape: 8 data bursts, then one VN and one
+    MAC burst, all in one bank on three different rows — FR-FCFS leaves
+    the metadata behind the data hits until it falls out of the window."""
+    layout = AddressLayout()
+    cpr = layout.columns_per_row
+    bank = draw(st.integers(0, layout.banks - 1))
+    data_row = draw(st.integers(0, 1 << 10))
+    vn_row = draw(st.integers(1 << 11, 1 << 12))
+    mac_row = draw(st.integers(1 << 13, 1 << 14))
+    groups = draw(st.integers(1, 400))
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    trace = []
+    for group in range(groups):
+        for k in range(8):
+            burst = group * 8 + k
+            trace.append(MemoryRequest(
+                layout.compose(bank, data_row + burst // cpr, burst % cpr), 64,
+                is_write=rng.random() < 0.3))
+        for row in (vn_row, mac_row):
+            trace.append(MemoryRequest(layout.compose(bank, row, group % cpr), 64,
+                                       is_write=rng.random() < 0.5))
+    return trace
+
+
+@st.composite
+def hot_rows_trace(draw):
+    """Random bursts over a few rows spread across banks: open-row
+    groups in several banks at once, and conflicts that cross refreshes
+    while other banks still have hits waiting."""
+    layout = AddressLayout()
+    rows = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                         min_size=2, max_size=6, unique=True))
+    n = draw(st.integers(1, 2000))
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    return [MemoryRequest(layout.compose(*rng.choice(rows),
+                                         rng.randrange(layout.columns_per_row)),
+                          64 * rng.randint(1, 2), is_write=rng.random() < 0.3)
+            for _ in range(n)]
+
+
+session_trace_strategy = st.one_of(
+    spec_strategy.map(lambda spec: spec.batch().to_requests()),
+    bp_interleave_trace(),
+    hot_rows_trace(),
+    # 160-320 KB streams run 2560-5120 row-hit bursts: long enough to
+    # cross one or two refreshes (tREFI = 9360 cycles) mid-run
+    st.builds(StreamingSpec,
+              nbytes=st.integers(10, 20).map(lambda n: n << 14),
+              write_fraction=st.sampled_from([0.0, 0.3, 1.0])
+              ).map(lambda spec: spec.batch().to_requests()),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(trace=session_trace_strategy, depth=st.sampled_from(QUEUE_DEPTHS),
+       splits=st.lists(st.integers(1, 4096), min_size=1, max_size=4))
+def test_controller_session_matches_scalar_run_trace(trace, depth, splits):
+    """A fast :class:`ControllerSession` fed in arbitrary pieces
+    reproduces the scalar ``run_trace`` oracle exactly at every window
+    depth — cycles, bursts, DRAM stats — and carries the same state
+    across every seam as the scalar windowed session. After each feed,
+    the DRAM stats count every burst issued so far."""
+    with perf.scalar_mode():
+        oracle_ctrl = MemoryController(queue_depth=depth)
+        oracle = oracle_ctrl.run_trace(trace)
+
+    def chunked(scalar):
+        ctrl = MemoryController(queue_depth=depth)
+        seams = []
+        with perf.scalar_mode() if scalar else contextlib.nullcontext():
+            session = ctrl.session()
+            cursor = 0
+            for size in splits + [len(trace)]:
+                session.feed(RequestBatch.from_requests(trace[cursor:cursor + size]))
+                cursor = min(cursor + size, len(trace))
+                seams.append(session.state_dict())
+            return session.finish(), ctrl.dram.stats, seams
+
+    part, part_dram, part_seams = chunked(scalar=False)
     assert (part.cycles, part.requests, part.bursts) == (
-        mono.cycles, mono.requests, mono.bursts)
-    assert part.stats.read_bytes == mono.stats.read_bytes
-    assert part.stats.write_bytes == mono.stats.write_bytes
-    assert part_ctrl.dram.stats == mono_ctrl.dram.stats
+        oracle.cycles, oracle.requests, oracle.bursts)
+    assert part.stats.read_bytes == oracle.stats.read_bytes
+    assert part.stats.write_bytes == oracle.stats.write_bytes
+    assert part_dram == oracle_ctrl.dram.stats
+    for seam in part_seams:
+        counted = seam["dram"]["stats"]
+        assert (counted["row_hits"] + counted["row_misses"]
+                + counted["row_conflicts"]) == seam["bursts"]
+    assert chunked(scalar=True)[2] == part_seams
 
 
 # -- generator-level contracts ---------------------------------------------
