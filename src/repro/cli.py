@@ -279,7 +279,6 @@ def cmd_work(args) -> int:
         cache_dir = args.cache_dir or default_cache_dir()
     config = WorkerConfig(
         url=args.url, name=args.name or "", workers=args.workers,
-        chunk_timeout=args.chunk_timeout, chunk_retries=args.chunk_retries,
         reconnect_timeout=args.reconnect_timeout, cache_dir=cache_dir)
     worker = Worker(config)
 
@@ -511,8 +510,6 @@ def cmd_serve(args) -> int:
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             drain_grace=args.drain_grace,
-            chunk_timeout=args.chunk_timeout,
-            chunk_retries=args.chunk_retries,
             distributed=args.distributed,
             dist_host=args.dist_listen[0],
             dist_port=args.dist_listen[1],
@@ -738,12 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECS",
                    help="grace period for in-flight work after SIGTERM/"
                         "SIGINT before forced shutdown")
-    p.add_argument("--chunk-timeout", type=_positive_float, default=None,
-                   metavar="SECS",
-                   help="per-chunk sweep timeout; a chunk exceeding it marks "
-                        "the worker pool lost and triggers redispatch")
-    p.add_argument("--chunk-retries", type=_nonneg_int, default=2,
-                   help="redispatch budget for lost sweep chunks")
     p.add_argument("--distributed", action="store_true",
                    help="fan sweep/pipeline flights out to `repro work` "
                         "machines through an embedded coordinator; with "
@@ -775,11 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="local process-pool width for unit execution "
                         "(default: REPRO_SWEEP_WORKERS or cpu count, "
                         "capped at 8)")
-    p.add_argument("--chunk-timeout", type=_positive_float, default=None,
-                   metavar="SECS",
-                   help="per-chunk timeout inside a unit (local recovery)")
-    p.add_argument("--chunk-retries", type=_nonneg_int, default=2,
-                   help="redispatch budget for lost chunks inside a unit")
     p.add_argument("--reconnect-timeout", type=_nonneg_float, default=30.0,
                    metavar="SECS",
                    help="give up after the coordinator has been "

@@ -6,8 +6,8 @@ Loop shape::
     register -> (lease -> heartbeat || execute -> submit)* -> done
 
 * the worker executes a leased unit on its **local process pool** via
-  :meth:`Runner.compute_rows` — the full PR-7 recovery machinery
-  (chunk timeouts, pool rebuilds, straggler duplicates) runs *inside*
+  :meth:`Runner.compute_rows`, whose lost-worker recovery (a broken
+  pool is rebuilt and its unfinished chunks resubmitted) runs *inside*
   each unit, so a worker surviving its own child's death is invisible
   to the coordinator;
 * a **pipeline unit** (``"pipeline": true`` on the lease) runs inline
@@ -94,8 +94,6 @@ class WorkerConfig:
     url: str
     name: str = ""
     workers: Optional[int] = None
-    chunk_timeout: Optional[float] = None
-    chunk_retries: int = 2
     #: seconds the coordinator may stay dark before the worker exits 1;
     #: reset by every answered exchange. 0 = no budget, wait forever.
     reconnect_timeout: float = 30.0
@@ -225,9 +223,7 @@ class Worker:
             else:
                 if self._runner is None:
                     self._runner = Runner(workers=self.config.workers,
-                                          cache=self._cache,
-                                          chunk_timeout=self.config.chunk_timeout,
-                                          chunk_retries=self.config.chunk_retries)
+                                          cache=self._cache)
                 try:
                     rows = self._runner.compute_rows(jobs)
                 except JobExecutionError as exc:

@@ -23,8 +23,8 @@ from repro.protection import build_scheme
 
 #: accelerator-config fields a sweep may override (the DRAM/bandwidth
 #: design space; everything else is the TPU-v1-like fixed point)
-_CONFIG_OVERRIDES = ("pe_rows", "pe_cols", "sram_bytes", "freq_mhz",
-                     "dram_bandwidth_gbps", "vector_lanes")
+CONFIG_OVERRIDES = ("pe_rows", "pe_cols", "sram_bytes", "freq_mhz",
+                    "dram_bandwidth_gbps", "vector_lanes")
 
 
 def validate_model(name: str, zoo: str = "auto") -> None:
@@ -142,7 +142,7 @@ def accel_run(params: Dict[str, object]) -> Dict[str, object]:
     by joining against the NP row of the same grid point."""
     model, zoo = resolve_model(params["model"], params.get("zoo", "auto"))
     overrides = dict(params.get("config") or {})
-    unknown = set(overrides) - set(_CONFIG_OVERRIDES)
+    unknown = set(overrides) - set(CONFIG_OVERRIDES)
     if unknown:
         raise ValueError(f"unsupported config overrides: {sorted(unknown)}")
     config = dataclasses.replace(TPU_V1_CONFIG, **overrides) if overrides else TPU_V1_CONFIG

@@ -7,29 +7,35 @@ client flight) against *one* machine, so pool ownership moves here — a
 :class:`WorkerPoolManager` owns the pools, runners borrow them, and the
 service decides their lifetime:
 
-* pools are keyed by worker count and created on demand;
+* pools are ``ProcessPoolExecutor`` instances keyed by worker count,
+  created on demand with every worker already started, so a warm-up
+  call really pays the process start;
 * a pool forked before the latest executor registration is rebuilt (a
   forked worker snapshots the registry, so late registrations would be
   invisible to it — the manager tracks
   :func:`~repro.experiments.jobs.registry_version` per pool);
-* :meth:`invalidate` tears one (or every) pool down for rebuild-on-next-
-  use — the failure path after a job blows up inside ``pool.map``;
+* :meth:`invalidate` drops the pool a runner saw break (a dead worker
+  fails its executor's unfinished futures with ``BrokenProcessPool``);
+  it is rebuilt on next use, and a pool some other runner already
+  replaced is left alone, so concurrent flights never tear down each
+  other's fresh pool;
 * a runner constructed *without* a manager gets a private one and keeps
   the historical semantics (its ``close()`` kills the pool); a runner
   constructed *with* a borrowed manager never kills shared pools on
   close — only the owner (the service) does, via :meth:`close`.
 
 Thread safety: the service executes concurrent flights on worker
-threads, each running a borrowed-pool ``Runner``; creation/rebuild is
-serialized under a lock. ``multiprocessing.Pool`` dispatch itself is
-fed through a thread-safe task queue, so concurrent ``map`` calls from
-different flights interleave safely.
+threads, each running a borrowed-pool ``Runner``; creation, rebuild and
+invalidation are serialized under a lock. ``ProcessPoolExecutor.submit``
+is thread-safe, so concurrent flights interleave their chunks on one
+pool.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Optional
 
 from repro.experiments.jobs import registry_version
@@ -41,17 +47,26 @@ def _init_worker() -> None:
     import repro.experiments  # noqa: F401
 
 
-def _make_pool(workers: int, context: Optional[str] = None):
+def _noop() -> None:
+    pass
+
+
+def _make_pool(workers: int, context: Optional[str] = None) -> ProcessPoolExecutor:
     methods = multiprocessing.get_all_start_methods()
     if context is None or context not in methods:
         context = "fork" if "fork" in methods else None
-    ctx = multiprocessing.get_context(context)
-    return ctx.Pool(workers, initializer=_init_worker)
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context(context),
+                               initializer=_init_worker)
+    # the executor starts workers lazily, on submission: one no-op per
+    # worker starts them all now
+    for _ in range(workers):
+        pool.submit(_noop)
+    return pool
 
 
 class WorkerPoolManager:
-    """Owns ``multiprocessing`` pools that runners borrow by worker
-    count.
+    """Owns process pools that runners borrow by worker count.
 
     ``context`` picks the start method. ``None`` (the default) prefers
     ``fork`` — the cheapest option for a CLI run, and the registry plus
@@ -66,19 +81,19 @@ class WorkerPoolManager:
 
     def __init__(self, context: Optional[str] = None):
         self.context = context
-        self._pools: Dict[int, object] = {}
+        self._pools: Dict[int, ProcessPoolExecutor] = {}
         self._versions: Dict[int, int] = {}
         self._lock = threading.Lock()
 
     # -- lending -----------------------------------------------------------
 
-    def pool(self, workers: int):
+    def pool(self, workers: int) -> ProcessPoolExecutor:
         """The live pool for ``workers``, created or rebuilt on demand."""
         workers = max(1, int(workers))
         with self._lock:
             pool = self._pools.get(workers)
             if pool is not None and self._versions[workers] != registry_version():
-                self._terminate_locked(workers)
+                self._drop_locked(workers)
                 pool = None
             if pool is None:
                 pool = _make_pool(workers, self.context)
@@ -86,49 +101,45 @@ class WorkerPoolManager:
                 self._versions[workers] = registry_version()
             return pool
 
-    def peek(self, workers: int):
+    def peek(self, workers: int) -> Optional[ProcessPoolExecutor]:
         """The pool for ``workers`` if one exists, without creating it."""
         return self._pools.get(max(1, int(workers)))
 
     # -- lifetime ----------------------------------------------------------
 
-    def _terminate_locked(self, workers: int) -> None:
+    def _drop_locked(self, workers: int) -> None:
         pool = self._pools.pop(workers, None)
         self._versions.pop(workers, None)
         if pool is not None:
-            pool.terminate()
-            pool.join()
+            pool.shutdown(wait=True, cancel_futures=True)
 
-    def invalidate(self, workers: Optional[int] = None) -> None:
-        """Tear down one pool (or all of them); rebuilt on next use.
-        This is the recovery path after a worker failure — a fresh fork
-        is cheap insurance against a wedged or state-corrupted pool."""
+    def invalidate(self, pool: ProcessPoolExecutor) -> None:
+        """Shut down ``pool``, the one a caller saw fail; it is rebuilt
+        on next use. A no-op when this manager no longer holds it:
+        another caller already replaced it, and the replacement may be
+        serving other flights."""
         with self._lock:
-            if workers is not None:
-                self._terminate_locked(max(1, int(workers)))
-            else:
-                for count in list(self._pools):
-                    self._terminate_locked(count)
+            for workers, held in self._pools.items():
+                if held is pool:
+                    self._drop_locked(workers)
+                    return
 
     def close(self) -> None:
-        """Terminate every pool. The manager stays usable (pools are
+        """Shut down every pool. The manager stays usable (pools are
         rebuilt on demand), so this is safe to call between bursts of
         work as well as at shutdown."""
-        self.invalidate()
-
-    @property
-    def active_pools(self) -> int:
-        return len(self._pools)
+        with self._lock:
+            for workers in list(self._pools):
+                self._drop_locked(workers)
 
     @property
     def active_workers(self) -> int:
         """Total worker capacity across live pools (the occupancy half
         of the service capacity model). Pools are keyed by the worker
         count they were built with, so the keys *are* the capacity —
-        no reaching into ``multiprocessing.Pool`` internals, and a pool
-        that has been invalidated (torn down after a failure) stops
-        counting the moment it leaves ``_pools`` instead of lingering
-        as phantom capacity."""
+        and a pool that has been invalidated stops counting the moment
+        it leaves ``_pools`` instead of lingering as phantom
+        capacity."""
         with self._lock:
             return sum(self._pools)
 

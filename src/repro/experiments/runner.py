@@ -23,14 +23,14 @@ Execution contract:
 * a job raising inside a batch surfaces as :class:`JobExecutionError`
   naming the failing executor and params; rows of jobs that *did*
   complete in the batch are persisted to both cache levels before the
-  error propagates, and the pool is torn down for a clean rebuild;
-* a worker that *dies* (SIGKILL, OOM-killer, segfault) or wedges does
-  not lose the sweep: chunks are dispatched individually, a chunk that
-  exceeds ``chunk_timeout`` triggers a pool rebuild and re-dispatch of
-  only the lost chunks (bounded by ``chunk_retries``), and long-tail
-  stragglers optionally get a duplicate dispatch (first result wins —
-  chunks are pure functions of their payload, so duplicates cannot
-  change the result). Recoveries are counted in module-level counters
+  error propagates. The job's exception was caught inside the worker,
+  so the pool is healthy and stays up;
+* a worker that *dies* (SIGKILL, OOM-killer, segfault) does not lose
+  the sweep: its ``ProcessPoolExecutor`` fails every unfinished chunk
+  with ``BrokenProcessPool``, the runner invalidates that pool and
+  resubmits only the unfinished chunks to a fresh one, at most twice
+  per batch. This recovery is always on and has no settings.
+  Recoveries are counted in module-level counters
   (:func:`recovery_counts`) that ``repro serve`` exports as metrics.
 
 ``default_workers()`` resolves the worker count: the
@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
+from concurrent.futures import wait
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import repro.experiments.executors  # noqa: F401 — populate the executor registry
@@ -105,8 +105,12 @@ class JobExecutionError(RuntimeError):
 
 # -- recovery accounting ---------------------------------------------------
 
-#: process-wide recovery counters: how many times a pool was torn down
-#: and rebuilt after a lost/hung worker, and how many chunks had to be
+#: resubmissions of a batch's unfinished chunks after a failure outside
+#: a job, before the batch fails with :class:`JobExecutionError`
+_REDISPATCHES = 2
+
+#: process-wide recovery counters: how many times a pool was invalidated
+#: after a failure outside a job, and how many chunks had to be
 #: re-dispatched. ``repro serve`` surfaces these on ``/metrics``.
 _RECOVERY_LOCK = threading.Lock()
 _RECOVERY: Dict[str, int] = {"worker_restarts": 0, "chunk_retries": 0}
@@ -264,26 +268,10 @@ class Runner:
     def __init__(self, workers: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  chunksize: Optional[int] = None,
-                 pool_manager: Optional[WorkerPoolManager] = None,
-                 chunk_timeout: Optional[float] = None,
-                 chunk_retries: int = 2,
-                 straggler_factor: Optional[float] = None):
+                 pool_manager: Optional[WorkerPoolManager] = None):
         self.workers = default_workers() if workers is None else max(1, int(workers))
         self.cache = cache
         self.chunksize = chunksize
-        # fault tolerance: a chunk still unfinished after chunk_timeout
-        # seconds (wall clock from dispatch, queue wait included) marks
-        # the pool as lost — it is rebuilt and only unfinished chunks
-        # re-dispatched, up to chunk_retries times. None = wait forever
-        # (the historical behaviour; a SIGKILLed worker then hangs the
-        # sweep unless straggler duplicates rescue it).
-        self.chunk_timeout = None if chunk_timeout is None else float(chunk_timeout)
-        self.chunk_retries = max(0, int(chunk_retries))
-        # straggler mitigation: once a chunk has run straggler_factor x
-        # the EWMA chunk latency, dispatch a duplicate; first result
-        # wins. None disables.
-        self.straggler_factor = (
-            None if straggler_factor is None else float(straggler_factor))
         # borrowed manager: the caller (the service) owns pool lifetime;
         # no manager: a private one is created lazily and close() kills it
         self._manager = pool_manager
@@ -301,12 +289,6 @@ class Runner:
         if self._manager is None:
             self._manager = WorkerPoolManager()
         return self._manager.pool(self.workers)
-
-    def _reset_pool(self) -> None:
-        """Tear this runner's pool down after a failure; it is rebuilt
-        (freshly forked) on the next parallel batch."""
-        if self._manager is not None:
-            self._manager.invalidate(self.workers)
 
     def close(self) -> None:
         """Tear the worker pool down (it is rebuilt on demand). A
@@ -329,113 +311,57 @@ class Runner:
 
     # -- execution ---------------------------------------------------------
 
-    def _map_with_recovery(self, chunks, chunksize: int):
+    def _map_with_recovery(self, chunks):
         """Run every chunk through the pool, surviving lost workers.
 
-        ``pool.map`` has a failure mode a long sweep cannot afford: a
-        worker that dies *abruptly* (SIGKILL, OOM-killer, segfault)
-        takes its in-flight task with it and the map call blocks
-        forever — ``multiprocessing.Pool`` replenishes the worker but
-        never re-queues the task. Dispatching per chunk with
-        ``apply_async`` keeps every chunk individually observable:
+        A worker that dies abruptly (SIGKILL, OOM-killer, segfault)
+        breaks its ``ProcessPoolExecutor``: every future left
+        unfinished fails with ``BrokenProcessPool``, while futures that
+        completed keep their results. Each round submits the unfinished
+        chunks and keeps every result that came back. On any failure
+        outside a job — a broken pool, or ``_run_chunk`` itself raising
+        — that pool is invalidated and only the unfinished chunks are
+        resubmitted to a fresh one, ``_REDISPATCHES`` times. Chunks are
+        pure functions of their payload, so a redispatch cannot change
+        the sweep's rows.
 
-        * a chunk unfinished after ``chunk_timeout`` declares the pool
-          lost; the pool is torn down and *only* the unfinished chunks
-          are re-dispatched to a fresh one, ``chunk_retries`` times
-          before :class:`JobExecutionError` (carrying every completed
-          chunk's rows so they are cached, not recomputed);
-        * a chunk exceeding ``straggler_factor`` x the EWMA chunk
-          latency gets one duplicate dispatch; the first result wins.
-          Chunks are pure functions of their payload, so a duplicate
-          cannot change the sweep's rows — it only rescues a chunk
-          whose worker quietly died under a replenishing pool.
+        Returns ``(results, failure)``: one ``_run_chunk`` result per
+        chunk, ``None`` where a chunk never finished, and ``None`` or
+        the ``(executor, params_json, cause)`` of a job in the first
+        unfinished chunk once the budget is spent.
         """
         results: List[object] = [None] * len(chunks)
-        done = [False] * len(chunks)
-        retries_left = self.chunk_retries
+        redispatches = 0
         while True:
             pool = self._ensure_pool()
-            lost = self._poll_chunks(pool, chunks, results, done)
-            if not lost:
-                return results
-            # the pool is suspect: at least one dispatched chunk will
-            # never come back. Rebuild and re-dispatch the survivors.
-            self._reset_pool()
+            futures = {}
+            failure: Optional[Exception] = None
+            try:
+                for i, chunk in enumerate(chunks):
+                    if results[i] is None:
+                        futures[i] = pool.submit(_run_chunk, chunk)
+            except Exception as error:  # broken or shut down under us
+                failure = error
+            wait(futures.values())
+            for i, future in futures.items():
+                try:
+                    results[i] = future.result()
+                except Exception as error:
+                    failure = failure or error
+            if failure is None:
+                return results, None
+            self._manager.invalidate(pool)
             note_recovery("worker_restarts")
-            note_recovery("chunk_retries", len(lost))
-            if retries_left <= 0:
-                index = lost[0]
+            if redispatches == _REDISPATCHES:
+                index = results.index(None)
                 _, executors, params, _ = chunks[index]
-                raise JobExecutionError(
+                return results, (
                     executors[0], params[0],
-                    f"worker lost or timed out; chunk {index} unfinished "
-                    f"after {self.chunk_retries} redispatch(es)",
-                    completed=self._completed_pairs(results, done, chunksize))
-            retries_left -= 1
-
-    def _poll_chunks(self, pool, chunks, results, done) -> List[int]:
-        """One dispatch round: submit every unfinished chunk, poll until
-        all complete or one is declared lost. Fills ``results``/``done``
-        in place; returns the indices of lost chunks (empty on a clean
-        round)."""
-        pending = {}
-        started = {}
-        for i, chunk in enumerate(chunks):
-            if not done[i]:
-                pending[i] = pool.apply_async(_run_chunk, (chunk,))
-                started[i] = time.monotonic()
-        duplicates: Dict[int, object] = {}
-        ewma: Optional[float] = None
-        while pending:
-            progressed = False
-            now = time.monotonic()
-            for i in sorted(pending):
-                handle = pending[i]
-                winner = None
-                if handle.ready():
-                    winner = handle
-                elif i in duplicates and duplicates[i].ready():
-                    winner = duplicates[i]
-                if winner is not None:
-                    try:
-                        results[i] = winner.get()
-                    except Exception:
-                        # the worker raised outside a job (fault
-                        # injection, unpicklable return, death during
-                        # handoff): treat everything still pending as
-                        # lost and let the retry loop decide
-                        return sorted(pending)
-                    done[i] = True
-                    del pending[i]
-                    duplicates.pop(i, None)
-                    latency = now - started[i]
-                    ewma = (latency if ewma is None
-                            else 0.8 * ewma + 0.2 * latency)
-                    progressed = True
-                    continue
-                elapsed = now - started[i]
-                if self.chunk_timeout is not None and elapsed > self.chunk_timeout:
-                    return sorted(pending)
-                if (self.straggler_factor is not None and ewma is not None
-                        and i not in duplicates
-                        and elapsed > self.straggler_factor * ewma):
-                    duplicates[i] = pool.apply_async(_run_chunk, (chunks[i],))
-            if pending and not progressed:
-                time.sleep(0.005)
-        return []
-
-    @staticmethod
-    def _completed_pairs(results, done, chunksize: int):
-        """(batch position, rows) pairs of every completed chunk, for
-        the ``completed`` payload of :class:`JobExecutionError`."""
-        completed: List[Tuple[int, List[dict]]] = []
-        for i, finished in enumerate(done):
-            if not finished:
-                continue
-            payload, _error = results[i]
-            for offset, rows in enumerate(_decode_rows(payload)):
-                completed.append((i * chunksize + offset, rows))
-        return completed
+                    f"worker lost or failed outside a job; chunk {index} "
+                    f"unfinished after {_REDISPATCHES} redispatch(es): "
+                    f"{_describe_error(failure)}")
+            redispatches += 1
+            note_recovery("chunk_retries", results.count(None))
 
     def _execute_batch(self, jobs: Sequence[Job]) -> List[List[dict]]:
         if self.workers <= 1 or len(jobs) <= 1:
@@ -457,10 +383,12 @@ class Runner:
              fast)
             for i in range(0, len(jobs), chunksize)
         ]
-        mapped = self._map_with_recovery(chunks, chunksize)
+        mapped, failure = self._map_with_recovery(chunks)
         completed: List[Tuple[int, List[dict]]] = []
-        failure = None
-        for chunk_index, (payload, error) in enumerate(mapped):
+        for chunk_index, result in enumerate(mapped):
+            if result is None:
+                continue
+            payload, error = result
             base = chunk_index * chunksize
             for offset, rows in enumerate(_decode_rows(payload)):
                 completed.append((base + offset, rows))
@@ -468,16 +396,15 @@ class Runner:
                 offset, executor, params_json, cause = error
                 failure = (executor, params_json, cause)
         if failure is not None:
-            self._reset_pool()
             raise JobExecutionError(*failure, completed=completed)
         return [rows for _, rows in completed]
 
     def compute_rows(self, jobs: Sequence[Job]) -> List[List[dict]]:
         """Execute ``jobs`` (no cache interaction) and return each job's
         rows, in job order. This is the raw execution engine — chunked
-        over the worker pool with the full lost-worker recovery
-        machinery — exposed for callers that manage caching themselves
-        (the distributed worker and the coordinator's local fallback)."""
+        over the worker pool with lost-worker recovery — exposed for
+        callers that manage caching themselves (the distributed worker
+        and the coordinator's local fallback)."""
         return self._execute_batch(list(jobs))
 
     def run(self, jobs: Union[SweepSpec, Iterable[Job]],

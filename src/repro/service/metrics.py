@@ -99,7 +99,7 @@ COUNTERS = (
     "cache_hits_total",        # on-disk result-cache hits (service runner)
     "cache_misses_total",      # on-disk result-cache misses
     "cache_corrupt_total",     # corrupt cache entries quarantined
-    "worker_restarts_total",   # pool rebuilds after a lost/hung worker
+    "worker_restarts_total",   # pool rebuilds after a lost worker
     "chunk_retries_total",     # sweep chunks re-dispatched after a loss
     "checkpoints_written_total",  # pipeline checkpoints persisted
     "flights_resumed_total",   # flights resumed from a checkpoint/journal

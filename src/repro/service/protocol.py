@@ -171,14 +171,29 @@ def _parse_sweep(obj: Dict[str, object]) -> JobRequest:
                  and all(isinstance(c, dict) for c in configs),
                  "'spec.configs' must be a non-empty list of objects")
         kwargs["configs"] = tuple(configs)
+    # resolve everything a worker would now, so a bad model, config
+    # key or scheme parameter is a 400 at submission instead of a
+    # failed flight later
     try:
         spec = SweepSpec(**kwargs)
         jobs = spec.jobs()
-        from repro.experiments.executors import validate_model
+        from repro.experiments.executors import CONFIG_OVERRIDES, validate_model
+        from repro.protection import build_scheme
 
         for model in spec.models:
             validate_model(model)
-    except (KeyError, ValueError, TypeError) as error:
+        for config in spec.configs:
+            unknown = set(config) - set(CONFIG_OVERRIDES)
+            if unknown:
+                raise ValueError(
+                    f"unsupported config overrides {sorted(unknown)}; "
+                    f"allowed: {list(CONFIG_OVERRIDES)}")
+        for entry in spec.schemes:
+            if isinstance(entry, str):
+                build_scheme(entry)
+            else:
+                build_scheme(entry[0], **dict(entry[1]))
+    except (LookupError, ValueError, TypeError) as error:
         raise ProtocolError(
             f"invalid sweep spec: {error.args[0] if error.args else error}"
         ) from None
@@ -189,6 +204,7 @@ def _parse_sweep(obj: Dict[str, object]) -> JobRequest:
         "batches": [int(b) for b in spec.batches],
         "modes": list(spec.modes),
         "zoo": spec.zoo,
+        "configs": [dict(config) for config in spec.configs],
     }
     return JobRequest(kind="sweep", spec=canonical_spec, _jobs=tuple(jobs))
 

@@ -46,11 +46,16 @@ from typing import Dict, Optional
 
 from repro.checkpoint import CheckpointError, load_checkpoint
 from repro.experiments import ResultCache, ResultTable, get_sweep
-from repro.experiments import runner as runner_module
 from repro.experiments.cache import code_fingerprint
 from repro.experiments.executors import pipeline_rows
 from repro.experiments.pool import WorkerPoolManager
-from repro.experiments.runner import JobExecutionError, Runner, default_workers
+from repro.experiments.runner import (
+    JobExecutionError,
+    Runner,
+    default_workers,
+    recall_rows,
+    remember_rows,
+)
 from repro.mem.pipeline import PipelineCancelled, PipelineCheckpointed
 from repro.service.admission import AdmissionController
 from repro.service.coalescer import END_OF_STREAM, Flight, JobCoalescer
@@ -113,10 +118,6 @@ class ServeConfig:
     #: seconds to wait for in-flight work after a drain begins before
     #: forcing shutdown
     drain_grace: float = 10.0
-    #: sweep-runner fault tolerance (see Runner): per-chunk timeout and
-    #: redispatch budget for lost/hung workers
-    chunk_timeout: Optional[float] = None
-    chunk_retries: int = 2
     #: fan flights out through a SweepCoordinator (``repro work``
     #: workers join at dist_host:dist_port); the local pool remains the
     #: degradation floor when no workers are live
@@ -494,9 +495,7 @@ class ReproService:
             rows = [row for job_rows in rows_per_job for row in job_rows]
         else:
             runner = Runner(workers=self.workers, cache=self.cache,
-                            pool_manager=self.pool_manager,
-                            chunk_timeout=self.config.chunk_timeout,
-                            chunk_retries=self.config.chunk_retries)
+                            pool_manager=self.pool_manager)
             stride = self.config.stream_jobs or max(4, runner.workers * 2)
             rows = []
             for start in range(0, len(jobs), stride):
@@ -519,21 +518,14 @@ class ReproService:
 
     def _execute_pipeline(self, flight: Flight) -> dict:
         job = flight.request.jobs()[0]
-        rows = runner_module._memory_get(job)
+        rows = recall_rows(job, self.cache)
         cached = rows is not None
-        if rows is None and self.cache is not None:
-            rows = self.cache.get(job)
-            cached = rows is not None
-            if rows is not None:
-                runner_module._memory_put(job, rows)
         if rows is None and self.config.distributed:
             # the coordinator's checkpoint migration + journal replace
             # the local checkpoint file for durability; completed rows
             # land in both cache levels exactly as the local path's do
             rows = self._run_distributed(flight, [job])[0]
-            runner_module._memory_put(job, rows)
-            if self.cache is not None:
-                self.cache.put(job, rows)
+            remember_rows(job, rows, self.cache)
         elif rows is None:
             def on_chunk(chunk, requests_done, total_requests):
                 self._check_cancel(flight)
@@ -572,9 +564,7 @@ class ReproService:
             rows = pipeline_rows(job.params, on_chunk=on_chunk,
                                  should_stop=flight.cancel.is_set,
                                  **ckpt_kwargs)
-            runner_module._memory_put(job, rows)
-            if self.cache is not None:
-                self.cache.put(job, rows)
+            remember_rows(job, rows, self.cache)
             if ckpt_path is not None:
                 try:
                     os.unlink(ckpt_path)  # completed: checkpoint spent

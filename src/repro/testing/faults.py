@@ -81,8 +81,10 @@ semantics a crash-recovery test needs.
 Propagation: pool workers under ``spawn``/``forkserver`` import a
 fresh copy of this module, so plans travel through the
 ``REPRO_FAULT_PLAN`` environment variable (inline JSON, or ``@path``
-to a JSON file), loaded once at import. ``fork`` workers inherit the
-in-process plan directly.
+to a JSON file), loaded once at import. A ``forkserver`` worker gets
+the environment of its fork server, which is started once per process
+and never sees a plan exported after it started. ``fork`` workers
+inherit the in-process plan directly.
 
 When no plan is installed every hook is one module-global ``is None``
 check (:func:`enabled`), so production paths pay nothing measurable —

@@ -6,8 +6,8 @@ process-wide facts about recoveries, not per-runner state.
 Exactness needs care with process pools: a forked pool worker inherits
 the plan with `fired=0`, so any plan used here pins faults with
 `once_file` (at-most-once across processes) and uses single-chunk
-layouts with short timeouts so one kill maps to exactly one rebuild
-and one re-dispatched chunk.
+layouts so one kill maps to exactly one rebuild and one re-dispatched
+chunk.
 """
 
 import pytest
@@ -60,8 +60,7 @@ class TestExactUnderKilledWorker:
             {"site": "worker.chunk", "at": 0, "action": "kill",
              "once_file": str(tmp_path / "kill.once")}]})
         try:
-            with Runner(workers=2, chunksize=len(JOBS), chunk_timeout=5.0,
-                        chunk_retries=2) as runner:
+            with Runner(workers=2, chunksize=len(JOBS)) as runner:
                 table = runner.run(JOBS)
         finally:
             faults.clear_env()
@@ -80,8 +79,7 @@ class TestExactUnderKilledWorker:
                 {"site": "worker.chunk", "at": 0, "action": "kill",
                  "once_file": str(tmp_path / f"kill-{attempt}.once")}]})
             try:
-                with Runner(workers=2, chunksize=len(JOBS),
-                            chunk_timeout=5.0, chunk_retries=2) as runner:
+                with Runner(workers=2, chunksize=len(JOBS)) as runner:
                     runner.run(JOBS)
             finally:
                 faults.clear_env()
@@ -100,8 +98,7 @@ class TestSurvivesPoolRebuilds:
             {"site": "worker.chunk", "at": 0, "action": "kill",
              "once_file": str(tmp_path / "kill.once")}]})
         try:
-            with Runner(workers=2, chunksize=len(JOBS), chunk_timeout=5.0,
-                        chunk_retries=2) as runner:
+            with Runner(workers=2, chunksize=len(JOBS)) as runner:
                 runner.run(JOBS)
         finally:
             faults.clear_env()

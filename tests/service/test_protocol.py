@@ -49,6 +49,35 @@ class TestSweepParsing:
             parse_job_request({"kind": "sweep",
                                "spec": {"models": ["not-a-model"]}})
 
+    def test_unknown_config_override_rejected_at_submission(self):
+        with pytest.raises(ProtocolError, match="unsupported config overrides"):
+            parse_job_request({"kind": "sweep",
+                               "spec": {"models": ["alexnet"],
+                                        "configs": [{"bogus": 1}]}})
+
+    @pytest.mark.parametrize("scheme,match", [
+        (["bp", {"bogus": 1}], "bogus"),
+        (["np", {"cache_bytes": 1}], "no parameters"),
+        (["bp"], "invalid sweep spec"),
+    ], ids=["unknown-param", "np-with-params", "no-params-object"])
+    def test_bad_scheme_entry_rejected_at_submission(self, scheme, match):
+        with pytest.raises(ProtocolError, match=match):
+            parse_job_request({"kind": "sweep",
+                               "spec": {"models": ["alexnet"],
+                                        "schemes": [scheme]}})
+
+    @pytest.mark.parametrize("spec", [
+        {"models": ["alexnet"], "configs": [{"dram_bandwidth_gbps": 12.5}]},
+        {"models": ["alexnet"],
+         "schemes": ["np", ["bp", {"cache_bytes": 262144}]]},
+        SPEC,
+    ], ids=["configs", "scheme-params", "plain"])
+    def test_resubmit_body_roundtrips_to_same_key(self, spec):
+        request = parse_job_request({"kind": "sweep", "spec": spec})
+        again = parse_job_request(request.resubmit_body())
+        assert again.key("fp") == request.key("fp")
+        assert again.jobs() == request.jobs()
+
     def test_unknown_kind(self):
         with pytest.raises(ProtocolError, match="unknown job kind"):
             parse_job_request({"kind": "bake-cookies"})

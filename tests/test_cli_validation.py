@@ -18,9 +18,6 @@ def _error_for(argv, capsys):
 REJECTED = [
     (["serve", "--checkpoint-every", "-1"], "--checkpoint-every"),
     (["serve", "--drain-grace", "-3"], "--drain-grace"),
-    (["serve", "--chunk-timeout", "0"], "--chunk-timeout"),
-    (["serve", "--chunk-timeout", "-2.5"], "--chunk-timeout"),
-    (["serve", "--chunk-retries", "-1"], "--chunk-retries"),
     (["serve", "--workers", "0"], "--workers"),
     (["serve", "--max-running", "0"], "--max-running"),
     (["serve", "--max-queued", "-1"], "--max-queued"),
@@ -39,7 +36,6 @@ REJECTED = [
     (["work", "http://h:1", "--workers", "0"], "--workers"),
     (["work", "http://h:1", "--reconnect-timeout", "-1"],
      "--reconnect-timeout"),
-    (["work", "http://h:1", "--chunk-retries", "nope"], "--chunk-retries"),
 ]
 
 
@@ -61,12 +57,9 @@ def test_valid_values_parse():
     parser = build_parser()
     args = parser.parse_args(
         ["serve", "--checkpoint-every", "5", "--drain-grace", "2.5",
-         "--chunk-timeout", "30", "--chunk-retries", "0",
          "--max-queued", "0"])
     assert args.checkpoint_every == 5
     assert args.drain_grace == 2.5
-    assert args.chunk_timeout == 30.0
-    assert args.chunk_retries == 0
     assert args.max_queued == 0
 
     args = parser.parse_args(
