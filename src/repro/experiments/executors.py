@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.accel.accelerator import AcceleratorModel, TPU_V1_CONFIG
 from repro.accel.models import build_model
@@ -387,6 +387,15 @@ def pipeline_fingerprint(params: Dict[str, object]) -> Dict[str, object]:
         "scheme_params": {name: {} for name in schemes},
         "chunk_requests": chunk_requests,
     }
+
+
+def pipeline_extent(params: Dict[str, object]) -> Tuple[int, int]:
+    """``(total_requests, chunk_requests)`` of a ``pipeline_run`` job,
+    without building rewriters or controllers: ``repro serve`` sends a
+    flight that fits one chunk (no seam to stream, cancel or checkpoint
+    at) to the worker pool."""
+    _, _, chunk_requests, spec = _pipeline_config(params)
+    return spec.total_requests, chunk_requests
 
 
 def pipeline_rows(params: Dict[str, object], on_chunk=None,

@@ -13,7 +13,9 @@ Execution contract:
   and borrowed by the runner — a runner built without one gets a
   private manager (historical semantics: ``close()`` kills the pool),
   while ``repro serve`` hands every flight's runner one shared manager
-  so the service owns pool lifetime. Worker processes are forked where
+  so the service owns pool lifetime. A lone job runs in-process only
+  under a private manager; a borrowed pool gets it, keeping the work
+  off the owner's interpreter lock. Worker processes are forked where
   the platform allows, so the executor registry and the loaded model
   zoo are inherited rather than re-imported per job;
 * jobs cross the process boundary as chunked SoA payloads (executor
@@ -364,7 +366,11 @@ class Runner:
             note_recovery("chunk_retries", results.count(None))
 
     def _execute_batch(self, jobs: Sequence[Job]) -> List[List[dict]]:
-        if self.workers <= 1 or len(jobs) <= 1:
+        # a lone job skips a pool this runner would have to start, but
+        # not a borrowed one: that pool is warm, and its owner (the
+        # service) wants the work off its own interpreter lock
+        if (self.workers <= 1 or not jobs
+                or (len(jobs) == 1 and self._owns_manager)):
             results: List[List[dict]] = []
             for job in jobs:
                 try:

@@ -45,7 +45,10 @@ class SetAssociativeCache:
         self.num_sets = size_bytes // (line_bytes * ways)
         if self.num_sets == 0:
             raise ValueError("cache too small for requested associativity")
-        # each set: OrderedDict tag -> dirty flag; order = LRU (oldest first)
+        # each set: OrderedDict tag -> dirty flag; order = LRU (oldest
+        # first). MeeTraceRewriter's batch lane runs ``access`` inline on
+        # these dicts, so a change here or to ``access`` changes both
+        # (tests/property/test_rewriter_equivalence.py holds them equal)
         self._sets = [OrderedDict() for _ in range(self.num_sets)]
         self.stats = CacheStats()
 

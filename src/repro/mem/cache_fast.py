@@ -1,11 +1,18 @@
-"""Vectorized set-associative cache engine — the fast lane of
+"""Vectorized set-associative cache engine: a numpy twin of
 :class:`~repro.mem.cache.SetAssociativeCache`.
 
-The scalar reference keeps each set as an ``OrderedDict`` and pays a
-Python dict operation per metadata touch; on the MEE trace-rewriter hot
-path that is the last per-request pure-Python loop in the simulator.
-This engine keeps the whole cache as three dense ``(num_sets, ways)``
-numpy arrays:
+It is off the MEE trace rewriter's path: the rewriter runs its state
+machine once, in stream order, over the ``OrderedDict`` cache, which
+costs less than repeated whole-batch waves (``docs/PERFORMANCE.md``
+says why). The engine stays for its equivalence suite
+(``tests/property/test_cache_equivalence.py``), its kernel benchmarks,
+and because the repository benchmark's traced run counts its
+``simulate``/``access`` calls; it can go once those counters stop
+reading it.
+
+The reference keeps each set as an ``OrderedDict`` and pays a Python
+dict operation per touch. This engine keeps the whole cache as three
+dense ``(num_sets, ways)`` numpy arrays:
 
 * ``tags``  — the stored line tag per way (int64; ``-1`` = free, which
   no real tag can equal, so tag comparison needs no validity mask);
@@ -47,9 +54,8 @@ class FastSetAssociativeCache:
     """Numpy twin of :class:`~repro.mem.cache.SetAssociativeCache`.
 
     State lives in dense arrays; single-access calls pay a small numpy
-    toll (they exist so the sequential fallback paths and the tests can
-    drive the same object), while :meth:`access_many` amortizes the
-    whole batch.
+    toll (they let the tests drive one object through either API),
+    while :meth:`access_many` amortizes the whole batch.
     """
 
     __slots__ = ("line_bytes", "ways", "num_sets", "tags", "dirty",
@@ -172,13 +178,12 @@ class FastSetAssociativeCache:
     def simulate(self, addresses, is_write, stamps, hits, writebacks) -> None:
         """The wave kernel behind :meth:`access_many`.
 
-        ``stamps`` assigns each access its LRU timestamp explicitly so
-        callers (the MEE rewriter) can fold guaranteed-hit ``retouch``
-        replays into the original touch by *inflating* its stamp to the
-        replay's stream position; stamps must be unique non-negative
-        values starting at :attr:`_clock` (the caller advances the
-        clock past its slot range on commit) and preserve per-set
-        victim ordering (see the trace rewriter's coalescing argument).
+        ``stamps`` assigns each access its LRU timestamp explicitly so a
+        caller can fold guaranteed-hit ``retouch`` replays into the
+        original touch by *inflating* its stamp to the replay's stream
+        position; stamps must be unique non-negative values starting at
+        :attr:`_clock` (the caller advances the clock past its slot
+        range on commit) and preserve per-set victim ordering.
         ``writebacks`` must come in filled with ``-1``; it and ``hits``
         are filled in place.
 

@@ -18,7 +18,6 @@ out a protected-metadata range.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, List
 
@@ -34,11 +33,6 @@ try:
     import numpy as _np
 except ImportError:  # pragma: no cover - the image bakes numpy in
     _np = None
-
-if _np is not None:
-    from repro.mem.cache_fast import FastSetAssociativeCache
-else:  # pragma: no cover - the image bakes numpy in
-    FastSetAssociativeCache = None
 
 
 def build_trace_rewriter(name: str, **params):
@@ -65,20 +59,6 @@ def build_trace_rewriter(name: str, **params):
         f"unknown scheme {name!r}; known: bp, guardnn-c, guardnn-ci, np")
 
 
-def _prev_occurrence(values):
-    """For each element, the index of the previous element with the same
-    value, or ``-1`` for first occurrences. One stable argsort — the
-    vectorized backbone of the cache-pressure guess."""
-    n = len(values)
-    prev = _np.full(n, -1, dtype=_np.int64)
-    if n > 1:
-        order = _np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        same = sorted_values[1:] == sorted_values[:-1]
-        prev[order[1:][same]] = order[:-1][same]
-    return prev
-
-
 def _run_starts(key, coalescable):
     """Start indices of maximal runs of requests that share a metadata
     key and may be coalesced (single-span requests only); requests with
@@ -100,48 +80,36 @@ def _scatter_assemble(out: RequestBatch, batch: RequestBatch, address, size,
                       line_bytes: int) -> None:
     """Interleave the verbatim input stream with positioned metadata
     events (event j rides directly after input request ``ev_pos[j]``)
-    in one vectorized scatter instead of per-run array flushes.
-
-    Event columns may be Python lists (the per-run state machines) or
-    numpy arrays (the fully vectorized paths)."""
+    in one vectorized scatter instead of per-run array flushes. Event
+    columns are numpy arrays: ``ev_write``/``ev_kind`` int8."""
     n = len(address)
     m = len(ev_pos)
     if not m:
         out.extend(batch)
         return
-    if isinstance(ev_pos, _np.ndarray):
-        pos = ev_pos
-        addr_col = ev_addr
-        write_col = ev_write.astype(_np.int8)
-        kind_col = ev_kind.astype(_np.int8)
-    else:
-        pos = _np.frombuffer(array("q", ev_pos), dtype=_np.int64)
-        addr_col = _np.frombuffer(array("q", ev_addr), dtype=_np.int64)
-        write_col = _np.frombuffer(array("b", ev_write), dtype=_np.int8)
-        kind_col = _np.frombuffer(array("b", ev_kind), dtype=_np.int8)
     total = n + m
-    # input i is preceded by i inputs and every event with pos < i;
-    # event j by (pos_j + 1) inputs and j events — emission order wins
-    # among events that share a position
-    prefix = _np.concatenate(([0], _np.cumsum(_np.bincount(pos, minlength=n))[:-1]))
-    dest_input = _np.arange(n, dtype=_np.int64) + prefix
-    dest_event = pos + 1 + _np.arange(m, dtype=_np.int64)
+    # event j lands after input ev_pos[j] and the j events before it;
+    # the inputs fill the remaining slots in order
+    dest_event = ev_pos + _np.arange(1, m + 1)
+    is_event = _np.zeros(total, dtype=bool)
+    is_event[dest_event] = True
+    dest_input = _np.flatnonzero(~is_event)
     merged_address = _np.empty(total, dtype=_np.int64)
     merged_address[dest_input] = address
-    merged_address[dest_event] = addr_col
-    merged_size = _np.empty(total, dtype=_np.int64)
+    merged_address[dest_event] = ev_addr
+    merged_size = _np.full(total, line_bytes, dtype=_np.int64)
     merged_size[dest_input] = size
-    merged_size[dest_event] = line_bytes
     merged_write = _np.empty(total, dtype=_np.int8)
     merged_write[dest_input] = is_write
-    merged_write[dest_event] = write_col
+    merged_write[dest_event] = ev_write
     merged_kind = _np.empty(total, dtype=_np.int8)
     merged_kind[dest_input] = _np.frombuffer(batch.kind, dtype=_np.int8)
-    merged_kind[dest_event] = kind_col
-    out.address.frombytes(merged_address.tobytes())
-    out.size.frombytes(merged_size.tobytes())
-    out.is_write.frombytes(merged_write.tobytes())
-    out.kind.frombytes(merged_kind.tobytes())
+    merged_kind[dest_event] = ev_kind
+    # uint8 views: array.frombytes takes any byte buffer, no copy
+    out.address.frombytes(merged_address.view(_np.uint8))
+    out.size.frombytes(merged_size.view(_np.uint8))
+    out.is_write.frombytes(merged_write.view(_np.uint8))
+    out.kind.frombytes(merged_kind.view(_np.uint8))
 
 
 class GuardNNTraceRewriter:
@@ -490,16 +458,11 @@ class MeeTraceRewriter:
     def __init__(self, params: MeeParams = MeeParams(),
                  protected_bytes: int = 1 << 30, metadata_base: int = 1 << 34):
         self.params = params
-        # the metadata cache: dense numpy state with the batched
-        # access_many kernel on the fast path, the OrderedDict
-        # reference in scalar mode — same API, bit-identical behaviour
-        # (tests/property/test_cache_equivalence.py)
-        if FastSetAssociativeCache is not None and perf.fast_enabled():
-            self.cache = FastSetAssociativeCache(
-                params.cache_bytes, params.line_bytes, ways=8)
-        else:
-            self.cache = SetAssociativeCache(
-                params.cache_bytes, params.line_bytes, ways=8)
+        # the metadata cache in both modes: the scalar path calls its
+        # ``access``, the batch fast lane runs the same state machine
+        # inline over its per-set OrderedDicts
+        self.cache = SetAssociativeCache(
+            params.cache_bytes, params.line_bytes, ways=8)
         self.metadata_base = metadata_base
         self.regions = self._lay_out(protected_bytes)
         self._rewrite_calls = 0
@@ -508,10 +471,9 @@ class MeeTraceRewriter:
 
     def state_dict(self) -> dict:
         """Carried state is exactly the metadata cache (the region
-        layout is derived from constructor parameters). The cache's
-        canonical form loads into either implementation, so a
-        checkpoint written in fast mode resumes in scalar mode and
-        vice versa."""
+        layout is derived from constructor parameters). Both modes use
+        one cache class, so a checkpoint written in fast mode resumes
+        in scalar mode and vice versa."""
         return {"cache": self.cache.state_dict()}
 
     def load_state(self, state: dict) -> None:
@@ -609,389 +571,190 @@ class MeeTraceRewriter:
         With numpy, VN-unit spans are precomputed for the whole batch
         (SoA) and runs of requests inside one 512-B unit collapse: the
         run's first request drives the cache state machine, the rest
-        are provably hits and reduce to one dirty-OR / LRU touch.
-
-        When the cache is the vectorized engine, the whole batch is
-        first attempted as one *speculative program*: every metadata
-        touch the batch will make is laid out up front (tree-walk
-        depths guessed by a vectorized infinite-cache heuristic), run
-        through :meth:`~repro.mem.cache_fast.FastSetAssociativeCache.simulate`
-        in set-collision waves, and validated against the guess. A
-        validated program is provably the sequential result (guards are
-        causally determined by the access prefix, so any fixpoint is
-        unique); a failed validation restores the cache snapshot and
-        falls back to the per-run state machine."""
+        are provably hits and reduce to one dirty-OR / LRU touch. One
+        sequential pass then runs the state machine item by item
+        (:meth:`_rewrite_batch_items`)."""
         if faults.enabled():
             faults.fire("rewriter.rewrite", self._rewrite_calls)
         self._rewrite_calls += 1
-        if _np is not None and perf.fast_enabled() and len(batch) >= 16:
-            if (isinstance(self.cache, FastSetAssociativeCache)
-                    and len(self.regions.tree_bases) + 1 < self.cache.ways):
-                out = self._rewrite_batch_spec(batch)
-                if out is not None:
-                    return out
-            return self._rewrite_batch_runs(batch)
+        # the fast lane packs two event bits per touch (VN, MAC, one
+        # per tree level) into one int64 mask per item
+        if (_np is not None and perf.fast_enabled() and len(batch) >= 16
+                and 2 * (len(self.regions.tree_bases) + 2) < 64):
+            return self._rewrite_batch_items(batch)
         return self._rewrite_batch_loop(batch)
 
-    def _rewrite_batch_spec(self, batch: RequestBatch):
-        """Speculative whole-batch rewrite on the vectorized cache.
+    def _rewrite_batch_items(self, batch: RequestBatch) -> RequestBatch:
+        """Numpy pre-pass, one pass over the cache in stream order,
+        numpy assembly.
 
-        Returns the rewritten batch, or ``None`` if the guessed
-        tree-walk depths failed validation (cache state restored; the
-        caller re-runs sequentially)."""
+        The pre-pass cuts the batch into *items*, one per (run, VN
+        unit). The loop applies each item's touches (VN, MAC, and after
+        a VN miss the tree walk) straight to the cache's per-set
+        ``OrderedDict``s, exactly as
+        :meth:`~repro.mem.cache.SetAssociativeCache.access` would. Each
+        item records one bitmask of its events (bit ``2k`` the
+        writeback caused by touch ``k``, bit ``2k + 1`` its fill; touch
+        0 is VN, 1 MAC, ``2 + l`` tree level ``l``) and each writeback
+        appends its line to a side list. Numpy expands the masks into
+        the positioned event columns of :func:`_scatter_assemble` and
+        derives the cache stats from them.
+        """
         n = len(batch)
         address = _np.frombuffer(batch.address, dtype=_np.int64)
         size = _np.frombuffer(batch.size, dtype=_np.int64)
         is_write = _np.frombuffer(batch.is_write, dtype=_np.int8)
         cache = self.cache
+        num_sets = cache.num_sets
+        ways = cache.ways
         line_bytes = self.params.line_bytes
         unit = self.params.data_per_vn_line
         per_mac = self.params.data_per_mac_line
+        arity = self.params.tree_arity
         vn_base = self.regions.vn_base
         mac_base = self.regions.mac_base
         tree_bases = self.regions.tree_bases
-        arity = self.params.tree_arity
         levels = len(tree_bases)
 
-        # -- runs and items (one item per (run, VN unit)) ------------------
+        # -- items: one per (run, VN unit) ---------------------------------
         first_unit = address // unit
         last_unit = (address + size - 1) // unit
-        single = first_unit == last_unit
-        starts = _run_starts(first_unit, single)
-        ends = _np.concatenate((starts[1:], [n]))
-        m = len(starts)
+        # after its VN touch an item touches at most levels + 1 other
+        # lines; while that is fewer than ``ways``, neither VN nor MAC
+        # can reach the LRU end of its set and be evicted, so a run's
+        # remaining requests can only hit. Otherwise every request is
+        # its own run.
+        coalesce = levels + 1 < ways
+        starts = _run_starts(first_unit, (first_unit == last_unit) & coalesce)
+        ends = _np.append(starts[1:], n)
         writes_before = _np.concatenate(([0], _np.cumsum(is_write != 0)))
-        run_rest_write = writes_before[ends] > writes_before[
-            _np.minimum(starts + 1, n)]
-        run_single = single[starts]
-        run_write = is_write[starts] != 0
-        run_len = ends - starts
         run_first = first_unit[starts]
-        run_units = _np.where(run_single, 1, last_unit[starts] - run_first + 1)
+        run_units = last_unit[starts] - run_first + 1
+        item_run = _np.repeat(_np.arange(len(starts)), run_units)
+        item_unit = run_first[item_run] + (
+            _np.arange(len(item_run))
+            - (_np.cumsum(run_units) - run_units)[item_run])
+        vn_tag, vn_set = _np.divmod(vn_base // line_bytes + item_unit, num_sets)
+        mac_tag, mac_set = _np.divmod(
+            mac_base // line_bytes + item_unit * unit // per_mac, num_sets)
+        # tree level l covers arity**(l + 1) VN units per line
+        tree = [(base // line_bytes, arity ** (level + 1))
+                for level, base in enumerate(tree_bases)]
 
-        item_total = int(run_units.sum())
-        run_item_off = _np.concatenate(([0], _np.cumsum(run_units)[:-1]))
-        item_run = _np.repeat(_np.arange(m), run_units)
-        item_unit = (run_first[item_run]
-                     + _np.arange(item_total) - run_item_off[item_run])
-        item_pos = starts[item_run]
-        item_write = run_write[item_run]
-        item_addr = item_unit * unit
-        item_vn = vn_base + item_unit * line_bytes
-        item_mac = mac_base + item_addr // per_mac * line_bytes
-        # hit-run coalescing: single runs fold their tail's retouches
-        item_rest = _np.where(run_single[item_run], run_len[item_run] - 1, 0)
-        item_fold_write = run_rest_write[item_run] & (item_rest > 0)
+        # -- the state machine ---------------------------------------------
+        # A run's remaining requests re-touch VN and MAC (a retouch: one
+        # LRU move each) and OR their writes into both dirty bits. No
+        # eviction can observe those bits in between, so the item's own
+        # VN/MAC touches store the whole run's write-OR (``run_write``);
+        # its tree touches store the first request's write.
+        sets = cache._sets
+        resident = sum(map(len, sets))
+        masks = []
+        put_mask = masks.append
+        wb_line = []
+        put_wb = wb_line.append
+        run_write = writes_before[ends] > writes_before[starts]
+        for vs, vt, ms, mt, w, run_w, u, rest in zip(
+                vn_set.tolist(), vn_tag.tolist(), mac_set.tolist(),
+                mac_tag.tolist(), is_write[starts][item_run].tolist(),
+                run_write[item_run].tolist(), item_unit.tolist(),
+                (ends - starts - 1)[item_run].tolist()):
+            vn = sets[vs]
+            if vt in vn:
+                vn.move_to_end(vt)
+                if run_w:
+                    vn[vt] = True
+                mask = 0
+            else:
+                mask = 2
+                if len(vn) >= ways:
+                    tag, dirty = vn.popitem(False)
+                    if dirty:
+                        put_wb(tag * num_sets + vs)
+                        mask = 3
+                vn[vt] = run_w
+            mac = sets[ms]
+            if mt in mac:
+                mac.move_to_end(mt)
+                if run_w:
+                    mac[mt] = True
+            else:
+                mask |= 8
+                if len(mac) >= ways:
+                    tag, dirty = mac.popitem(False)
+                    if dirty:
+                        put_wb(tag * num_sets + ms)
+                        mask |= 4
+                mac[mt] = run_w
+            if mask & 2:
+                # authenticate the fetched VN line: walk the tree
+                # upward until a level hits in the cache
+                bit = 16  # touch 2 (tree level 0): bits 4 and 5
+                for base_line, span in tree:
+                    t, s = divmod(base_line + u // span, num_sets)
+                    lines = sets[s]
+                    if t in lines:
+                        lines.move_to_end(t)
+                        if w:
+                            lines[t] = True
+                        break
+                    if len(lines) >= ways:
+                        tag, dirty = lines.popitem(False)
+                        if dirty:
+                            put_wb(tag * num_sets + s)
+                            mask |= bit
+                    lines[t] = w
+                    mask |= bit << 1
+                    bit <<= 2
+            if rest:
+                vn.move_to_end(vt)
+                mac.move_to_end(mt)
+            put_mask(mask)
 
-        # -- tree-walk depth guesses ---------------------------------------
-        ways = cache.ways
-        pressure = ways * cache.num_sets  # insert-pressure eviction horizon
-        cold = not cache.any_resident()  # fresh cache: skip residency probes
+        # -- stats. Misses are the fills, dirty evictions the writebacks,
+        # evictions the fills into full sets. Hits: every item and every
+        # coalesced request touches VN and MAC; take away the MAC fills,
+        # and count a VN fill as the hit that ended its walk, unless the
+        # walk filled every level.
+        item_mask = _np.array(masks, dtype=_np.int64)
+        width = 2 * (levels + 2)
+        # row-major: items in order, touches in order, a writeback
+        # before the fill of the touch that caused it
+        event = _np.flatnonzero(item_mask[:, None] & (1 << _np.arange(width)))
+        misses = len(event) - len(wb_line)
+        full_walk = sum(2 << (2 * touch) for touch in (0, *range(2, levels + 2)))
+        stats = cache.stats
+        stats.hits += (2 * (len(item_run) + n - len(starts))
+                       - int(_np.count_nonzero(item_mask & 8))
+                       - int(_np.count_nonzero((item_mask & full_walk) == full_walk)))
+        stats.misses += misses
+        stats.evictions += misses - (sum(map(len, sets)) - resident)
+        stats.dirty_evictions += len(wb_line)
 
-        def guessed_hit(line, idx):
-            """Predict hit/miss for touches of ``line`` at item
-            positions ``idx``: a re-touch hits while the VN/MAC insert
-            pressure since the previous touch (~2 fills per item spread
-            over num_sets sets) cannot have filled its set's ways; an
-            untouched start-resident line hits on the same horizon from
-            batch start. Pure heuristic — validation decides."""
-            prev = _prev_occurrence(line)
-            seen = prev >= 0
-            gap = _np.where(seen, idx - idx[prev], idx + 1)
-            recent = 2 * gap < pressure
-            if cold:
-                return seen & recent
-            return (seen | cache.contains_many(line)) & recent
-
-        def guess_depths(vn_hit, fixed, floor):
-            """Per-item walk depths implied by ``vn_hit`` plus the hit
-            heuristic level by level; ``fixed >= 0`` pins a depth
-            (observed hit in the prior attempt), ``floor`` forces
-            guessed misses below that level (observed misses)."""
-            depth = _np.zeros(item_total, dtype=_np.int64)
-            if not levels:
-                return depth
-            alive = ~vn_hit
-            if fixed is not None:
-                pinned = fixed >= 0
-                depth[pinned & ~vn_hit] = fixed[pinned & ~vn_hit]
-                alive &= ~pinned
-            coverage = unit * arity
-            for level in range(levels):
-                idx = _np.flatnonzero(alive)
-                if not idx.size:
-                    break
-                depth[idx] = level + 1
-                line = (tree_bases[level]
-                        + item_addr[idx] // coverage * line_bytes)
-                hit = guessed_hit(line, idx)
-                if floor is not None:
-                    hit &= level >= floor[idx]
-                alive[idx[hit]] = False
-                coverage *= arity
-            return depth
-
-        item_index = _np.arange(item_total)
-        depth = guess_depths(guessed_hit(item_vn, item_index), None, None)
-
-        snapshot = (cache.tags.copy(), cache.dirty.copy(),
-                    cache.stamp.copy(), cache._clock,
-                    (cache.stats.hits, cache.stats.misses,
-                     cache.stats.evictions, cache.stats.dirty_evictions))
-        base_clock = cache._clock
-
-        # a failed attempt pins what it observed and can extend a
-        # mispredicted walk by one level, so depth-`levels` walks need
-        # up to levels + 1 tries before the sequential fallback is the
-        # only honest answer (each retry is one cheap `simulate`; the
-        # fallback is orders of magnitude slower)
-        attempts = max(2, levels + 1)
-        for attempt in range(attempts):
-            # -- lay the program out as flat entry arrays ------------------
-            counts = 2 + depth  # vn, mac, then `depth` tree touches
-            slots = counts + 2 * (item_rest > 0)  # + folded retouch slots
-            entry_off = _np.concatenate(([0], _np.cumsum(counts)[:-1]))
-            slot_off = _np.concatenate(([0], _np.cumsum(slots)[:-1]))
-            total_entries = int(counts.sum())
-            entry_item = _np.repeat(item_index, counts)
-            k_in_item = _np.arange(total_entries) - entry_off[entry_item]
-
-            e_addr = _np.empty(total_entries, dtype=_np.int64)
-            vn_mask = k_in_item == 0
-            mac_mask = k_in_item == 1
-            tree_mask = k_in_item >= 2
-            e_addr[vn_mask] = item_vn
-            e_addr[mac_mask] = item_mac
-            e_kind = _np.where(vn_mask, VN_CODE,
-                               _np.where(mac_mask, MAC_CODE, TREE_CODE))
-            tree_level = k_in_item[tree_mask] - 2
-            tree_item = entry_item[tree_mask]
-            if tree_item.size:
-                cov = unit * arity ** (_np.arange(levels, dtype=_np.int64) + 1)
-                bases = _np.asarray(tree_bases, dtype=_np.int64)
-                e_addr[tree_mask] = (bases[tree_level]
-                                     + item_addr[tree_item] // cov[tree_level]
-                                     * line_bytes)
-            e_write = item_write[entry_item] | (
-                item_fold_write[entry_item] & ~tree_mask)
-            # stamps: each entry's program slot; a folded retouch
-            # inflates its touch's stamp to the replay slot (safe: a
-            # walk inserts at most 2 + levels <= ways lines into any
-            # set, so victims are always pre-run residents whose
-            # relative order is unchanged)
-            stamps = slot_off[entry_item] + k_in_item
-            fold_e = (item_rest > 0)[entry_item]
-            stamps[fold_e & vn_mask] = (slot_off + counts)[entry_item[
-                fold_e & vn_mask]]
-            stamps[fold_e & mac_mask] = (slot_off + counts + 1)[entry_item[
-                fold_e & mac_mask]]
-            stamps += base_clock
-
-            hits = _np.empty(total_entries, dtype=bool)
-            writebacks = _np.full(total_entries, -1, dtype=_np.int64)
-            cache.simulate(e_addr, e_write, stamps, hits, writebacks)
-
-            # -- validate the guess ----------------------------------------
-            ok = True
-            vn_hit = hits[entry_off]
-            t_hits = hits[tree_mask]
-            if levels:
-                if _np.any(vn_hit != (depth == 0)):
-                    ok = False
-                elif tree_item.size:
-                    t_depth = depth[tree_item]
-                    expected = (tree_level == t_depth - 1) & (t_depth < levels)
-                    unconstrained = (tree_level == t_depth - 1) & (
-                        t_depth == levels)
-                    if _np.any((t_hits != expected) & ~unconstrained):
-                        ok = False
-            if ok:
-                cache._clock = base_clock + int(slots.sum())
-                cache.credit_hits(2 * int(item_rest.sum()))
-                break
-
-            cache.tags[...] = snapshot[0]
-            cache.dirty[...] = snapshot[1]
-            cache.stamp[...] = snapshot[2]
-            cache._clock = snapshot[3]
-            (cache.stats.hits, cache.stats.misses, cache.stats.evictions,
-             cache.stats.dirty_evictions) = snapshot[4]
-            if attempt == attempts - 1:
-                return None
-            # refine: actual hits pin what the attempt proved, the
-            # heuristic only extends walks past the proven misses
-            first_hit = _np.full(item_total, levels, dtype=_np.int64)
-            hit_tree = t_hits.nonzero()[0]
-            if hit_tree.size:
-                _np.minimum.at(first_hit, tree_item[hit_tree],
-                               tree_level[hit_tree])
-            fixed = _np.where(first_hit < levels, first_hit + 1, -1)
-            depth = guess_depths(vn_hit, fixed, depth)
-
-        # -- assemble positioned events ------------------------------------
-        has_wb = writebacks >= 0
-        has_fill = ~hits
-        slot_mask = _np.empty(2 * total_entries, dtype=bool)
-        slot_mask[0::2] = has_wb  # a writeback precedes its fill
-        slot_mask[1::2] = has_fill
-        ev_slot = _np.flatnonzero(slot_mask)
-        ev_entry = ev_slot >> 1
-        ev_is_wb = (ev_slot & 1) == 0
-        ev_pos = item_pos[entry_item[ev_entry]]
-        ev_addr = _np.where(ev_is_wb, writebacks[ev_entry], e_addr[ev_entry])
-        ev_write = ev_is_wb.astype(_np.int8)
-        wb_kind = _np.where(
-            ev_addr < mac_base, VN_CODE,
-            _np.where(ev_addr < (tree_bases[0] if tree_bases else 1 << 62),
-                      MAC_CODE, TREE_CODE))
-        ev_kind = _np.where(ev_is_wb, wb_kind, e_kind[ev_entry])
-
+        # -- positioned events ---------------------------------------------
         out = RequestBatch()
+        if not misses:
+            out.extend(batch)
+            return out
+        item, bit = _np.divmod(event, width)
+        touch = bit >> 1
+        is_wb = (bit & 1) == 0
+        ev_unit = item_unit[item]
+        span = _np.concatenate(([1, 1], arity ** _np.arange(1, levels + 1)))
+        bases = _np.array([vn_base, mac_base, *tree_bases], dtype=_np.int64)
+        ev_addr = bases[touch] + _np.where(
+            touch == 1, ev_unit * unit // per_mac, ev_unit) // span[touch] * line_bytes
+        ev_kind = _np.minimum(touch, 2)
+        if wb_line:
+            wb_addr = _np.array(wb_line, dtype=_np.int64) * line_bytes
+            ev_addr[is_wb] = wb_addr
+            # a writeback's kind is the region of its address
+            ev_kind[is_wb] = _np.searchsorted(bases[1:3], wb_addr, side="right")
         _scatter_assemble(out, batch, address, size, is_write,
-                          ev_pos, ev_addr, ev_write, ev_kind, line_bytes)
-        return out
-
-    def _rewrite_batch_runs(self, batch: RequestBatch) -> RequestBatch:
-        out = RequestBatch()
-        n = len(batch)
-        address = _np.frombuffer(batch.address, dtype=_np.int64)
-        size = _np.frombuffer(batch.size, dtype=_np.int64)
-        is_write = _np.frombuffer(batch.is_write, dtype=_np.int8)
-        line_bytes = self.params.line_bytes
-        unit = self.params.data_per_vn_line
-        per_mac = self.params.data_per_mac_line
-        access = self.cache.access
-        contains = self.cache.contains
-        kind_code_of = self._kind_code_of
-        vn_base = self.regions.vn_base
-        mac_base = self.regions.mac_base
-        tree_bases = self.regions.tree_bases
-        arity = self.params.tree_arity
-
-        first_unit = address // unit
-        last_unit = (address + size - 1) // unit
-        single = first_unit == last_unit
-        starts = _run_starts(first_unit, single)
-        ends = _np.concatenate((starts[1:], [n]))
-        writes_before = _np.concatenate(([0], _np.cumsum(is_write != 0)))
-        run_any_write = (writes_before[ends] > writes_before[starts]).tolist()
-        # writes among requests s+1..e-1 (the coalesced tail of a run)
-        run_rest_write = (writes_before[ends]
-                          > writes_before[_np.minimum(starts + 1, n)]).tolist()
-        run_first = first_unit[starts].tolist()
-        run_last = last_unit[starts].tolist()
-        run_single = single[starts].tolist()
-        run_write = is_write[starts].tolist()
-        run_len = (ends - starts).tolist()
-        starts_list = starts.tolist()
-        # a fill inserted by this walk can only be evicted by the walk's
-        # own later insertions; with <= tree-levels + 1 of those after
-        # the VN fill, an 8-way set can never push VN/MAC out before the
-        # run's remaining (all-hit) requests replay
-        coalesce_safe = len(tree_bases) + 1 < self.cache.ways
-
-        retouch = self.cache.retouch
-        # positioned metadata emissions: (after-request-index, address,
-        # is_write, kind) as four parallel lists. The interleaved output
-        # stream is scatter-assembled once at the end instead of being
-        # flushed run by run.
-        ev_pos, ev_addr, ev_write, ev_kind = [], [], [], []
-        put_pos = ev_pos.append
-        put_addr = ev_addr.append
-        put_write = ev_write.append
-        put_kind = ev_kind.append
-
-        def touch(position: int, meta_address: int, write: int,
-                  kind_code: int) -> bool:
-            hit, writeback = access(meta_address, write)
-            if writeback is not None:
-                put_pos(position)
-                put_addr(writeback)
-                put_write(1)
-                put_kind(kind_code_of(writeback))
-            if not hit:
-                put_pos(position)
-                put_addr(meta_address)
-                put_write(0)
-                put_kind(kind_code)
-            return hit
-
-        for k, s in enumerate(starts_list):
-            if run_single[k]:
-                u = run_first[k]
-                addr = u * unit
-                vn_line = vn_base + u * line_bytes
-                mac_line = mac_base + addr // per_mac * line_bytes
-                write = run_write[k]
-                # VN and MAC touches inlined (the two per-run constants)
-                vn_hit, writeback = access(vn_line, write)
-                if writeback is not None:
-                    put_pos(s)
-                    put_addr(writeback)
-                    put_write(1)
-                    put_kind(kind_code_of(writeback))
-                if not vn_hit:
-                    put_pos(s)
-                    put_addr(vn_line)
-                    put_write(0)
-                    put_kind(VN_CODE)
-                mac_hit, writeback = access(mac_line, write)
-                if writeback is not None:
-                    put_pos(s)
-                    put_addr(writeback)
-                    put_write(1)
-                    put_kind(kind_code_of(writeback))
-                if not mac_hit:
-                    put_pos(s)
-                    put_addr(mac_line)
-                    put_write(0)
-                    put_kind(MAC_CODE)
-                if not vn_hit:
-                    coverage = unit * arity
-                    for level in range(len(tree_bases)):
-                        if touch(s, tree_bases[level] + addr // coverage * line_bytes,
-                                 write, TREE_CODE):
-                            break
-                        coverage *= arity
-                rest = run_len[k] - 1
-                if rest:
-                    if coalesce_safe or (contains(vn_line) and contains(mac_line)):
-                        # the remaining requests of the run can only hit:
-                        # their whole cache effect is one LRU re-touch of
-                        # (VN, MAC) and an OR over their write bits
-                        rest_write = run_rest_write[k]
-                        retouch(vn_line, rest_write, rest)
-                        retouch(mac_line, rest_write, rest)
-                    else:  # pragma: no cover - needs a tree walk deep
-                        # enough to evict the just-filled VN/MAC lines
-                        for i in range(s + 1, s + 1 + rest):
-                            w_i = int(is_write[i])
-                            vn_hit = touch(i, vn_line, w_i, VN_CODE)
-                            touch(i, mac_line, w_i, MAC_CODE)
-                            if not vn_hit:
-                                coverage = unit * arity
-                                for level in range(len(tree_bases)):
-                                    if touch(i, tree_bases[level]
-                                             + addr // coverage * line_bytes,
-                                             w_i, TREE_CODE):
-                                        break
-                                    coverage *= arity
-                continue
-            # multi-unit request: singleton run through the full walk
-            write = run_write[k]
-            for u in range(run_first[k], run_last[k] + 1):
-                addr = u * unit
-                vn_hit = touch(s, vn_base + u * line_bytes, write, VN_CODE)
-                touch(s, mac_base + addr // per_mac * line_bytes, write, MAC_CODE)
-                if not vn_hit:
-                    coverage = unit * arity
-                    for level in range(len(tree_bases)):
-                        if touch(s, tree_bases[level] + addr // coverage * line_bytes,
-                                 write, TREE_CODE):
-                            break
-                        coverage *= arity
-        _scatter_assemble(out, batch, address, size, is_write,
-                          ev_pos, ev_addr, ev_write, ev_kind, line_bytes)
+                          starts[item_run[item]], ev_addr,
+                          is_wb.astype(_np.int8),
+                          _np.array([VN_CODE, MAC_CODE, TREE_CODE],
+                                    dtype=_np.int8)[ev_kind], line_bytes)
         return out
 
     def _rewrite_batch_loop(self, batch: RequestBatch) -> RequestBatch:

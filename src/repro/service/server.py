@@ -11,7 +11,11 @@ Architecture (all stdlib):
   the occupancy half of the admission model); the thread drives the
   ordinary blocking engine (:class:`~repro.experiments.runner.Runner`
   for sweeps, :func:`~repro.experiments.executors.pipeline_rows` for
-  pipelines) and publishes events back via ``call_soon_threadsafe``;
+  pipelines) and publishes events back via ``call_soon_threadsafe``.
+  A pipeline that fits one chunk has no seam to stream at, so its
+  thread hands it to the worker pool like a sweep job: the pipeline's
+  Python loops then hold a worker's interpreter lock, not the one the
+  event loop and the sweep hand-offs share;
 * every flight's runner borrows the one shared
   :class:`~repro.experiments.pool.WorkerPoolManager` — process-pool
   ownership is the service's, not any single request's — and the shared
@@ -47,7 +51,7 @@ from typing import Dict, Optional
 from repro.checkpoint import CheckpointError, load_checkpoint
 from repro.experiments import ResultCache, ResultTable, get_sweep
 from repro.experiments.cache import code_fingerprint
-from repro.experiments.executors import pipeline_rows
+from repro.experiments.executors import pipeline_extent, pipeline_rows
 from repro.experiments.pool import WorkerPoolManager
 from repro.experiments.runner import (
     JobExecutionError,
@@ -535,8 +539,8 @@ class ReproService:
 
             ckpt_path = self._flight_checkpoint_path(flight.key)
             ckpt_kwargs: Dict[str, object] = {}
+            resume_from = None
             if ckpt_path is not None:
-                resume_from = None
                 if os.path.exists(ckpt_path):
                     try:
                         resume_from = load_checkpoint(ckpt_path,
@@ -561,9 +565,20 @@ class ReproService:
                     # JobRequest and resume the flight unprompted
                     checkpoint_meta={"job": {"kind": "pipeline",
                                              "params": job.params}})
-            rows = pipeline_rows(job.params, on_chunk=on_chunk,
-                                 should_stop=flight.cancel.is_set,
-                                 **ckpt_kwargs)
+            total, chunk_requests = pipeline_extent(job.params)
+            if (0 < total <= chunk_requests and resume_from is None
+                    and not flight.checkpoint_now.is_set()):
+                # one chunk has no seam to stream, cancel or checkpoint
+                # at, so a thread gains nothing: compute it on the pool,
+                # off the interpreter lock the loop and sweeps share
+                self._check_cancel(flight)
+                rows = Runner(self.workers, pool_manager=self.pool_manager
+                              ).compute_rows([job])[0]
+                on_chunk(1, total, total)
+            else:
+                rows = pipeline_rows(job.params, on_chunk=on_chunk,
+                                     should_stop=flight.cancel.is_set,
+                                     **ckpt_kwargs)
             remember_rows(job, rows, self.cache)
             if ckpt_path is not None:
                 try:

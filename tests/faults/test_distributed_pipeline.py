@@ -13,7 +13,8 @@ subprocess over real HTTP:
   the coordinator must reject it (HTTP 400, nothing stored) and the
   successor falls back to the start of the unit — slower, never wrong.
 * **SIGTERM drain** — a real signal to a real ``repro work`` process
-  parks the pipeline at the next seam, uploads the final envelope,
+  (sent by itself at a fixed chunk seam, through the fault plan) parks
+  the pipeline at the next seam, uploads the final envelope,
   deregisters, and exits 0; the successor resumes from the drained
   worker's envelope without waiting out the lease term.
 """
@@ -24,7 +25,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 
@@ -76,15 +76,6 @@ def _start_survivor(url, name="survivor"):
     thread = threading.Thread(target=work, daemon=True)
     thread.start()
     return thread, outcome
-
-
-def _wait(predicate, timeout=60.0, interval=0.05):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise AssertionError("condition not reached in time")
 
 
 def test_sigkill_mid_unit_survivor_resumes_from_migrated_envelope():
@@ -160,15 +151,18 @@ def test_sigterm_drain_parks_at_seam_and_successor_resumes():
                                    lease_seconds=60.0, wait_workers=120.0,
                                    checkpoint_every=1)
     state = coordinator.state
-    drainee = _spawn_cli_worker(coordinator.url, "drainee")
+    # the drainee sends itself a real SIGTERM as it starts its second
+    # chunk, after the first envelope migrated: its handler then parks
+    # the unit at the next seam, never racing the unit's end
+    drainee = _spawn_cli_worker(coordinator.url, "drainee", plan={"points": [
+        {"site": "pipeline.chunk", "at": 1, "action": "sigterm"}]})
     try:
-        _wait(lambda: state.counters["checkpoints_migrated"] >= 1)
-        drainee.send_signal(signal.SIGTERM)
-        assert drainee.wait(timeout=60) == 0
+        assert drainee.wait(timeout=120) == 0
     finally:
         if drainee.poll() is None:
             drainee.kill()
     counters = state.counters
+    assert counters["checkpoints_migrated"] >= 1
     assert counters["workers_deregistered"] == 1
     assert counters["units_completed"] == 0  # parked, not finished
 

@@ -128,64 +128,6 @@ def test_mixed_batched_and_scalar_calls_share_state(geometry, first, second):
     assert_same_state(reference, fast, line_bytes=geometry[1])
 
 
-class TestMeeSpeculation:
-    """The MEE rewriter's speculative whole-batch programs on top of
-    the kernel: validated speculation, heuristic failure + sequential
-    fallback, and warm-cache continuation must all be bit-identical to
-    the scalar reference rewriter."""
-
-    @staticmethod
-    def _assert_batch_matches(addresses_writes):
-        from repro import perf
-        from repro.mem.batch import RequestBatch
-        from repro.mem.trace import MemoryRequest
-        from repro.protection.trace_rewriter import MeeTraceRewriter
-
-        trace = [MemoryRequest(a, 64, w) for a, w in addresses_writes]
-        batch = RequestBatch.from_requests(trace)
-        fast = MeeTraceRewriter()
-        out = fast.rewrite_batch(batch)
-        with perf.scalar_mode():
-            reference = MeeTraceRewriter()
-            ref = reference.rewrite(trace)
-        assert out.to_requests() == ref
-        assert fast.flush_batch().to_requests() == reference.flush()
-
-    def test_monotone_stream_validates_first_attempt(self):
-        self._assert_batch_matches(
-            [(i * 64, i % 3 == 0) for i in range(4096)])
-
-    def test_eviction_revisit_pattern_falls_back_exactly(self):
-        """Re-touching lines after eviction defeats the pressure
-        heuristic; the fallback must still be exact."""
-        addresses = []
-        for lap in range(6):
-            for i in range(0, 3000, 7):
-                addresses.append(((i * 512 * 37) % (1 << 26), i % 2 == 0))
-        self._assert_batch_matches(addresses)
-
-    def test_warm_cache_across_batches(self):
-        """A second batch speculates against non-cold state (residency
-        probes active) and must continue the same cache history."""
-        from repro import perf
-        from repro.mem.batch import RequestBatch
-        from repro.mem.trace import MemoryRequest
-        from repro.protection.trace_rewriter import MeeTraceRewriter
-
-        first = [MemoryRequest(i * 64, 64, i % 2 == 0) for i in range(2048)]
-        second = [MemoryRequest((2048 + i // 2) * 64, 64, i % 3 == 0)
-                  for i in range(2048)]
-        fast = MeeTraceRewriter()
-        got = (fast.rewrite_batch(RequestBatch.from_requests(first)).to_requests()
-               + fast.rewrite_batch(RequestBatch.from_requests(second)).to_requests()
-               + fast.flush_batch().to_requests())
-        with perf.scalar_mode():
-            reference = MeeTraceRewriter()
-            want = (reference.rewrite(first) + reference.rewrite(second)
-                    + reference.flush())
-        assert got == want
-
-
 class TestKernelBasics:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
