@@ -80,13 +80,18 @@ class HmacDrbg:
         return bytes(out[:nbytes])
 
     def random_int_below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection sampling; used for
-        nonce/key generation in the EC layer."""
+        """Uniform integer in [0, bound) by the simple discard method of
+        SP 800-90A Rev. 1, Appendix A.5.1: draw ``(bound - 1).bit_length()``
+        bits and reject a value >= bound, so each draw is kept with
+        probability above 1/2. Used for nonce/key generation in the EC
+        layer, where the bound is the P-256 order and no bit is dropped."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        nbytes = (bound.bit_length() + 7) // 8
+        nbits = (bound - 1).bit_length()
+        nbytes = (nbits + 7) // 8
         while True:
-            candidate = int.from_bytes(self.generate(nbytes), "big")
+            candidate = (int.from_bytes(self.generate(nbytes), "big")
+                         >> (8 * nbytes - nbits))
             if candidate < bound:
                 return candidate
 

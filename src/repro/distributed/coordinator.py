@@ -69,7 +69,7 @@ import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.checkpoint import CheckpointError, save_checkpoint, validate_envelope
+from repro.checkpoint import CheckpointError, validate_envelope
 from repro.experiments.cache import ResultCache, code_fingerprint
 from repro.experiments.jobs import Job, canonical_json
 from repro.experiments.runner import (
@@ -163,7 +163,6 @@ class CoordinatorState:
                  on_commit: Optional[Callable[[int, List[Job], List[List[dict]]], None]] = None,
                  unit_fingerprints: Optional[Sequence[Optional[dict]]] = None,
                  checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-                 checkpoint_dir: Optional[str] = None,
                  cache_lookup: Optional[Callable[[int], Optional[List[List[dict]]]]] = None,
                  cache_counters: Optional[Callable[[], Dict[str, int]]] = None,
                  journal_path: Optional[str] = None,
@@ -177,7 +176,6 @@ class CoordinatorState:
         self.on_commit = on_commit
         self.fingerprint = fingerprint
         self.checkpoint_every = int(checkpoint_every)
-        self.checkpoint_dir = checkpoint_dir
         self.cache_lookup = cache_lookup
         self.cache_counters = cache_counters
         self._lock = threading.Lock()
@@ -564,13 +562,6 @@ class CoordinatorState:
             unit.checkpoint = dict(state)
             unit.checkpoint_cursor = cursor
             self.counters["checkpoints_migrated"] += 1
-            if self.checkpoint_dir is not None:
-                # crash-atomic persistence: a coordinator restart can
-                # hand the envelope to tooling (same discipline as the
-                # pipeline's own on-disk checkpoints)
-                save_checkpoint(
-                    os.path.join(self.checkpoint_dir,
-                                 f"unit-{unit_index:05d}.json"), state)
             if lease_id in unit.leases:
                 holder, _ = unit.leases[lease_id]
                 unit.leases[lease_id] = (holder, now + self.lease_seconds)
@@ -708,7 +699,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = protocol.content_length(self.headers.get("Content-Length"))
+        except ProtocolError:
+            self.close_connection = True  # the next request can't be framed
+            raise
         raw = self.rfile.read(length) if length else b"{}"
         return protocol.decode_event(raw)
 
@@ -832,7 +827,6 @@ class SweepCoordinator:
                  wait_workers: float = 0.0,
                  poll: float = 0.2,
                  checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-                 checkpoint_dir: Optional[str] = None,
                  journal_path: Optional[str] = None,
                  journal_meta: Optional[dict] = None,
                  pool_manager=None):
@@ -878,7 +872,6 @@ class SweepCoordinator:
             on_commit=self._on_commit,
             unit_fingerprints=unit_fingerprints,
             checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
             cache_lookup=self._recall_unit,
             cache_counters=(lambda: cache.counters) if cache is not None else None,
             journal_path=journal_path,

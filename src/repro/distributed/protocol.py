@@ -73,6 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.experiments.jobs import Job, canonical_json
 from repro.service.protocol import (  # noqa: F401 — re-exported framing
     ProtocolError,
+    content_length,
     decode_event,
     encode_event,
 )

@@ -280,7 +280,7 @@ class Worker:
                 job.params,
                 checkpoint_every=checkpoint_every,
                 resume_from=resume_from,
-                on_checkpoint_state=upload,
+                on_checkpoint=upload,
                 checkpoint_request=self._drain.is_set)
 
         try:

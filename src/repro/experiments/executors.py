@@ -398,34 +398,24 @@ def pipeline_extent(params: Dict[str, object]) -> Tuple[int, int]:
     return spec.total_requests, chunk_requests
 
 
-def pipeline_rows(params: Dict[str, object], on_chunk=None,
-                  should_stop=None, checkpoint_path=None, checkpoint_every=0,
-                  checkpoint_request=None, resume_from=None,
-                  on_checkpoint=None, checkpoint_meta=None,
-                  on_checkpoint_state=None) -> List[Dict[str, object]]:
+def pipeline_rows(params: Dict[str, object],
+                  **hooks) -> List[Dict[str, object]]:
     """The :func:`pipeline_run` body, with the pipeline's streaming
     hooks exposed: ``repro serve`` calls this directly so one code path
     produces both the cached executor rows and the per-chunk progress
     events (and honours cooperative cancellation), guaranteeing the
     streamed result is bit-identical to the ``pipeline_run`` job. The
-    ``checkpoint_*``/``resume_from`` keywords pass straight through to
-    :meth:`~repro.mem.pipeline.TracePipeline.run`, so a service flight
-    (or the CLI) can checkpoint and resume without a second code path —
-    the checkpoint fingerprint is derived from the same params dict that
-    keys the result cache."""
+    ``hooks`` (``on_chunk``, ``should_stop``, the ``checkpoint_*``
+    keywords, ``resume_from``, ``on_checkpoint``) pass straight through
+    to :meth:`~repro.mem.pipeline.TracePipeline.run`, so a service
+    flight, a distributed worker or the CLI checkpoints and resumes
+    without a second code path — the checkpoint fingerprint is derived
+    from the same params dict that keys the result cache."""
     from repro.mem.pipeline import TracePipeline
 
     workload, schemes, chunk_requests, spec = _pipeline_config(params)
     results = TracePipeline(spec, schemes=schemes,
-                            chunk_requests=chunk_requests).run(
-                                on_chunk=on_chunk, should_stop=should_stop,
-                                checkpoint_path=checkpoint_path,
-                                checkpoint_every=checkpoint_every,
-                                checkpoint_request=checkpoint_request,
-                                resume_from=resume_from,
-                                on_checkpoint=on_checkpoint,
-                                checkpoint_meta=checkpoint_meta,
-                                on_checkpoint_state=on_checkpoint_state)
+                            chunk_requests=chunk_requests).run(**hooks)
     baseline = results.get("np")
     rows = []
     for name in schemes:

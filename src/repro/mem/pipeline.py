@@ -35,11 +35,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.checkpoint import (
-    CHECKPOINT_VERSION,
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
     seal_envelope,
+    validate_envelope,
 )
 from repro.mem.controller import ControllerResult, MemoryController
 from repro.testing import faults
@@ -53,13 +53,16 @@ class PipelineCancelled(RuntimeError):
 
 class PipelineCheckpointed(RuntimeError):
     """A streaming run parked itself at a chunk seam because
-    ``checkpoint_request()`` asked it to (the graceful-drain path): the
-    full mid-stream state is on disk at :attr:`path` and the run can be
-    resumed bit-exactly by a fresh pipeline with ``resume_from=path``."""
+    ``checkpoint_request()`` asked it to (the graceful-drain path). Its
+    final envelope went to the ``on_checkpoint`` hook, and when the run
+    had a ``checkpoint_path`` it is also on disk at :attr:`path` (else
+    :attr:`path` is None); either form resumes bit-exactly through a
+    fresh pipeline's ``resume_from``."""
 
-    def __init__(self, path: str, chunks: int, requests_done: int):
+    def __init__(self, path: Optional[str], chunks: int, requests_done: int):
+        where = f" to {path}" if path is not None else ""
         super().__init__(
-            f"checkpointed to {path} after {chunks} chunks "
+            f"checkpointed{where} after {chunks} chunks "
             f"({requests_done} requests)")
         self.path = path
         self.chunks = chunks
@@ -149,9 +152,8 @@ class TracePipeline:
             "chunk_requests": self.chunk_requests,
         }
 
-    def _capture(self, sessions, chunks: int, requests_done: int,
-                 meta) -> dict:
-        state = {
+    def _capture(self, sessions, chunks: int, requests_done: int) -> dict:
+        return seal_envelope({
             "kind": "trace-pipeline",
             "fingerprint": self.fingerprint(),
             "cursor": requests_done,
@@ -163,23 +165,15 @@ class TracePipeline:
                     "session": sessions[name].state_dict(),
                 } for name in self.schemes
             },
-        }
-        if meta is not None:
-            state["meta"] = meta
-        return state
+        })
 
     def _restore(self, sessions, resume_from) -> Tuple[int, int]:
-        state = (resume_from if isinstance(resume_from, dict)
+        # a dict is an envelope that travelled without a file (migrated
+        # over the wire); it passes the same checks a file's does
+        state = (validate_envelope(resume_from, kind="trace-pipeline",
+                                   source="resume_from envelope")
+                 if isinstance(resume_from, dict)
                  else load_checkpoint(resume_from, kind="trace-pipeline"))
-        if state.get("kind") != "trace-pipeline":
-            raise CheckpointError(
-                f"not a trace-pipeline checkpoint: {state.get('kind')!r}")
-        if "version" in state and state["version"] != CHECKPOINT_VERSION:
-            # dict-form envelopes (a checkpoint migrated over the wire)
-            # carry the version too; a file went through load_checkpoint
-            raise CheckpointError(
-                f"checkpoint has version {state['version']!r}; this build "
-                f"reads version {CHECKPOINT_VERSION}")
         fingerprint = self.fingerprint()
         if state.get("fingerprint") != fingerprint:
             raise CheckpointError(
@@ -202,9 +196,8 @@ class TracePipeline:
 
     def run(self, on_chunk=None, should_stop=None, checkpoint_path=None,
             checkpoint_every: int = 0, checkpoint_request=None,
-            resume_from=None, on_checkpoint=None,
-            checkpoint_meta=None,
-            on_checkpoint_state=None) -> Dict[str, PipelineResult]:
+            resume_from=None,
+            on_checkpoint=None) -> Dict[str, PipelineResult]:
         """Stream the whole source through every scheme; one generation
         pass, per-scheme results keyed by scheme name (input order).
 
@@ -217,26 +210,22 @@ class TracePipeline:
         chunk is the unit of work, so cancellation latency is one chunk).
 
         **Checkpointing** (all off by default, zero overhead when off):
-        with ``checkpoint_path`` set, the full mid-stream state is
-        written atomically every ``checkpoint_every`` chunks (0 = only
-        on request); ``checkpoint_request()`` polled truthy at a seam
-        writes a final checkpoint and raises
-        :class:`PipelineCheckpointed` (the graceful-drain path);
-        ``resume_from`` (a path or a loaded state dict) restores a
-        checkpoint into this pipeline's rewriters/sessions and continues
-        from its cursor — the resumed run is bit-identical to the
-        uninterrupted one (cycles, bursts, stats, cache state; pinned by
+        the full mid-stream state is sealed into an envelope every
+        ``checkpoint_every`` chunks (0 = only on request);
+        ``checkpoint_request()`` polled truthy at a seam seals a final
+        one and raises :class:`PipelineCheckpointed` (the graceful-drain
+        path). Each envelope is written atomically to
+        ``checkpoint_path`` when one is given, then handed to
+        ``on_checkpoint(envelope, chunks, requests_done)`` — the one
+        sink for callers that keep it elsewhere: a distributed worker
+        uploads it to its coordinator, ``repro serve`` writes it with
+        the originating request in its ``meta``. Checkpointing needs at
+        least one of the two. ``resume_from`` (a path or an envelope
+        dict) restores a checkpoint into this pipeline's
+        rewriters/sessions and continues from its cursor — the resumed
+        run is bit-identical to the uninterrupted one (cycles, bursts,
+        stats, cache state; pinned by
         ``tests/property/test_checkpoint_equivalence.py``).
-        ``on_checkpoint(path, chunks, requests_done)`` fires after every
-        successful write; ``checkpoint_meta`` (JSON-able) rides along in
-        the envelope, letting a daemon store the originating job.
-        ``on_checkpoint_state(envelope, chunks, requests_done)`` receives
-        the *sealed envelope dict itself* (version-stamped, exactly what
-        ``save_checkpoint`` would persist) at every checkpoint event —
-        the migration hook: a distributed worker ships the envelope to
-        its coordinator instead of (or as well as) a local file, so
-        checkpointing works with ``checkpoint_path=None`` as long as
-        this hook is given.
 
         One-shot: the rewriters' metadata state and the controllers'
         DRAM state are consumed by the run, so a second call would
@@ -248,9 +237,9 @@ class TracePipeline:
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
         if ((checkpoint_every or checkpoint_request)
-                and checkpoint_path is None and on_checkpoint_state is None):
+                and checkpoint_path is None and on_checkpoint is None):
             raise ValueError("checkpointing requested without a "
-                             "checkpoint_path or on_checkpoint_state hook")
+                             "checkpoint_path or on_checkpoint hook")
         self._ran = True
         sessions = {name: self.controllers[name].session()
                     for name in self.schemes}
@@ -261,15 +250,11 @@ class TracePipeline:
             chunks, requests_done = self._restore(sessions, resume_from)
 
         def write_checkpoint() -> None:
-            state = self._capture(sessions, chunks, requests_done,
-                                  checkpoint_meta)
+            envelope = self._capture(sessions, chunks, requests_done)
             if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, state)
-            if on_checkpoint_state is not None:
-                on_checkpoint_state(seal_envelope(state), chunks,
-                                    requests_done)
+                save_checkpoint(checkpoint_path, envelope)
             if on_checkpoint is not None:
-                on_checkpoint(checkpoint_path, chunks, requests_done)
+                on_checkpoint(envelope, chunks, requests_done)
 
         for start in range(requests_done, total, self.chunk_requests):
             if should_stop is not None and should_stop():

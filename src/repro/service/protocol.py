@@ -265,6 +265,17 @@ def parse_job_request(obj: object) -> JobRequest:
 # -- event framing ---------------------------------------------------------
 
 
+def content_length(value: Optional[str]) -> int:
+    """The body length a ``Content-Length`` header announces (0 when it
+    is absent or empty). Anything but a decimal integer raises
+    :class:`ProtocolError`: a body of unknown extent cannot be read, and
+    nothing after it on the connection can be framed."""
+    value = (value or "0").strip()
+    _require(value.isascii() and value.isdigit(),
+             f"invalid Content-Length header: {value!r}")
+    return int(value)
+
+
 def encode_event(event: Dict[str, object]) -> bytes:
     """One NDJSON line (canonical JSON so identical events are
     byte-identical across coalesced subscribers)."""

@@ -48,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.checkpoint import CheckpointError, load_checkpoint
+from repro.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from repro.experiments import ResultCache, ResultTable, get_sweep
 from repro.experiments.cache import code_fingerprint
 from repro.experiments.executors import pipeline_extent, pipeline_rows
@@ -61,7 +61,7 @@ from repro.experiments.runner import (
     remember_rows,
 )
 from repro.mem.pipeline import PipelineCancelled, PipelineCheckpointed
-from repro.service.admission import AdmissionController
+from repro.service.admission import AdmissionController, AdmissionDecision
 from repro.service.coalescer import END_OF_STREAM, Flight, JobCoalescer
 from repro.service.metrics import (
     ServiceMetrics,
@@ -69,7 +69,9 @@ from repro.service.metrics import (
     merge_recovery_stats,
 )
 from repro.service.protocol import (
+    JobRequest,
     ProtocolError,
+    content_length,
     encode_event,
     parse_job_request,
     rejection_body,
@@ -77,6 +79,12 @@ from repro.service.protocol import (
 from repro.testing import faults
 
 _MAX_BODY_BYTES = 1 << 20  # a job request is a description, not data
+
+#: the durable records a flight leaves under ``checkpoint_dir`` as
+#: ``<key><suffix>``: a local flight's chunk-seam checkpoint envelope,
+#: and a distributed flight's coordinator journal. Each carries the
+#: resubmittable request in its meta.
+_RECORD_SUFFIXES = (".ckpt", ".journal")
 
 
 class FlightCancelled(RuntimeError):
@@ -199,8 +207,7 @@ class ReproService:
                   f"during flights (local-pool fallback after "
                   f"{self.config.dist_wait_workers:g}s without workers)",
                   file=sys.stderr, flush=True)
-        self._resume_checkpointed_flights()
-        self._resume_journaled_flights()
+        self._resume_flights()
         if ready is not None:
             ready.set()
         async with server:
@@ -280,7 +287,13 @@ class ReproService:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", 0))
+            try:
+                length = content_length(headers.get("content-length"))
+            except ProtocolError as error:
+                self.metrics.incr("bad_requests_total")
+                await self._respond_json(writer, "400 Bad Request",
+                                         {"error": str(error)})
+                return
             if length > _MAX_BODY_BYTES:
                 await self._respond_json(writer, "413 Payload Too Large",
                                          {"error": "request body too large"})
@@ -359,8 +372,7 @@ class ReproService:
         if coalesced:
             self.metrics.incr("coalesced_total")
         else:
-            decision = self.admission.try_admit(
-                self.metrics.expected_flight_seconds)
+            decision = self._dispatch(key, request)
             if not decision.admitted:
                 self.metrics.incr("rejected_total")
                 await self._respond_json(
@@ -369,10 +381,7 @@ class ReproService:
                                    decision.running),
                     extra={"Retry-After": str(decision.retry_after)})
                 return
-            self.metrics.incr("admitted_total")
-            flight = self.coalescer.create(key, request)
-            self._loop.run_in_executor(self._flight_executor,
-                                       self._run_flight, flight)
+            flight = self.coalescer.peek(key)
         queue = flight.subscribe()
 
         writer.write(self._head("200 OK", "application/x-ndjson", {}, None))
@@ -420,6 +429,19 @@ class ReproService:
             eof_watch.cancel()
             flight.unsubscribe(queue)
 
+    def _dispatch(self, key: str, request: JobRequest) -> AdmissionDecision:
+        """Admit a new flight for ``key`` and start it on a flight
+        thread (loop thread only). A rejection starts nothing: the
+        client is shed, or the startup scan stops resuming."""
+        decision = self.admission.try_admit(
+            self.metrics.expected_flight_seconds)
+        if decision.admitted:
+            self.metrics.incr("admitted_total")
+            flight = self.coalescer.create(key, request)
+            self._loop.run_in_executor(self._flight_executor,
+                                       self._run_flight, flight)
+        return decision
+
     # -- flight execution (worker threads) ---------------------------------
 
     def _emit(self, flight: Flight, event: dict) -> None:
@@ -447,6 +469,7 @@ class ReproService:
                 final = self._execute_sweep(flight)
             else:
                 final = self._execute_pipeline(flight)
+            self._retire(flight.key)
             self.metrics.incr("completed_total")
         except (FlightCancelled, PipelineCancelled) as error:
             self.metrics.incr("cancelled_total")
@@ -455,7 +478,7 @@ class ReproService:
             # a drain caught this flight mid-stream: its state is on
             # disk and the restarted daemon will pick it up
             final = {"event": "checkpointed",
-                     "checkpoint": checkpointed.path,
+                     "checkpoint": self._record_path(flight.key, ".ckpt"),
                      "chunks": checkpointed.chunks,
                      "requests_done": checkpointed.requests_done}
         except JobExecutionError as error:
@@ -515,11 +538,6 @@ class ReproService:
         return {"event": "result", "kind": "sweep",
                 "table": {"columns": table.columns, "rows": table.rows}}
 
-    def _flight_checkpoint_path(self, key: str) -> Optional[str]:
-        if not self.config.checkpoint_dir:
-            return None
-        return os.path.join(self.config.checkpoint_dir, key + ".ckpt")
-
     def _execute_pipeline(self, flight: Flight) -> dict:
         job = flight.request.jobs()[0]
         rows = recall_rows(job, self.cache)
@@ -537,7 +555,7 @@ class ReproService:
                                     "requests_done": requests_done,
                                     "total_requests": total_requests})
 
-            ckpt_path = self._flight_checkpoint_path(flight.key)
+            ckpt_path = self._record_path(flight.key, ".ckpt")
             ckpt_kwargs: Dict[str, object] = {}
             resume_from = None
             if ckpt_path is not None:
@@ -545,26 +563,27 @@ class ReproService:
                     try:
                         resume_from = load_checkpoint(ckpt_path,
                                                       kind="trace-pipeline")
-                    except CheckpointError:
-                        resume_from = None  # stale/corrupt: full recompute
-                if resume_from is not None:
-                    self.metrics.incr("flights_resumed_total")
-                    self._emit(flight, {
-                        "event": "resumed",
-                        "requests_done": resume_from.get("cursor"),
-                        "chunks": resume_from.get("chunks")})
+                    except CheckpointError as error:
+                        self._quarantine(ckpt_path, error)  # full recompute
+                    else:
+                        self._emit(flight, {
+                            "event": "resumed",
+                            "requests_done": resume_from.get("cursor"),
+                            "chunks": resume_from.get("chunks")})
+                # the request rides in the envelope's meta, as in a
+                # journal header, so a restarted daemon can re-admit
+                # this flight unprompted
+                meta = {"request": flight.request.resubmit_body()}
+
+                def on_checkpoint(envelope, chunks, requests_done):
+                    save_checkpoint(ckpt_path, {**envelope, "meta": meta})
+                    self.metrics.incr("checkpoints_written_total")
+
                 ckpt_kwargs = dict(
-                    checkpoint_path=ckpt_path,
                     checkpoint_every=self.config.checkpoint_every,
                     checkpoint_request=flight.checkpoint_now.is_set,
                     resume_from=resume_from,
-                    on_checkpoint=lambda *_: self.metrics.incr(
-                        "checkpoints_written_total"),
-                    # the full pipeline_run params travel in the
-                    # envelope so a restarted daemon can rebuild the
-                    # JobRequest and resume the flight unprompted
-                    checkpoint_meta={"job": {"kind": "pipeline",
-                                             "params": job.params}})
+                    on_checkpoint=on_checkpoint)
             total, chunk_requests = pipeline_extent(job.params)
             if (0 < total <= chunk_requests and resume_from is None
                     and not flight.checkpoint_now.is_set()):
@@ -580,20 +599,10 @@ class ReproService:
                                      should_stop=flight.cancel.is_set,
                                      **ckpt_kwargs)
             remember_rows(job, rows, self.cache)
-            if ckpt_path is not None:
-                try:
-                    os.unlink(ckpt_path)  # completed: checkpoint spent
-                except OSError:
-                    pass
         return {"event": "result", "kind": "pipeline", "cached": cached,
                 "rows": rows}
 
     # -- distributed execution ----------------------------------------------
-
-    def _journal_path(self, key: str) -> Optional[str]:
-        if not self.config.checkpoint_dir:
-            return None
-        return os.path.join(self.config.checkpoint_dir, key + ".journal")
 
     def _spawn_coordinator(self, flight: Flight, jobs,
                            journal_path: Optional[str]):
@@ -617,13 +626,7 @@ class ReproService:
         except JournalError as error:
             # an unusable journal must not wedge this flight key
             # forever: quarantine the evidence, restart from scratch
-            self.metrics.incr("journals_quarantined_total")
-            quarantined = journal_path + ".corrupt"
-            os.replace(journal_path, quarantined)
-            print(f"repro serve: quarantined unusable journal "
-                  f"{os.path.basename(journal_path)} -> "
-                  f"{os.path.basename(quarantined)} ({error})",
-                  file=sys.stderr, flush=True)
+            self._quarantine(journal_path, error)
             return SweepCoordinator(jobs, **kwargs)
 
     def _run_distributed(self, flight: Flight, jobs) -> list:
@@ -632,9 +635,10 @@ class ReproService:
         checkpoint directory so a daemon crash mid-flight resumes from
         committed units instead of recomputing. Returns rows per job in
         job order — bit-identical to the local path by the coordinator's
-        construction."""
+        construction. The coordinator closes its journal on the way
+        out; the flight retires it once the rows are in hand."""
         self._check_cancel(flight)
-        journal_path = self._journal_path(flight.key)
+        journal_path = self._record_path(flight.key, ".journal")
         with self._dist_lock:
             coordinator = self._spawn_coordinator(flight, jobs, journal_path)
             self.metrics.incr("distributed_flights_total")
@@ -645,148 +649,96 @@ class ReproService:
                                 "url": coordinator.url,
                                 "epoch": coordinator.state.epoch,
                                 "replayed_units": replayed})
-            rows_per_job = coordinator.run()
-            # only after the rows are in hand (and, via on_commit, in
-            # the shared caches) is the durable state safe to drop; on
-            # any failure above the journal stays for the next attempt
-            coordinator.discard_journal()
-            return rows_per_job
+            return coordinator.run()
 
-    # -- restart recovery ---------------------------------------------------
+    # -- durable flight records ----------------------------------------------
 
-    def _resume_journaled_flights(self) -> None:
-        """Distributed counterpart of checkpoint resume: a journal left
-        in the checkpoint directory belongs to a flight a previous
-        daemon instance died inside. Rebuild the request from the
-        journal header's metadata and re-dispatch it — the coordinator's
-        recovery marks journaled units done, so only the remainder is
-        recomputed. Like checkpoint resume, the flight has no
-        subscribers; its rows land in the shared caches."""
+    def _record_path(self, key: str, suffix: str) -> Optional[str]:
         directory = self.config.checkpoint_dir
-        if (not self.config.distributed or not directory
-                or not os.path.isdir(directory)):
-            return
-        from repro.distributed import JournalError
-        from repro.distributed.journal import journal_meta as read_journal_meta
+        return os.path.join(directory, key + suffix) if directory else None
 
-        for name in sorted(os.listdir(directory)):
-            if not name.endswith(".journal"):
-                continue
-            path = os.path.join(directory, name)
-            try:
-                meta = read_journal_meta(path)
-            except JournalError as error:
-                self.metrics.incr("journals_quarantined_total")
-                quarantined = path + ".corrupt"
-                try:
-                    os.replace(path, quarantined)
-                except OSError:
-                    quarantined = path
-                print(f"repro serve: quarantined unreadable journal "
-                      f"{name} -> {os.path.basename(quarantined)} ({error})",
-                      file=sys.stderr, flush=True)
-                continue
-            body = meta.get("request") if isinstance(meta, dict) else None
-            if not isinstance(body, dict):
-                continue
-            try:
-                request = parse_job_request(body)
-            except ProtocolError:
-                continue
-            key = request.key(self._fingerprint)
-            if key + ".journal" != name:
-                # journaled under a different code fingerprint: recovery
-                # would refuse the replay anyway — drop it
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-                continue
-            if self.coalescer.peek(key) is not None:
-                continue
-            decision = self.admission.try_admit(
-                self.metrics.expected_flight_seconds)
-            if not decision.admitted:
-                break  # capacity full; the rest resume on client demand
-            self.metrics.incr("admitted_total")
-            self.metrics.incr("flights_resumed_total")
-            flight = self.coalescer.create(key, request)
-            print(f"repro serve: resuming journaled flight {key[:12]}… "
-                  f"({request.kind})", file=sys.stderr, flush=True)
-            self._loop.run_in_executor(self._flight_executor,
-                                       self._run_flight, flight)
+    def _quarantine(self, path: str, error: Exception) -> None:
+        """Set an unusable record aside as ``<name>.corrupt``: kept as
+        evidence, never re-parsed on a later restart, and out of the way
+        of the flight key's next record."""
+        if path.endswith(".journal"):
+            self.metrics.incr("journals_quarantined_total")
+        quarantined = path + ".corrupt"
+        try:
+            os.replace(path, quarantined)
+        except OSError:
+            quarantined = path
+        print(f"repro serve: quarantined unusable record "
+              f"{os.path.basename(path)} -> {os.path.basename(quarantined)} "
+              f"({error})", file=sys.stderr, flush=True)
 
-    def _resume_checkpointed_flights(self) -> None:
-        """Scan the checkpoint directory at startup and re-dispatch
-        every flight a previous daemon instance left checkpointed. A
-        resumed flight has no subscribers — its result lands in the
+    def _retire(self, key: str) -> None:
+        """A flight that ended with rows needs no record: delete its
+        ``.ckpt`` and ``.journal``, whichever mode wrote them. A flight
+        that fails or is cancelled keeps them for the next attempt."""
+        if self.config.checkpoint_dir:
+            for suffix in _RECORD_SUFFIXES:
+                _discard(self._record_path(key, suffix))
+
+    def _resume_flights(self) -> None:
+        """Re-admit, before accepting traffic, every flight a previous
+        daemon instance left a record of, in either mode: a
+        ``<key>.ckpt`` (a local flight parked at a chunk seam) or a
+        ``<key>.journal`` (a distributed flight's coordinator state).
+        A re-admitted flight has no subscribers; its rows land in the
         shared caches, so the client that retries after the restart
-        gets a cache hit instead of a recompute from request zero."""
+        gets a cache hit instead of a recompute from request zero.
+
+        An unreadable record is quarantined. A readable one is deleted
+        when it holds no request this build can parse, or when the
+        request's key differs from the file name: it was written under
+        another code fingerprint, and bit-identity only holds within
+        one build."""
         directory = self.config.checkpoint_dir
         if not directory or not os.path.isdir(directory):
             return
+        # imported here for the reason _spawn_coordinator gives
+        from repro.distributed.journal import JournalError, journal_meta
+
         for name in sorted(os.listdir(directory)):
-            if not name.endswith(".ckpt"):
+            key, suffix = os.path.splitext(name)
+            if suffix not in _RECORD_SUFFIXES:
                 continue
             path = os.path.join(directory, name)
             try:
-                state = load_checkpoint(path, kind="trace-pipeline")
-            except CheckpointError as error:
-                # quarantine rather than skip: a corrupt/truncated/
-                # future-version envelope left in place would be
-                # re-parsed (and re-logged) on every restart, and a
-                # writer crash mid-publish must never look like "no
-                # checkpoint" silently — the .corrupt file preserves
-                # the evidence
-                quarantined = path + ".corrupt"
-                try:
-                    os.replace(path, quarantined)
-                except OSError:
-                    quarantined = path
-                print(f"repro serve: quarantined unreadable checkpoint "
-                      f"{name} -> {os.path.basename(quarantined)} ({error})",
-                      file=sys.stderr, flush=True)
+                meta = (journal_meta(path) if suffix == ".journal" else
+                        load_checkpoint(path, kind="trace-pipeline").get("meta"))
+            except (CheckpointError, JournalError) as error:
+                self._quarantine(path, error)
                 continue
-            meta = state.get("meta") or {}
-            job_meta = meta.get("job") if isinstance(meta, dict) else None
-            params = job_meta.get("params") if isinstance(job_meta, dict) else None
-            if not isinstance(params, dict) or job_meta.get("kind") != "pipeline":
-                continue
-            try:
-                request = parse_job_request({
-                    "kind": "pipeline",
-                    "workload": params["workload"],
-                    "schemes": params["schemes"],
-                    "chunk_requests": params["chunk_requests"],
-                    "params": {k: v for k, v in params.items()
-                               if k not in ("workload", "schemes",
-                                            "chunk_requests")},
-                })
-            except (ProtocolError, KeyError):
-                continue
-            key = request.key(self._fingerprint)
-            if key + ".ckpt" != name:
-                # written under a different code fingerprint: the
-                # bit-identity contract only holds within one build, so
-                # this checkpoint can never be resumed — drop it
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+            request = _recorded_request(meta)
+            if request is None or request.key(self._fingerprint) != key:
+                _discard(path)
                 continue
             if self.coalescer.peek(key) is not None:
-                continue
-            decision = self.admission.try_admit(
-                self.metrics.expected_flight_seconds)
-            if not decision.admitted:
+                continue  # its other record re-admitted it already
+            if not self._dispatch(key, request).admitted:
                 break  # capacity full; the rest resume on client demand
-            self.metrics.incr("admitted_total")
-            flight = self.coalescer.create(key, request)
-            print(f"repro serve: resuming checkpointed flight {key[:12]}… "
-                  f"({params.get('workload')}, cursor {state.get('cursor')})",
-                  file=sys.stderr, flush=True)
-            self._loop.run_in_executor(self._flight_executor,
-                                       self._run_flight, flight)
+            self.metrics.incr("flights_resumed_total")
+            print(f"repro serve: resuming flight {key[:12]}… "
+                  f"({request.kind}) from {name}", file=sys.stderr, flush=True)
+
+
+def _recorded_request(meta) -> Optional[JobRequest]:
+    """The request a record's meta carries; None when it holds none
+    this build can parse."""
+    try:
+        return parse_job_request(
+            meta.get("request") if isinstance(meta, dict) else None)
+    except ProtocolError:
+        return None
+
+
+def _discard(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def run_serve(config: ServeConfig) -> int:

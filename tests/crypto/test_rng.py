@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.ec import P256
 from repro.crypto.rng import HmacDrbg, SimulatedTrng, device_drbg
 
 
@@ -64,6 +65,35 @@ class TestHmacDrbg:
         drbg = HmacDrbg(b"cover")
         seen = {drbg.random_int_below(4) for _ in range(200)}
         assert seen == {0, 1, 2, 3}
+
+    def test_random_int_below_curve_order_is_pinned(self):
+        """Key and nonce draws (bound = the P-256 order) are pinned: the
+        order's top bit is set, so the discard method keeps all 256 bits
+        of each 32-byte draw."""
+        drbg = HmacDrbg(b"pin")
+        draws = [drbg.random_int_below(P256.n) for _ in range(3)]
+        assert draws == [
+            0x50bd186687a8ec0ada728db2e7721a5d04ae59311b5d283edfd55110ba060070,
+            0x26311ef4ea33049d749ea862ac57fe1aa4f21be6eeeb04928c49fb28bdec595,
+            0x7043d76aea1da05d60f8115f96f0d101007ad98363fdcd8ff8d9435bde8385ce,
+        ]
+
+    def test_small_bound_draws_only_the_bits_it_needs(self):
+        """A bound of 4 draws 2 bits, so a draw is rejected with
+        probability 0; whole-byte draws would reject 252 of 256."""
+        drbg = HmacDrbg(b"cover")
+        calls = 0
+        generate = drbg.generate
+
+        def counting(nbytes, additional=b""):
+            nonlocal calls
+            calls += 1
+            return generate(nbytes, additional)
+
+        drbg.generate = counting
+        for _ in range(200):
+            drbg.random_int_below(4)
+        assert calls <= 200
 
 
 def test_device_drbg_distinct_devices():

@@ -378,19 +378,6 @@ class TestCheckpointMigration:
                      [[{"scheme": "np"}]])
         assert state._units[0].checkpoint is None
 
-    def test_envelope_persisted_crash_atomically(self, tmp_path):
-        state, units, clock = make_pipeline_state(
-            checkpoint_dir=str(tmp_path))
-        admit(state, "w1")
-        lease = state.lease("w1")
-        state.checkpoint("w1", lease["unit"], lease["key"], lease["lease"],
-                         make_envelope(cursor=64))
-        from repro.checkpoint import load_checkpoint
-
-        stored = load_checkpoint(str(tmp_path / "unit-00000.json"),
-                                 kind="trace-pipeline")
-        assert stored["cursor"] == 64
-
 
 class TestDeregister:
     def test_deregister_releases_leases_for_immediate_redispatch(self):

@@ -135,7 +135,7 @@ class TestEndToEnd:
 
         with pytest.raises(Died):
             pipeline_rows(dict(PARAMS), checkpoint_every=1,
-                          on_checkpoint_state=upload)
+                          on_checkpoint=upload)
         assert _wait(lambda: coordinator.state.counters
                      ["lease_expirations"] >= 1, timeout=5.0) or True
         time.sleep(1.2)  # past the 1s lease term

@@ -1,9 +1,19 @@
 """Wire-protocol invariants: content addressing, order-preserving row
-encoding, request validation, and backoff bounds."""
+encoding, request validation, HTTP body framing, and backoff bounds."""
+
+import http.client
+import json
+import socket
 
 import pytest
 
-from repro.distributed import Backoff, unit_key, rows_digest
+from repro.distributed import (
+    Backoff,
+    CoordinatorServer,
+    CoordinatorState,
+    rows_digest,
+    unit_key,
+)
 from repro.distributed.protocol import (
     ProtocolError,
     jobs_from_wire,
@@ -111,6 +121,28 @@ class TestRequestValidation:
         with pytest.raises(ProtocolError):
             parse_result({"worker": "w", "unit": 0, "key": "k",
                           "error": {"executor": "e"}})
+
+
+class TestHttpFraming:
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_a_400(self, length):
+        """A body of unknown extent is a protocol error naming the
+        header, not a handler crash (and not a read until EOF)."""
+        server = CoordinatorServer(CoordinatorState([JOBS]), port=0)
+        try:
+            with socket.create_connection((server.host, server.port),
+                                          timeout=10) as sock:
+                sock.sendall((f"POST /v1/lease HTTP/1.1\r\n"
+                              f"Host: {server.host}\r\n"
+                              f"Content-Length: {length}\r\n\r\n").encode())
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                event = json.loads(response.read())
+            assert response.status == 400
+            assert event["event"] == "error"
+            assert "Content-Length" in event["error"]
+        finally:
+            server.close()
 
 
 class TestBackoff:

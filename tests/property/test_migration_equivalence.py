@@ -6,7 +6,7 @@ are bit-identical to a run that was never interrupted.
 This is the distributed sibling of
 ``tests/property/test_checkpoint_equivalence.py``: there the envelope
 travels through a file on disk; here it travels through the
-``on_checkpoint_state`` hook exactly as the worker uploads it to the
+``on_checkpoint`` hook exactly as the worker uploads it to the
 coordinator's ``/v1/checkpoint`` — a plain dict, no file in between.
 If the dict form drifted from the disk form (a stale field, a mutation
 by the first run after capture), failover would stop being
@@ -60,7 +60,7 @@ def _interrupt_then_resume(params, stop_after):
 
     try:
         pipeline_rows(dict(params), checkpoint_every=1,
-                      on_checkpoint_state=capture, checkpoint_request=stop)
+                      on_checkpoint=capture, checkpoint_request=stop)
     except PipelineCheckpointed:
         assert envelopes, "interrupted without a captured envelope"
         return pipeline_rows(dict(params), resume_from=dict(envelopes[-1]))
@@ -93,7 +93,7 @@ def test_every_seam_resumes_to_the_same_digest(params):
 
     envelopes = []
     pipeline_rows(dict(params), checkpoint_every=1,
-                  on_checkpoint_state=lambda s, c, d: envelopes.append(dict(s)))
+                  on_checkpoint=lambda s, c, d: envelopes.append(dict(s)))
     # sample at most 3 seams (first, middle, last) to bound runtime
     picks = sorted({0, len(envelopes) // 2, len(envelopes) - 1}) \
         if envelopes else []
@@ -113,6 +113,6 @@ def test_envelope_capture_does_not_alter_the_run():
     plain = pipeline_rows(dict(params))
     seen = []
     hooked = pipeline_rows(dict(params), checkpoint_every=1,
-                           on_checkpoint_state=lambda s, c, d: seen.append(c))
+                           on_checkpoint=lambda s, c, d: seen.append(c))
     assert hooked == plain
     assert seen, "no envelope captured at checkpoint_every=1"

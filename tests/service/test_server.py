@@ -10,6 +10,9 @@ observably running (cancellation) without sleeping for luck.
 """
 
 import asyncio
+import http.client
+import json
+import socket
 import threading
 import time
 
@@ -281,6 +284,23 @@ class TestMetricsEndpoint:
         assert snapshot["counters"]["admitted_total"] == 0
         # the daemon survives to serve a well-formed job
         assert client.run(SWEEP_JOB)["event"] == "result"
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_a_counted_400(self, length,
+                                                       service_and_client):
+        service, client = service_and_client
+        with socket.create_connection(("127.0.0.1", service.port),
+                                      timeout=10) as sock:
+            sock.sendall((f"POST /v1/jobs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                          f"Content-Length: {length}\r\n\r\n").encode())
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            body = json.loads(response.read())
+        assert response.status == 400
+        assert "Content-Length" in body["error"]
+        snapshot = client.metrics()
+        assert snapshot["counters"]["bad_requests_total"] == 1
+        assert snapshot["counters"]["admitted_total"] == 0
 
     def test_health_endpoint(self, service_and_client):
         _, client = service_and_client
