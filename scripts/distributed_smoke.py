@@ -2,7 +2,7 @@
 """Distributed-execution smoke: real worker processes, real signals,
 byte-compared against local runs.
 
-Five phases (the CI distributed-smoke job):
+Six phases (the CI distributed-smoke job):
 
 1. **Sweep failover** — coordinator + two ``repro work`` subprocesses,
    one SIGKILLed the moment it holds its first lease; the survivor
@@ -27,6 +27,11 @@ Five phases (the CI distributed-smoke job):
    daemon answers one flight through a parked ``repro work`` process
    and one through the local-pool fallback (zero live workers), both
    byte-identical to the direct APIs.
+6. **Clean exit** — three ``repro sweep --distributed`` runs, each
+   served by two ``repro work`` processes on the default reconnect
+   budget (a gate client holds one unit until both have registered);
+   every worker must hear ``done`` and exit 0 within 5 s of the
+   coordinator's exit, none left napping against a closed port.
 
 Exit code 0 on success, 1 with a diagnostic on any deviation.
 """
@@ -86,6 +91,11 @@ def free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
+
+
+def read_text(path: str) -> str:
+    with open(path) as handle:
+        return handle.read()
 
 
 def kill_all(*procs) -> None:
@@ -397,6 +407,81 @@ def phase_serve_distributed(reference) -> int:
     return 0
 
 
+def phase_clean_exit() -> int:
+    """Every default-budget worker hears ``done``: the coordinator
+    keeps serving after its last commit until each live worker has been
+    told, so all of them exit 0 right after it."""
+    from repro.distributed import CoordinatorClient, CoordinatorUnreachable
+
+    print("# phase 6: clean exit of default-budget workers",
+          file=sys.stderr)
+    for run in range(1, 4):
+        port = free_port()
+        url = f"http://127.0.0.1:{port}"
+        argv = [sys.executable, "-m", "repro", "sweep",
+                "--models", "alexnet,mobilenet", "--schemes", "np,bp",
+                "--distributed", "--listen", f"127.0.0.1:{port}",
+                "--unit-jobs", "1", "--wait-workers", "600",
+                "--workers", "1", "--no-cache", "--format", "json"]
+        coordinator = subprocess.Popen(argv, env=worker_env(),
+                                       stdout=subprocess.DEVNULL,
+                                       stderr=sys.stderr)
+        workers = []
+        with tempfile.TemporaryDirectory(prefix="repro-smoke-exit-") as tmp:
+            logs = [os.path.join(tmp, f"w{i}.log") for i in (1, 2)]
+            try:
+                # a gate holds one unit until both workers registered, so
+                # one fast worker cannot end the sweep before the other
+                # has even connected
+                gate = CoordinatorClient(url)
+                deadline = time.monotonic() + 60.0
+                while True:
+                    try:
+                        gate_id = gate.register("gate")["worker"]
+                        break
+                    except CoordinatorUnreachable:
+                        if time.monotonic() > deadline:
+                            return fail(f"run {run}: coordinator never "
+                                        f"came up")
+                        time.sleep(0.1)
+                if gate.lease(gate_id)["event"] != "lease":
+                    return fail(f"run {run}: the gate got no unit")
+                for i, log_path in enumerate(logs, 1):
+                    with open(log_path, "wb") as log:
+                        workers.append(start_worker(url, f"w{i}",
+                                                    worker_env(), workers=1,
+                                                    capture=log))
+                while not all("registered as" in read_text(path)
+                              for path in logs):
+                    if time.monotonic() > deadline:
+                        return fail(f"run {run}: a worker never registered")
+                    time.sleep(0.1)
+                gate.deregister(gate_id)
+
+                code = coordinator.wait(timeout=300)
+                if code != 0:
+                    return fail(f"run {run}: coordinator exited {code}")
+                deadline = time.monotonic() + 5.0
+                for worker in workers:
+                    try:
+                        code = worker.wait(
+                            timeout=max(0.0, deadline - time.monotonic()))
+                    except subprocess.TimeoutExpired:
+                        return fail(f"run {run}: a worker was still "
+                                    f"running 5 s after the coordinator "
+                                    f"exited")
+                    if code != 0:
+                        return fail(f"run {run}: a worker exited {code}, "
+                                    f"expected 0")
+            finally:
+                kill_all(coordinator, *workers)
+                for path in logs[:len(workers)]:
+                    sys.stderr.write(read_text(path))
+        print(f"# run {run}: both workers exited 0", file=sys.stderr)
+    print("OK: every worker heard done and exited 0 with its coordinator")
+    return 0
+
+
 def main() -> int:
     code = phase_sweep_failover()
     if code:
@@ -415,7 +500,10 @@ def main() -> int:
     code = phase_coordinator_restart()
     if code:
         return code
-    return phase_serve_distributed(reference)
+    code = phase_serve_distributed(reference)
+    if code:
+        return code
+    return phase_clean_exit()
 
 
 if __name__ == "__main__":

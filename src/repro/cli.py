@@ -239,7 +239,6 @@ def _run_distributed_sweep(jobs, cache, columns, args):
             jobs, cache=cache, local_workers=args.workers,
             host=host, port=port, unit_jobs=args.unit_jobs,
             lease_seconds=args.lease_seconds,
-            straggler_factor=args.straggler_factor,
             wait_workers=args.wait_workers,
             journal_path=args.journal)
     except JournalError as error:
@@ -596,9 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECS",
                    help="grace period to wait for remote workers before "
                         "the local pool starts taking units")
-    p.add_argument("--straggler-factor", type=_positive_float, default=None,
-                   help="duplicate-dispatch a unit outstanding longer than "
-                        "FACTOR x the EWMA unit time (first result wins)")
     p.add_argument("--journal", type=_journal_path, default=None,
                    metavar="PATH",
                    help="write-ahead journal for --distributed: every "
@@ -769,11 +765,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reconnect-timeout", type=_nonneg_float, default=30.0,
                    metavar="SECS",
                    help="give up after the coordinator has been "
-                        "unreachable this long (backoff with jitter in "
-                        "between; the budget restarts on every answered "
-                        "exchange, including a 409 re-registration after "
-                        "a coordinator restart). 0 = never give up — "
-                        "keep backing off forever")
+                        "unreachable this long (jittered exponential "
+                        "backoff, 0.1 s base, 5 s cap, in between; the "
+                        "budget restarts on every answered exchange, "
+                        "including a 409 re-registration after a "
+                        "coordinator restart) and exit 0 when the run is "
+                        "done. 0 = no budget: never give up, and stay "
+                        "parked after `done` to serve the next "
+                        "coordinator at this URL")
     p.add_argument("--no-cache", action="store_true",
                    help="skip the local result cache (units are always "
                         "recomputed, never answered or remembered here)")

@@ -7,19 +7,16 @@ See :mod:`repro.distributed.protocol` for the wire contract,
 :mod:`repro.distributed.coordinator` for the lease/commit state
 machine (including ``/v1/checkpoint`` envelope migration) and the
 ``repro sweep --distributed`` / ``repro pipeline --distributed``
-driver, :mod:`repro.distributed.journal` for the coordinator's
-durable write-ahead journal (``--journal``), and
+coordinator, which serves until every live worker has heard ``done``,
+:mod:`repro.distributed.journal` for the coordinator's durable
+write-ahead journal (``--journal``), and
 :mod:`repro.distributed.worker` for the ``repro work`` loop (pipeline
 units, local-cache provenance, graceful drain, 409-driven
-re-registration across coordinator restarts).
+re-registration across coordinator restarts, and, with no reconnect
+budget, staying parked from one run to the next).
 """
 
-from .client import (
-    Backoff,
-    CoordinatorClient,
-    CoordinatorUnreachable,
-    WorkerRejected,
-)
+from .client import CoordinatorClient, CoordinatorUnreachable, WorkerRejected
 from .coordinator import (
     DEFAULT_CHECKPOINT_EVERY,
     LOCAL_WORKER,
@@ -35,7 +32,6 @@ from .protocol import WIRE_VERSION, rows_digest, unit_key
 from .worker import Worker, WorkerConfig
 
 __all__ = [
-    "Backoff",
     "CoordinatorClient",
     "CoordinatorUnreachable",
     "WorkerRejected",

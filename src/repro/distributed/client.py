@@ -24,15 +24,14 @@ Sites are checked under the worker-scoped alias ``<site>@<name>``
 first, then the bare site, so one plan can partition a single worker
 among several sharing the process.
 
-Reconnect policy is decorrelated jitter (``sleep = min(cap,
-uniform(base, prev * 3))``): a fleet of workers that all lost the same
-coordinator comes back spread out instead of in lockstep.
+Every request is one attempt; retrying is the worker's job
+(:mod:`repro.distributed.worker`), which backs off with the service
+client's :func:`repro.service.client.retry_delay`.
 """
 
 from __future__ import annotations
 
 import http.client
-import random
 import time
 from typing import Callable, Dict, List, Optional
 from urllib.parse import urlsplit
@@ -58,35 +57,6 @@ class WorkerRejected(RuntimeError):
     def __init__(self, message: str, epoch: int = 0):
         super().__init__(message)
         self.epoch = epoch
-
-
-class Backoff:
-    """Decorrelated-jitter backoff (the AWS "decorrelated" variant):
-    each sleep is drawn uniformly from ``[base, prev * 3]``, capped.
-    Successive failures spread a reconnecting fleet apart instead of
-    synchronizing it the way pure exponential doubling does."""
-
-    def __init__(self, base: float = 0.1, cap: float = 5.0,
-                 rng: Optional[random.Random] = None,
-                 sleep: Callable[[float], None] = time.sleep):
-        self.base = base
-        self.cap = cap
-        self._rng = rng or random.Random()
-        self._sleep = sleep
-        self._prev = base
-
-    def reset(self) -> None:
-        self._prev = self.base
-
-    def next_delay(self) -> float:
-        self._prev = min(self.cap,
-                         self._rng.uniform(self.base, self._prev * 3))
-        return self._prev
-
-    def wait(self) -> float:
-        delay = self.next_delay()
-        self._sleep(delay)
-        return delay
 
 
 def _fault_site(site: str, name: Optional[str],
@@ -237,16 +207,3 @@ class CoordinatorClient:
     def deregister(self, worker: str) -> dict:
         return self._post("dist.deregister", "/v1/deregister",
                           {"event": "deregister", "worker": worker})
-
-    def metrics(self) -> dict:
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            conn.request("GET", "/metrics")
-            response = conn.getresponse()
-            return decode_event(response.read())
-        except (OSError, http.client.HTTPException) as exc:
-            raise CoordinatorUnreachable(
-                f"coordinator metrics unreachable: {exc}") from exc
-        finally:
-            conn.close()

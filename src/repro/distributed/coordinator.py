@@ -5,8 +5,9 @@ Three layers, separable for testing:
 * :class:`CoordinatorState` — the pure protocol state machine (no
   sockets, injectable clock). Every correctness property lives here:
   lease expiry and re-dispatch, at-least-once commits made idempotent
-  by digest comparison, EWMA straggler duplicate-dispatch, epoch-fenced
-  rejection of workers the coordinator does not know.
+  by digest comparison, epoch-fenced rejection of workers the
+  coordinator does not know, and the record of which workers have
+  been told the run is ``done``.
 * :class:`CoordinatorServer` — a ThreadingHTTPServer skin mapping the
   ``/v1/*`` endpoints onto the state machine with the service tier's
   NDJSON framing.
@@ -17,8 +18,12 @@ Three layers, separable for testing:
   **falls back to the local pool** through the identical lease/commit
   path when no live remote worker exists — a coordinator with zero
   workers degrades to exactly `Runner.run`, it never strands the sweep.
+  Once every unit is committed it keeps answering for at most one lease
+  term, until each remote worker seen in that term has heard ``done``
+  (or deregistered), so no worker napping between lease requests finds
+  the port closed instead.
 
-Two robustness layers ride on the lease machinery:
+Three robustness layers ride on the lease machinery:
 
 * **Checkpoint migration** — a worker running a pipeline unit uploads
   each chunk-seam envelope (``/v1/checkpoint``); the envelope is
@@ -67,7 +72,7 @@ import threading
 import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.checkpoint import CheckpointError, validate_envelope
 from repro.experiments.cache import ResultCache, code_fingerprint
@@ -75,7 +80,7 @@ from repro.experiments.jobs import Job, canonical_json
 from repro.experiments.runner import (
     JobExecutionError,
     Runner,
-    recall_rows,
+    recall_unit,
     remember_rows,
 )
 from repro.service.metrics import StreamingHistogram
@@ -92,6 +97,10 @@ PIPELINE_EXECUTOR = "pipeline_run"
 
 #: default chunk interval between checkpoint uploads for pipeline units
 DEFAULT_CHECKPOINT_EVERY = 4
+
+#: seconds a worker naps on ``wait`` (sent in the register and wait
+#: replies), and the coordinator's own poll while it drives a run
+POLL_SECONDS = 0.2
 
 #: sentinel worker id for the coordinator's own local-pool fallback —
 #: it leases and commits through the same state machine as any remote
@@ -114,8 +123,8 @@ class StaleWorkerError(ProtocolError):
 
 class _Unit:
     __slots__ = ("index", "key", "jobs", "rows", "digest", "leases",
-                 "dispatches", "first_dispatch", "fingerprint",
-                 "checkpoint", "checkpoint_cursor", "cache_probed")
+                 "first_dispatch", "fingerprint", "checkpoint",
+                 "checkpoint_cursor", "cache_probed")
 
     def __init__(self, index: int, key: str, jobs: List[Job],
                  fingerprint: Optional[dict] = None):
@@ -126,7 +135,6 @@ class _Unit:
         self.digest: Optional[str] = None
         #: lease_id -> (worker, deadline)
         self.leases: Dict[str, Tuple[str, float]] = {}
-        self.dispatches = 0
         self.first_dispatch: Optional[float] = None
         #: expected pipeline fingerprint; None ⇒ not a pipeline unit
         self.fingerprint = fingerprint
@@ -157,8 +165,6 @@ class CoordinatorState:
     def __init__(self, units_jobs: Sequence[Sequence[Job]],
                  fingerprint: str = "",
                  lease_seconds: float = 10.0,
-                 straggler_factor: Optional[float] = None,
-                 poll: float = 0.5,
                  clock: Callable[[], float] = time.monotonic,
                  on_commit: Optional[Callable[[int, List[Job], List[List[dict]]], None]] = None,
                  unit_fingerprints: Optional[Sequence[Optional[dict]]] = None,
@@ -170,8 +176,6 @@ class CoordinatorState:
         if lease_seconds <= 0:
             raise ValueError("lease_seconds must be positive")
         self.lease_seconds = float(lease_seconds)
-        self.straggler_factor = straggler_factor
-        self.poll = float(poll)
         self.clock = clock
         self.on_commit = on_commit
         self.fingerprint = fingerprint
@@ -191,10 +195,11 @@ class CoordinatorState:
         self._workers: Dict[str, float] = {}
         #: worker id -> cumulative heartbeat failures it has reported
         self._heartbeat_failures: Dict[str, int] = {}
+        #: worker ids a lease request has been answered ``done``
+        self._told_done: Set[str] = set()
         self._remaining = len(self._units)
         self.failure: Optional[dict] = None
         self.unit_seconds = StreamingHistogram(floor=1e-3)
-        self._ewma: Optional[float] = None
         self.counters: Dict[str, int] = {
             "workers_registered": 0,
             "workers_deregistered": 0,
@@ -211,7 +216,6 @@ class CoordinatorState:
             "duplicate_result_mismatches": 0,
             "invalid_results": 0,
             "expired_lease_commits": 0,
-            "straggler_duplicates": 0,
             "unit_failures": 0,
             "checkpoints_total": 0,
             "checkpoints_migrated": 0,
@@ -296,7 +300,6 @@ class CoordinatorState:
     def _grant(self, unit: _Unit, worker: str, now: float) -> dict:
         lease_id = uuid.uuid4().hex
         unit.leases[lease_id] = (worker, now + self.lease_seconds)
-        unit.dispatches += 1
         if unit.first_dispatch is None:
             unit.first_dispatch = now
         self.counters["leases_granted"] += 1
@@ -347,7 +350,7 @@ class CoordinatorState:
             self._touch(worker_id, now)
             return self._stamp({"event": "registered", "worker": worker_id,
                                 "lease_seconds": self.lease_seconds,
-                                "poll": self.poll})
+                                "poll": POLL_SECONDS})
 
     def lease(self, worker: str) -> dict:
         now = self.clock()
@@ -358,37 +361,12 @@ class CoordinatorState:
             self._expire(now)
             self._serve_cached_locked()
             if self.failure is not None or self._remaining == 0:
+                self._told_done.add(worker)
                 return self._stamp({"event": "done"})
             for unit in self._units:
                 if not unit.done and not unit.leases:
                     return self._stamp(self._grant(unit, worker, now))
-            straggler = self._pick_straggler(worker, now)
-            if straggler is not None:
-                self.counters["straggler_duplicates"] += 1
-                return self._stamp(self._grant(straggler, worker, now))
-            return self._stamp({"event": "wait", "poll": self.poll})
-
-    def _pick_straggler(self, worker: str, now: float) -> Optional[_Unit]:
-        """The cross-machine analogue of the runner's straggler
-        duplicates: when everything is leased but a unit has been
-        outstanding longer than ``factor ×`` the EWMA of completed-unit
-        durations, dispatch a second copy (never to the current holder,
-        never more than two leases). First result wins; the loser is a
-        verified duplicate."""
-        if self.straggler_factor is None or self._ewma is None:
-            return None
-        candidate: Optional[_Unit] = None
-        candidate_age = 0.0
-        for unit in self._units:
-            if unit.done or len(unit.leases) != 1:
-                continue
-            if any(holder == worker for holder, _ in unit.leases.values()):
-                continue
-            first = unit.first_dispatch if unit.first_dispatch is not None else now
-            age = now - first
-            if age > self.straggler_factor * self._ewma and age > candidate_age:
-                candidate, candidate_age = unit, age
-        return candidate
+            return self._stamp({"event": "wait", "poll": POLL_SECONDS})
 
     def heartbeat(self, worker: str, lease_ids: Sequence[str],
                   failures: int = 0) -> dict:
@@ -424,9 +402,9 @@ class CoordinatorState:
                          now: float, cached: bool = False) -> None:
         """The single unit-completion path (call with lock held): set
         the rows, clear leases and any migrated envelope, and account.
-        Cache-served completions skip the EWMA (no dispatch happened)
-        and the ``on_commit`` hook (the rows came *from* the cache —
-        rewriting them would be pure amplification).
+        Cache-served completions skip the unit-latency histogram (no
+        dispatch happened) and the ``on_commit`` hook (the rows came
+        *from* the cache — rewriting them would be pure amplification).
 
         With a journal configured the commit record is fsync'd *before*
         any in-memory state flips: once the caller's reply leaves this
@@ -448,10 +426,7 @@ class CoordinatorState:
             self.counters["cache_served_units"] += 1
             return
         if unit.first_dispatch is not None:
-            elapsed = max(1e-6, now - unit.first_dispatch)
-            self.unit_seconds.observe(elapsed)
-            self._ewma = (elapsed if self._ewma is None
-                          else 0.7 * self._ewma + 0.3 * elapsed)
+            self.unit_seconds.observe(max(1e-6, now - unit.first_dispatch))
         if self.on_commit is not None:
             self.on_commit(unit.index, unit.jobs, rows_per_job)
 
@@ -510,7 +485,7 @@ class CoordinatorState:
         cursor) before it is stored — a corrupt upload is rejected with
         a :class:`ProtocolError` and stores *nothing*, so a successor
         falls back to unit start rather than resuming poison. Stored
-        envelopes advance monotonically by cursor (a straggler's older
+        envelopes advance monotonically by cursor (a late holder's older
         seam never overwrites a fresher one) and an accepted upload
         renews the uploading lease: the upload itself proves liveness."""
         now = self.clock()
@@ -621,6 +596,20 @@ class CoordinatorState:
         with self._lock:
             return sum(1 for worker, seen in self._workers.items()
                        if worker != LOCAL_WORKER and now - seen <= horizon)
+
+    def awaiting_done(self, now: Optional[float] = None) -> int:
+        """Remote workers seen within the last lease term that no lease
+        request has yet answered ``done`` (a deregistered worker is
+        forgotten, so it never counts). Only ids registered with this
+        incarnation exist here, so after a journal restart a worker
+        counts once it has re-registered."""
+        if now is None:
+            now = self.clock()
+        with self._lock:
+            return sum(1 for worker, seen in self._workers.items()
+                       if worker != LOCAL_WORKER
+                       and worker not in self._told_done
+                       and now - seen <= self.lease_seconds)
 
     def results(self) -> List[List[List[dict]]]:
         """Per-unit rows-per-job, in unit order; raises if incomplete."""
@@ -784,20 +773,14 @@ class CoordinatorServer:
         self._httpd.server_close()
         self._thread.join(timeout=5.0)
 
-    def __enter__(self) -> "CoordinatorServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 # -- the sweep driver ------------------------------------------------------
 
 
 def default_unit_jobs(n_jobs: int) -> int:
     """Unit granularity: aim for ~32 units (enough slices that losing a
-    worker loses little work and stragglers can be duplicated), but
-    never fewer than 1 job or more than 16 per unit."""
+    worker loses little work), but never fewer than 1 job or more than
+    16 per unit."""
     if n_jobs <= 0:
         return 1
     return max(1, min(16, -(-n_jobs // 32)))
@@ -823,9 +806,7 @@ class SweepCoordinator:
                  host: str = "127.0.0.1", port: int = 0,
                  unit_jobs: Optional[int] = None,
                  lease_seconds: float = 10.0,
-                 straggler_factor: Optional[float] = None,
                  wait_workers: float = 0.0,
-                 poll: float = 0.2,
                  checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
                  journal_path: Optional[str] = None,
                  journal_meta: Optional[dict] = None,
@@ -839,7 +820,6 @@ class SweepCoordinator:
         #: borrowed managers untouched)
         self.pool_manager = pool_manager
         self.wait_workers = float(wait_workers)
-        self.poll = float(poll)
 
         self._hit_rows: Dict[int, List[dict]] = {}
 
@@ -868,11 +848,10 @@ class SweepCoordinator:
             self._pipeline_unit_fingerprint(unit) for unit in units]
         self.state = CoordinatorState(
             units, fingerprint=fingerprint, lease_seconds=lease_seconds,
-            straggler_factor=straggler_factor, poll=poll,
             on_commit=self._on_commit,
             unit_fingerprints=unit_fingerprints,
             checkpoint_every=checkpoint_every,
-            cache_lookup=self._recall_unit,
+            cache_lookup=lambda index: recall_unit(units[index], cache),
             cache_counters=(lambda: cache.counters) if cache is not None else None,
             journal_path=journal_path,
             journal_meta=journal_meta)
@@ -888,18 +867,6 @@ class SweepCoordinator:
 
         return pipeline_fingerprint(unit_jobs[0].params)
 
-    def _recall_unit(self, unit_index: int) -> Optional[List[List[dict]]]:
-        """All-or-nothing unit recall through the two-level cache; any
-        per-job miss means the unit must be dispatched (workers still
-        get per-job hits from their own caches)."""
-        rows_per_job = []
-        for i in self._unit_indices[unit_index]:
-            rows = recall_rows(self.jobs[i], self.cache)
-            if rows is None:
-                return None
-            rows_per_job.append(rows)
-        return rows_per_job
-
     def _on_commit(self, unit_index: int, jobs: List[Job],
                    rows_per_job: List[List[dict]]) -> None:
         for job, rows in zip(jobs, rows_per_job):
@@ -910,12 +877,14 @@ class SweepCoordinator:
         return self.server.url if self.server is not None else None
 
     def run(self) -> List[List[dict]]:
-        """Block until every unit is committed; returns rows per job in
-        job order. Raises :class:`JobExecutionError` if any job failed
-        deterministically (mirroring the local runner)."""
+        """Block until every unit is committed and the remote workers
+        have heard ``done`` (see :meth:`_linger`); returns rows per job
+        in job order. Raises :class:`JobExecutionError` if any job
+        failed deterministically (mirroring the local runner)."""
         try:
             if self._unit_indices:
                 self._drive()
+                self._linger()
         finally:
             self.close()
         if self.state.failure is not None:
@@ -942,13 +911,13 @@ class SweepCoordinator:
             while not self.state.done:
                 grace_over = time.monotonic() - start >= self.wait_workers
                 if self.state.live_remote_workers() > 0 or not grace_over:
-                    time.sleep(self.poll)
+                    time.sleep(POLL_SECONDS)
                     continue
                 reply = self.state.lease(LOCAL_WORKER)
                 if reply["event"] == "done":
                     break
                 if reply["event"] != "lease":
-                    time.sleep(self.poll)
+                    time.sleep(POLL_SECONDS)
                     continue
                 if runner is None:
                     # the local pool shares the coordinator's cache so a
@@ -970,6 +939,17 @@ class SweepCoordinator:
             if runner is not None:
                 runner.close()
 
+    def _linger(self) -> None:
+        """Keep the server up after the last commit until every remote
+        worker seen within the last lease term has been answered
+        ``done`` or has deregistered — at most one lease term, in case
+        one went silent. Closing at once would leave a worker napping
+        between lease requests to find the port closed and spend its
+        reconnect budget on a run that is over."""
+        deadline = time.monotonic() + self.state.lease_seconds
+        while self.state.awaiting_done() and time.monotonic() < deadline:
+            time.sleep(POLL_SECONDS)
+
     def close(self) -> None:
         if self.server is not None:
             self.server.close()
@@ -986,9 +966,3 @@ class SweepCoordinator:
                 os.unlink(self.journal_path)
             except FileNotFoundError:
                 pass
-
-    def __enter__(self) -> "SweepCoordinator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

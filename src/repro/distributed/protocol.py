@@ -73,6 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.experiments.jobs import Job, canonical_json
 from repro.service.protocol import (  # noqa: F401 — re-exported framing
     ProtocolError,
+    _require,
     content_length,
     decode_event,
     encode_event,
@@ -82,11 +83,6 @@ WIRE_VERSION = 1
 
 #: actions a lease response can carry
 LEASE_EVENTS = ("lease", "wait", "done")
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ProtocolError(message)
 
 
 def jobs_to_wire(jobs: Sequence[Job]) -> List[List[str]]:

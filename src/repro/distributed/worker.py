@@ -42,17 +42,22 @@ Loop shape::
 * a **coordinator restart** is survivable: a recovered coordinator
   answers the old worker id with HTTP 409 ``unknown_worker`` (plus its
   new epoch), which the worker treats as "alive but amnesiac" — it
-  re-registers under the same decorrelated-jitter backoff and, if it
-  was holding a finished result across the outage, re-submits it under
-  the new id (safe: commits are idempotent first-write-wins);
-* every coordinator failure backs off with decorrelated jitter and
-  counts against a rolling ``reconnect_timeout`` budget — the budget
-  is per attempt-chain, reset by any successful (or even rejected-
-  but-answered) exchange. A coordinator that stays dark past the
-  budget means the worker exits 1 rather than spinning forever;
-  ``reconnect_timeout=0`` disables the budget entirely — wait forever,
-  the right setting for a fleet parked against a service daemon that
-  only periodically runs flights.
+  re-registers and, if it was holding a finished result across the
+  outage, re-submits it under the new id (safe: commits are idempotent
+  first-write-wins);
+* every coordinator failure sleeps
+  :func:`repro.service.client.retry_delay` (jittered exponential, 0.1 s
+  base, 5 s cap) and counts against a rolling ``reconnect_timeout``
+  budget — the budget is per attempt-chain, reset by any successful
+  (or even rejected-but-answered) exchange. A coordinator that stays
+  dark past the budget means the worker exits 1 rather than spinning
+  forever;
+* ``done`` ends the worker when it has a budget (exit 0). With
+  ``reconnect_timeout=0`` there is no budget and ``done`` ends only the
+  run: the worker naps and keeps leasing, so it parks against the dark
+  port and re-registers (through the 409 path) with the next
+  coordinator there — the setting for a fleet parked against a service
+  daemon that only periodically runs flights.
 
 Fault sites fire here and in the client: ``dist.unit`` (``raise``
 models the worker dying mid-lease), ``dist.lease`` / ``dist.heartbeat``
@@ -65,6 +70,7 @@ envelopes migrated, ``corrupt`` damages the envelope in flight).
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -74,19 +80,20 @@ from repro.experiments.jobs import Job
 from repro.experiments.runner import (
     JobExecutionError,
     Runner,
-    recall_rows,
+    recall_unit,
     remember_rows,
 )
 from repro.mem.pipeline import PipelineCheckpointed
+from repro.service.client import retry_delay
 from repro.testing import faults
 
-from .client import (
-    Backoff,
-    CoordinatorClient,
-    CoordinatorUnreachable,
-    WorkerRejected,
-)
+from .client import CoordinatorClient, CoordinatorUnreachable, WorkerRejected
 from .protocol import ProtocolError, jobs_from_wire
+
+
+def _backoff(attempt: int) -> float:
+    """Seconds to sleep before reconnect attempt ``attempt`` + 1."""
+    return retry_delay(0.1, attempt, cap=5.0)
 
 
 @dataclass
@@ -95,7 +102,8 @@ class WorkerConfig:
     name: str = ""
     workers: Optional[int] = None
     #: seconds the coordinator may stay dark before the worker exits 1;
-    #: reset by every answered exchange. 0 = no budget, wait forever.
+    #: reset by every answered exchange. 0 = no budget: wait forever,
+    #: and stay parked for the next run after ``done``.
     reconnect_timeout: float = 30.0
     fault_delay: float = 0.1
     log: bool = True
@@ -150,17 +158,13 @@ class Worker:
     def _budget_deadline(self) -> Optional[float]:
         """Start (or restart) the reconnect budget: ``None`` when the
         budget is disabled (``reconnect_timeout=0`` — wait forever)."""
-        import time as _time
-
         if self.config.reconnect_timeout <= 0:
             return None
-        return _time.monotonic() + self.config.reconnect_timeout
+        return time.monotonic() + self.config.reconnect_timeout
 
     @staticmethod
     def _budget_spent(deadline: Optional[float]) -> bool:
-        import time as _time
-
-        return deadline is not None and _time.monotonic() >= deadline
+        return deadline is not None and time.monotonic() >= deadline
 
     def _heartbeat_loop(self, lease_id: str, stop: threading.Event) -> None:
         interval = max(0.05, self.lease_seconds / 3.0)
@@ -186,25 +190,13 @@ class Worker:
             faults.fire(f"dist.unit@{self.config.name}", index)
         faults.fire("dist.unit", index)
 
-    def _recall_unit(self, jobs: List[Job]) -> Optional[List[List[dict]]]:
-        """All-or-nothing local-cache recall: every job of the unit must
-        hit (two-level — memory, then this worker's disk cache) for the
-        unit to be answered without compute."""
-        rows_per_job = []
-        for job in jobs:
-            rows = recall_rows(job, self._cache)
-            if rows is None:
-                return None
-            rows_per_job.append(rows)
-        return rows_per_job
-
     def _run_unit(self, lease: dict) -> None:
         # the fault fires *before* the heartbeat thread starts, so a
         # "raise" here models a worker that died holding a fresh lease —
         # nothing renews it and it expires on schedule
         self._fire_unit_fault()
         jobs = jobs_from_wire(lease["jobs"])
-        cached = self._recall_unit(jobs)
+        cached = recall_unit(jobs, self._cache)
         if cached is not None:
             self._log(f"unit {lease['unit']}: local cache hit")
             self._submit(lease, cached, None, provenance="cache_hit")
@@ -322,7 +314,7 @@ class Worker:
         replay marked nothing for this unit, so these rows are exactly
         what the recovered sweep is waiting for (and if another worker
         beat us to it, idempotency answers ``duplicate``)."""
-        backoff = Backoff()
+        attempt = 0
         deadline = self._budget_deadline()
         while True:
             try:
@@ -338,13 +330,15 @@ class Worker:
                 try:
                     self._register()
                 except (CoordinatorUnreachable, ProtocolError):
-                    backoff.wait()
+                    time.sleep(_backoff(attempt))
+                    attempt += 1
                 continue
             except CoordinatorUnreachable as exc:
                 if self._budget_spent(deadline):
                     raise
                 self._log(f"result submit failed ({exc}); retrying")
-                backoff.wait()
+                time.sleep(_backoff(attempt))
+                attempt += 1
                 continue
             event = reply.get("event")
             if event in ("committed", "duplicate", "failed"):
@@ -360,13 +354,15 @@ class Worker:
                 f"{self.reregistrations} re-registration(s)")
 
     def run(self) -> int:
-        """Work until the coordinator says ``done`` (exit 0), a drain is
-        requested (finish/park the current lease, deregister, exit 0),
-        or the coordinator stays unreachable past ``reconnect_timeout``
-        (exit 1; a zero timeout waits forever). A coordinator that
-        *restarted* — 409 ``unknown_worker`` — is not an outage: the
-        worker re-registers under the new epoch and keeps working."""
-        backoff = Backoff()
+        """Work until the coordinator says ``done`` (exit 0; with a zero
+        ``reconnect_timeout`` the worker stays parked for the next run
+        instead), a drain is requested (finish/park the current lease,
+        deregister, exit 0), or the coordinator stays unreachable past
+        ``reconnect_timeout`` (exit 1; a zero timeout waits forever). A
+        coordinator that *restarted* — 409 ``unknown_worker`` — is not
+        an outage: the worker re-registers under the new epoch and keeps
+        working."""
+        attempt = 0
         deadline = self._budget_deadline()
         while True:
             if self._drain.is_set():
@@ -396,15 +392,25 @@ class Worker:
                               f"({exc}); giving up ({self._exit_stats()})")
                     self._close_runner()
                     return 1
-                backoff.wait()
+                # interruptible by drain, like the wait nap below
+                self._drain.wait(_backoff(attempt))
+                attempt += 1
                 continue
-            backoff.reset()
+            attempt = 0
             deadline = self._budget_deadline()
             event = reply.get("event")
             if event == "done":
-                self._log(f"sweep complete ({self._exit_stats()})")
-                self._close_runner()
-                return 0
+                if self.config.reconnect_timeout > 0:
+                    self._log(f"sweep complete ({self._exit_stats()})")
+                    self._close_runner()
+                    return 0
+                # no budget: the run is over, not the worker — keep
+                # leasing; the next coordinator at this URL answers the
+                # old id with 409 and the worker re-registers
+                self._log(f"run complete; parked for the next one "
+                          f"({self._exit_stats()})")
+                self._drain.wait(self.poll)
+                continue
             if event == "wait":
                 # interruptible by drain: wait() returns early when set
                 self._drain.wait(float(reply.get("poll", 0.5)))

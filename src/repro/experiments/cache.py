@@ -21,10 +21,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Dict, List, Optional
 
-from repro.checkpoint import fsync_directory
+from repro.checkpoint import atomic_write_text
 from repro.experiments.jobs import Job
 from repro.testing import faults
 
@@ -117,28 +116,15 @@ class ResultCache:
 
     def put(self, job: Job, rows: List[Dict[str, object]]) -> None:
         path = self._path(self.key(job))
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         payload = {
             "executor": job.executor,
             "params": job.params,
             "fingerprint": self.fingerprint,
             "rows": rows,
         }
-        # atomic + durable publish: flush and fsync before the rename so
-        # a host crash can never expose a truncated entry, then fsync
-        # the directory so the rename itself survives
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(payload, f)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
-            fsync_directory(os.path.dirname(path))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        # atomic + durable publish: a host crash can never expose a
+        # truncated entry under the final name
+        atomic_write_text(path, json.dumps(payload))
         if faults.enabled():
             self._damage(path)
         self._puts += 1

@@ -189,6 +189,21 @@ def recall_rows(job: Job, cache: Optional[ResultCache] = None) -> Optional[List[
     return rows
 
 
+def recall_unit(jobs: Sequence[Job], cache: Optional[ResultCache] = None
+                ) -> Optional[List[List[dict]]]:
+    """All-or-nothing :func:`recall_rows` over a distributed work unit:
+    every job's rows, or None at the first miss (the unit must then be
+    computed). The coordinator and ``repro work`` both answer units
+    from it."""
+    rows_per_job = []
+    for job in jobs:
+        rows = recall_rows(job, cache)
+        if rows is None:
+            return None
+        rows_per_job.append(rows)
+    return rows_per_job
+
+
 def remember_rows(job: Job, rows: List[dict],
                   cache: Optional[ResultCache] = None) -> None:
     """Commit one job's rows through both cache levels (memory always,

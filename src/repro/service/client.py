@@ -20,15 +20,22 @@ from repro.service.protocol import decode_event
 def retry_delay(hint: float, attempt: int,
                 rng: Optional[random.Random] = None,
                 cap: float = 60.0) -> float:
-    """Backoff around the server's ``Retry-After`` hint: exponential in
-    the attempt number, then jittered by ±50%. The jitter is the point —
-    a fleet of clients shed at the same instant and sleeping the exact
-    hint would wake in lockstep and be shed again together (thundering
-    herd); spreading each wake-up over ``[0.5, 1.5] ×`` the backoff
-    de-synchronizes them."""
+    """Backoff around a ``hint`` (the server's ``Retry-After``, or the
+    ``repro work`` reconnect base): exponential in the attempt number,
+    then jittered by ±50%. The jitter is the point — a fleet of clients
+    shed at the same instant (or workers that lost the same coordinator)
+    sleeping the exact hint would wake in lockstep and be shed again
+    together (thundering herd); spreading each wake-up over
+    ``[0.5, 1.5] ×`` the backoff de-synchronizes them.
+
+    Any ``attempt`` is accepted: a worker parked against a dark
+    coordinator never stops counting, so the doubling stops at ``2**64``
+    (every cap is reached long before) instead of overflowing the float
+    conversion."""
     if rng is None:
         rng = random
-    base = min(cap, max(0.05, float(hint)) * (2 ** max(0, attempt)))
+    doubling = 2.0 ** min(max(0, attempt), 64)
+    base = min(cap, max(0.05, float(hint)) * doubling)
     return base * rng.uniform(0.5, 1.5)
 
 

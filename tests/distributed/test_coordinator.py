@@ -1,8 +1,8 @@
 """CoordinatorState machine semantics in virtual time: lease grant,
-expiry and re-dispatch, heartbeat renewal, idempotent commit, straggler
-duplicate-dispatch, checkpoint migration, graceful deregistration,
-cache-served units, epoch fencing, and failure fast-path — no sockets,
-no sleeping."""
+expiry and re-dispatch, heartbeat renewal, idempotent commit,
+checkpoint migration, graceful deregistration, cache-served units,
+epoch fencing, failure fast-path, and who has heard ``done`` — no
+sockets, no sleeping."""
 
 import pytest
 
@@ -228,35 +228,6 @@ class TestIdempotentCommit:
         rows = make_rows(units[0])
         state.commit("w1", lease["unit"], lease["key"], lease["lease"], rows)
         assert state._units[0].digest == rows_digest(rows)
-
-
-class TestStragglerDuplicates:
-    def test_slow_unit_gets_second_lease(self):
-        state, units, clock = make_state(n_units=2, straggler_factor=3.0)
-        admit(state, "slow", "fast", "other")
-        slow = state.lease("slow")
-        fast = state.lease("fast")
-        # fast commits quickly -> EWMA ~1s
-        clock.advance(1.0)
-        state.commit("fast", fast["unit"], fast["key"], fast["lease"],
-                     make_rows(units[fast["unit"]]))
-        # slow's unit is now 4x the EWMA old; keep its lease alive
-        clock.advance(3.0)
-        state.heartbeat("slow", [slow["lease"]])
-        dup = state.lease("fast")
-        assert dup["event"] == "lease"
-        assert dup["unit"] == slow["unit"]
-        assert state.counters["straggler_duplicates"] == 1
-        # never a third copy, and never to the current holder
-        assert state.lease("fast")["event"] == "wait"
-        assert state.lease("other")["event"] == "wait"
-
-    def test_no_duplicate_without_factor_or_ewma(self):
-        state, units, clock = make_state(n_units=1, straggler_factor=None)
-        admit(state, "w1", "w2")
-        state.lease("w1")
-        clock.advance(5.0)
-        assert state.lease("w2")["event"] == "wait"
 
 
 FINGERPRINT = {"spec": {"type": "streaming", "nbytes": 4096},
@@ -506,6 +477,35 @@ class TestFailureAndObservation:
         workers = {w["worker"]: w for w in state.snapshot()["workers"]}
         assert workers["flaky"]["heartbeat_failures"] == 3
         assert workers["healthy"]["heartbeat_failures"] == 0
+
+    def test_awaiting_done_counts_recent_workers_not_yet_told(self):
+        """A worker learns that the run is over only from a lease reply:
+        ``awaiting_done`` counts the remote workers seen within the last
+        lease term that no reply has answered ``done`` yet."""
+        state, units, clock = make_state(n_units=1)
+        admit(state, "holder", "napper", "leaver", "silent")
+        lease = state.lease("holder")
+        assert state.lease("napper")["event"] == "wait"
+        clock.advance(6.0)
+        assert state.lease("napper")["event"] == "wait"
+        state.deregister("leaver")
+        clock.advance(5.0)  # "silent" was last seen 11 s ago
+        state.commit("holder", lease["unit"], lease["key"], lease["lease"],
+                     make_rows(units[0]))
+        assert state.done
+        assert state.awaiting_done() == 2  # holder and napper
+        assert state.lease("holder")["event"] == "done"
+        assert state.lease(LOCAL_WORKER)["event"] == "done"
+        assert state.awaiting_done() == 1
+        clock.advance(4.0)  # napper seen 9 s ago: still within the term
+        assert state.awaiting_done() == 1
+        assert state.lease("napper")["event"] == "done"
+        assert state.awaiting_done() == 0
+        # a worker registering after the end counts until it is told
+        late = state.register("late")["worker"]
+        assert state.awaiting_done() == 1
+        assert state.lease(late)["event"] == "done"
+        assert state.awaiting_done() == 0
 
     def test_results_raise_until_complete(self):
         state, units, clock = make_state(n_units=1)

@@ -1,7 +1,8 @@
 """Pipeline work units end to end, in process: singleton sharding, the
 coordinator-computed fingerprint pinned against the real pipeline's,
 checkpoint migration through real HTTP, mid-unit failover resume, the
-worker's local-cache provenance, and graceful drain."""
+worker's local-cache provenance, the end of a run reaching a napping
+worker, and graceful drain."""
 
 import threading
 import time
@@ -136,8 +137,6 @@ class TestEndToEnd:
         with pytest.raises(Died):
             pipeline_rows(dict(PARAMS), checkpoint_every=1,
                           on_checkpoint=upload)
-        assert _wait(lambda: coordinator.state.counters
-                     ["lease_expirations"] >= 1, timeout=5.0) or True
         time.sleep(1.2)  # past the 1s lease term
 
         _MEMORY_CACHE.clear()
@@ -145,6 +144,8 @@ class TestEndToEnd:
         rows_per_job = coordinator.run()
         thread.join(timeout=10.0)
         assert rows_per_job[0] == local
+        # expiry is lazy: the survivor's lease request observed it
+        assert coordinator.state.counters["lease_expirations"] >= 1
         assert coordinator.state.counters["resumed_units"] >= 1
         assert worker.units_resumed == 1
 
@@ -191,6 +192,37 @@ class TestEndToEnd:
         thread2.join(timeout=10.0)
         assert second.state.counters["worker_cache_commits"] == 1
         assert second.state.counters["checkpoints_migrated"] == 0
+
+
+class TestRunEnd:
+    def test_napping_worker_hears_done_and_exits_zero(self):
+        """A worker napping in ``wait`` when the last unit commits
+        still hears ``done``: ``run()`` keeps serving until it has, so
+        the worker exits 0 instead of finding the port closed and
+        spending its reconnect budget on a run that is over."""
+        local = pipeline_rows(dict(PARAMS))
+        _MEMORY_CACHE.clear()
+        coordinator = SweepCoordinator([pipeline_job()], cache=None,
+                                       wait_workers=60.0, lease_seconds=5.0)
+        client = CoordinatorClient(coordinator.url)
+        holder = client.register("holder")["worker"]
+        lease = client.lease(holder)
+        assert lease["event"] == "lease"
+
+        results = {}
+        worker = Worker(WorkerConfig(url=coordinator.url, name="napper",
+                                     log=False, reconnect_timeout=15.0))
+        thread = threading.Thread(
+            target=lambda: results.update(code=worker.run()), daemon=True)
+        thread.start()
+        assert _wait(lambda: coordinator.state.counters
+                     ["lease_requests_total"] >= 2)  # napper got "wait"
+        client.result(holder, lease["unit"], lease["key"], lease["lease"],
+                      rows=[local])
+        client.deregister(holder)
+        assert coordinator.run()[0] == local
+        thread.join(timeout=5.0)
+        assert results.get("code") == 0
 
 
 class TestGracefulDrain:

@@ -1,5 +1,5 @@
 """Wire-protocol invariants: content addressing, order-preserving row
-encoding, request validation, HTTP body framing, and backoff bounds."""
+encoding, request validation, and HTTP body framing."""
 
 import http.client
 import json
@@ -8,7 +8,6 @@ import socket
 import pytest
 
 from repro.distributed import (
-    Backoff,
     CoordinatorServer,
     CoordinatorState,
     rows_digest,
@@ -144,28 +143,3 @@ class TestHttpFraming:
         finally:
             server.close()
 
-
-class TestBackoff:
-    def test_delays_bounded_and_growing_spread(self):
-        import random
-
-        backoff = Backoff(base=0.1, cap=5.0, rng=random.Random(7))
-        delays = [backoff.next_delay() for _ in range(50)]
-        assert all(0.1 <= d <= 5.0 for d in delays)
-        # decorrelated jitter reaches the cap region eventually
-        assert max(delays) > 1.0
-
-    def test_reset_returns_to_base_window(self):
-        import random
-
-        backoff = Backoff(base=0.1, cap=5.0, rng=random.Random(7))
-        for _ in range(20):
-            backoff.next_delay()
-        backoff.reset()
-        assert backoff.next_delay() <= 0.3  # uniform(base, 3*base)
-
-    def test_wait_uses_injected_sleep(self):
-        slept = []
-        backoff = Backoff(base=0.05, cap=1.0, sleep=slept.append)
-        delay = backoff.wait()
-        assert slept == [delay]

@@ -37,6 +37,11 @@ class TestRetryDelay:
     def test_module_rng_default_works(self):
         assert retry_delay(1.0, 0) > 0
 
+    def test_any_attempt_count_stays_capped(self):
+        """A worker parked against a dark coordinator counts attempts
+        forever; the delay stays the jittered cap instead of overflowing."""
+        assert 2.5 <= retry_delay(0.1, 10_000, cap=5.0) <= 7.5
+
 
 class _RejectingClient(ServiceClient):
     """Rejects the first N submissions with 429/503, then succeeds."""

@@ -155,6 +155,8 @@ def test_parked_worker_serves_the_flight(fresh_memory_cache, tmp_path):
         # --dist-wait-workers held the local pool back, so the parked
         # worker must have registered and served every unit
         assert outcome["worker"].units_done >= 1
+        # and "done" ended the flight, not the worker: it stays parked
+        assert worker_thread.is_alive()
     finally:
         outcome["worker"].drain()
         stop_service(service, thread)

@@ -64,11 +64,9 @@ def test_valid_values_parse():
 
     args = parser.parse_args(
         ["sweep", "--preset", "x", "--distributed",
-         "--listen", "0.0.0.0:8790", "--lease-seconds", "2",
-         "--straggler-factor", "3.5"])
+         "--listen", "0.0.0.0:8790", "--lease-seconds", "2"])
     assert args.listen == ("0.0.0.0", 8790)
     assert args.lease_seconds == 2.0
-    assert args.straggler_factor == 3.5
 
     args = parser.parse_args(["work", "http://10.0.0.5:8790",
                               "--name", "rig", "--workers", "4"])
