@@ -45,7 +45,7 @@ class AcceleratorConfig:
     pe_cols: int
     sram_bytes: int
     freq_mhz: float
-    dram_bandwidth_gbps: float  # effective (use MemoryController to calibrate)
+    dram_bandwidth_gbps: float  # fixed; not derived from MemoryController
     bytes_per_element: int = 1
     dataflow: Dataflow = Dataflow.WEIGHT_STATIONARY
     vector_lanes: int = 256  # elementwise/pooling unit width

@@ -505,14 +505,12 @@ def cmd_serve(args) -> int:
             host=args.host, port=args.port, workers=args.workers,
             max_running=args.max_running, max_queued=args.max_queued,
             cache=not args.no_cache, cache_dir=args.cache_dir,
-            stream_jobs=args.stream_jobs,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             drain_grace=args.drain_grace,
             distributed=args.distributed,
             dist_host=args.dist_listen[0],
             dist_port=args.dist_listen[1],
-            dist_lease_seconds=args.dist_lease_seconds,
             dist_wait_workers=args.dist_wait_workers)
     except ValueError as error:
         raise SystemExit(f"error: {error}")
@@ -713,9 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-queued", type=_nonneg_int, default=8,
                    help="admitted jobs allowed to wait; beyond this the "
                         "service sheds load with 429 + Retry-After")
-    p.add_argument("--stream-jobs", type=_positive_int, default=None,
-                   help="sweep jobs per streamed partial-rows event "
-                        "(default: 2x pool width)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the shared on-disk result cache")
     p.add_argument("--cache-dir", default=None,
@@ -726,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=_nonneg_int, default=0,
                    metavar="N",
                    help="checkpoint pipeline flights every N chunks "
-                        "(0 = only when draining)")
+                        "(0 = only when draining); needs --checkpoint-dir")
     p.add_argument("--drain-grace", type=_nonneg_float, default=10.0,
                    metavar="SECS",
                    help="grace period for in-flight work after SIGTERM/"
@@ -743,9 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coordinator bind address for --distributed "
                         "(fixed so parked workers can rejoin between "
                         "flights; default 127.0.0.1:8790)")
-    p.add_argument("--dist-lease-seconds", type=_positive_float,
-                   default=10.0, metavar="SECS",
-                   help="lease term for --distributed flight units")
     p.add_argument("--dist-wait-workers", type=_nonneg_float, default=0.0,
                    metavar="SECS",
                    help="grace period each flight waits for remote "

@@ -18,8 +18,8 @@ class SimulatedTrng:
 
     Produces an entropy stream by iterating SHA-256 over a seed; distinct
     seeds model distinct physical devices. This is a *simulation
-    substitution* (documented in DESIGN.md): the downstream DRBG and all
-    protocol logic are unchanged relative to a real TRNG.
+    substitution* (documented in ``docs/FIDELITY.md``): the downstream
+    DRBG and all protocol logic are unchanged relative to a real TRNG.
     """
 
     def __init__(self, seed: bytes):

@@ -21,12 +21,9 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Iterator, List
 
-from repro.mem.trace import MemoryRequest, RequestKind, TraceStats
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+from repro.mem.trace import MemoryRequest, RequestKind, TraceStats
 
 #: fixed kind <-> small-int code mapping used inside batches
 KINDS = (RequestKind.DATA, RequestKind.VN, RequestKind.MAC, RequestKind.TREE)
@@ -135,11 +132,12 @@ class RequestBatch:
                              bool(self.is_write[i]), KINDS[self.kind[i]])
 
     def __iter__(self) -> Iterator[MemoryRequest]:
-        for i in range(len(self.address)):
-            yield self.request(i)
+        for address, size, is_write, kind in zip(
+                self.address, self.size, self.is_write, self.kind):
+            yield MemoryRequest(address, size, bool(is_write), KINDS[kind])
 
     def to_requests(self) -> List[MemoryRequest]:
-        return [self.request(i) for i in range(len(self.address))]
+        return list(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RequestBatch):
@@ -157,22 +155,13 @@ class RequestBatch:
         through :meth:`TraceStats.add`. One ``bincount`` over
         (kind, direction) buckets instead of a per-request loop — the
         streaming pipeline calls this once per chunk per scheme."""
-        if _np is not None and len(self.size) >= 64:
-            size = _np.frombuffer(self.size, dtype=_np.int64)
-            is_write = _np.frombuffer(self.is_write, dtype=_np.int8)
-            kind = _np.frombuffer(self.kind, dtype=_np.int8)
-            buckets = _np.bincount(kind + 4 * (is_write != 0),
-                                   weights=size, minlength=8)
-            read_totals = [int(b) for b in buckets[:4]]
-            write_totals = [int(b) for b in buckets[4:]]
-        else:
-            read_totals = [0, 0, 0, 0]
-            write_totals = [0, 0, 0, 0]
-            for size, is_write, kind in zip(self.size, self.is_write, self.kind):
-                if is_write:
-                    write_totals[kind] += size
-                else:
-                    read_totals[kind] += size
+        size = _np.frombuffer(self.size, dtype=_np.int64)
+        is_write = _np.frombuffer(self.is_write, dtype=_np.int8)
+        kind = _np.frombuffer(self.kind, dtype=_np.int8)
+        buckets = _np.bincount(kind + 4 * (is_write != 0),
+                               weights=size, minlength=8)
+        read_totals = [int(b) for b in buckets[:4]]
+        write_totals = [int(b) for b in buckets[4:]]
         stats = TraceStats()
         for code, kind in enumerate(KINDS):
             if read_totals[code]:

@@ -10,9 +10,11 @@ The controller is used two ways:
 * **event-driven**: :meth:`run_trace` times an explicit request list —
   used by tests, microbenches, and bandwidth characterization;
 * **characterization**: :meth:`effective_bandwidth_gbps` measures
-  sustainable bandwidth for a synthetic streaming mix, which the
-  analytical layer-performance model uses as its bandwidth input
-  (see :mod:`repro.accel.accelerator`).
+  sustainable bandwidth for a synthetic streaming mix. The analytical
+  layer-performance model does not call it: its bandwidth input is the
+  fixed ``dram_bandwidth_gbps`` of its config (34 GB/s for
+  :data:`~repro.accel.accelerator.TPU_V1_CONFIG`; see
+  ``docs/FIDELITY.md``).
 """
 
 from __future__ import annotations
@@ -145,10 +147,11 @@ class MemoryController:
         (the access shape of a DNN accelerator fetching tiles)."""
         if not 0.0 <= write_fraction <= 1.0:
             raise ValueError("write_fraction must be in [0, 1]")
-        # deliberately keeps the historical int(1/f) cadence (33% writes
-        # for f=0.3) rather than the generators' exact write mask: this
-        # mix calibrates the analytic bandwidth model, and changing it
-        # would move the pinned Figure-3 goldens
+        # keeps the historical int(1/f) cadence (33% writes for f=0.3)
+        # rather than the generators' exact write mask, so the measured
+        # bandwidth stays comparable with earlier versions. Nothing
+        # outside the tests reads it: the analytic model's bandwidth is
+        # its config's fixed value
         writes_every = int(1 / write_fraction) if write_fraction > 0 else 0
         n = nbytes // stride
         if perf.fast_enabled():

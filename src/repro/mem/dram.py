@@ -13,7 +13,7 @@ the subset of DDR4 state that determines DNN-accelerator memory behaviour:
 Omitted: tFAW/tRRD rank-level constraints, read-write turnaround bubbles,
 power-down modes — negligible for the streaming access patterns at issue,
 and their omission shifts absolute cycles only, not the ratios between
-protection schemes (see DESIGN.md fidelity notes).
+protection schemes (see ``docs/FIDELITY.md``).
 """
 
 from __future__ import annotations

@@ -69,12 +69,14 @@ class PipelineCheckpointed(RuntimeError):
         self.requests_done = requests_done
 
 
-def _build_trace_rewriter(name: str, **params):
+def _build_trace_rewriter(name: str, source, **params):
     # deferred: repro.protection pulls in the analytic scheme stack,
     # which imports repro.mem — a module-level import would cycle
     from repro.protection.trace_rewriter import build_trace_rewriter
 
-    return build_trace_rewriter(name, **params)
+    # bp protects a region covering every address the source emits
+    return build_trace_rewriter(name, end_address=source.end_address,
+                                **params)
 
 #: default requests per chunk: big enough to amortize the vectorized
 #: kernels, small enough that a chunk (plus its rewritten form and the
@@ -133,7 +135,8 @@ class TracePipeline:
         self.scheme_params = {name: dict(params.get(name, {}))
                               for name in self.schemes}
         self.rewriters = {
-            name: _build_trace_rewriter(name, **self.scheme_params[name])
+            name: _build_trace_rewriter(name, source,
+                                        **self.scheme_params[name])
             for name in self.schemes
         }
         self.controllers = {name: controller_factory() for name in self.schemes}
@@ -311,7 +314,7 @@ def run_materialized(source, scheme: str = "np",
     rewrite it in one piece, time it in one piece. Peak memory O(trace)
     — this is the function whose footprint the pipeline removes."""
     trace = source.materialize()
-    rewriter = _build_trace_rewriter(scheme)
+    rewriter = _build_trace_rewriter(scheme, source)
     if rewriter is not None:
         trace = rewriter.rewrite(trace) + rewriter.flush()
     return controller_factory().run_trace(trace)

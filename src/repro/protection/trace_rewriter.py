@@ -10,6 +10,12 @@ exact interleaved request sequence a memory-protection engine would put
 on the bus. The integration tests cross-validate the two models; the
 rewritten traces can also be timed on the event-driven DDR4 controller.
 
+Each rewriter implements its state machine twice: ``rewrite``, the
+per-request reference over ``MemoryRequest`` objects, and one numpy
+lane behind ``rewrite_batch``. The :mod:`repro.perf` mode picks between
+them: fast mode takes the lane, scalar mode (``REPRO_SCALAR=1``) runs
+``rewrite`` itself, as does MEE for a tree too deep for its lane.
+
 Address map: metadata regions live above ``metadata_base`` —
 VN lines, then MAC lines, then tree levels — mirroring how MEE carves
 out a protected-metadata range.
@@ -18,8 +24,10 @@ out a protected-metadata range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List
+
+import numpy as _np
 
 from repro import perf
 from repro.testing import faults
@@ -29,50 +37,80 @@ from repro.mem.trace import MemoryRequest, RequestKind
 from repro.protection.guardnn import GuardNNParams
 from repro.protection.mee import MeeParams
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+
+#: where both rewriters lay out their metadata by default (16 GiB)
+METADATA_BASE = 1 << 34
 
 
-def build_trace_rewriter(name: str, **params):
+def protected_region_bytes(end_address: int) -> int:
+    """The BP protected region for data addresses below ``end_address``:
+    the smallest power of two covering them, and never below 1 GiB, so
+    every trace below 1 GiB keeps the layout it always had. Data that
+    reaches :data:`METADATA_BASE` would alias the metadata regions and
+    is refused with a ``ValueError``."""
+    if end_address > METADATA_BASE:
+        raise ValueError(
+            f"trace addresses end at {end_address:#x}, past the metadata "
+            f"base {METADATA_BASE:#x}; data and metadata would alias")
+    region = 1 << 30
+    while region < end_address:
+        region <<= 1
+    return region
+
+
+def build_trace_rewriter(name: str, end_address: int = 0, **params):
     """Mechanistic rewriter for a scheme short name (the same names as
     :data:`repro.protection.SCHEME_FACTORIES`).
 
     ``np`` and ``guardnn-c`` leave the request stream untouched (AES-CTR
     confidentiality adds no transfers), so they return ``None``;
     ``guardnn-ci`` adds MAC-line traffic, ``bp`` the full MEE
-    VN/MAC/tree walk. ``params`` forward to the scheme's parameter
-    dataclass. Rewriters carry their state (active MAC line, metadata
-    cache) across calls, so one instance rewrites a chunked stream
-    exactly as it would the whole trace.
+    VN/MAC/tree walk. ``end_address`` bounds the data addresses the
+    rewriter will see: ``bp`` protects a region covering it (see
+    :func:`protected_region_bytes`). ``params`` forward to the scheme's
+    parameter dataclass. Rewriters carry their state (active MAC line,
+    metadata cache) across calls, so one instance rewrites a chunked
+    stream exactly as it would the whole trace.
     """
     if name in ("np", "guardnn-c"):
         if params:
             raise ValueError(f"scheme {name!r} takes no rewriter parameters")
         return None
+    if name not in ("guardnn-ci", "bp"):
+        raise KeyError(
+            f"unknown scheme {name!r}; known: bp, guardnn-c, guardnn-ci, np")
+    # both rewriters put their metadata at METADATA_BASE, so this also
+    # refuses GuardNN_CI data that would alias its MAC lines
+    protected_bytes = protected_region_bytes(end_address)
     if name == "guardnn-ci":
         return GuardNNTraceRewriter(integrity=True, params=GuardNNParams(**params))
-    if name == "bp":
-        return MeeTraceRewriter(params=MeeParams(**params))
-    raise KeyError(
-        f"unknown scheme {name!r}; known: bp, guardnn-c, guardnn-ci, np")
+    return MeeTraceRewriter(params=MeeParams(**params),
+                            protected_bytes=protected_bytes)
 
 
 def _run_starts(key, coalescable):
-    """Start indices of maximal runs of requests that share a metadata
-    key and may be coalesced (single-span requests only); requests with
-    ``coalescable`` False become singleton runs. The SoA pre-pass of
-    both rewriters: one vectorized sweep replaces the per-request
-    Python span/line arithmetic. Returns an ``(n_runs,)`` int index
-    array (callers gather per-run attributes from it, so nothing
-    per-request ever crosses back into Python)."""
+    """Start indices of maximal runs of entries that share a metadata
+    key and may be coalesced; entries with ``coalescable`` False become
+    singleton runs. The SoA pre-pass of both rewriters: one vectorized
+    sweep replaces the per-request Python span/line arithmetic. Returns
+    an ``(n_runs,)`` int index array (callers gather per-run attributes
+    from it, so nothing per-request ever crosses back into Python)."""
     n = len(key)
     change = _np.empty(n, dtype=bool)
     change[0] = True
     _np.not_equal(key[1:], key[:-1], out=change[1:])
     change[1:] |= ~coalescable[1:] | ~coalescable[:-1]
     return _np.flatnonzero(change)
+
+
+def _items(first, count):
+    """Expand entry ``i`` into ``count[i]`` items, one per unit from
+    ``first[i]`` on, in stream order. Returns ``(owner, unit)``: the
+    entry each item came from and its unit number."""
+    owner = _np.repeat(_np.arange(len(first)), count)
+    unit = first[owner] + (
+        _np.arange(len(owner)) - (_np.cumsum(count) - count)[owner])
+    return owner, unit
 
 
 def _scatter_assemble(out: RequestBatch, batch: RequestBatch, address, size,
@@ -128,7 +166,7 @@ class GuardNNTraceRewriter:
     LINE_BYTES = 64
 
     def __init__(self, integrity: bool, params: GuardNNParams = GuardNNParams(),
-                 metadata_base: int = 1 << 34):
+                 metadata_base: int = METADATA_BASE):
         self.integrity = integrity
         self.params = params
         self.metadata_base = metadata_base
@@ -191,53 +229,51 @@ class GuardNNTraceRewriter:
     # -- structure-of-arrays fast lane ------------------------------------
 
     def rewrite_batch(self, batch: RequestBatch) -> RequestBatch:
-        """Batch counterpart of :meth:`rewrite`: same stream, emitted as
-        a :class:`RequestBatch` without per-request object churn. Shares
-        the active-MAC-line state with the scalar path.
-
-        Requests that touch only the already-active MAC line (the
-        sequential-stream common case: ~5 chunks per 64-B tag line) are
-        copied through in bulk array slices between MAC events. With
-        numpy, chunk spans and MAC-line addresses are precomputed for
-        the whole batch (SoA) and same-line request runs collapse to a
-        single state transition each.
-        """
+        """Batch counterpart of :meth:`rewrite`: the same stream, emitted
+        as a :class:`RequestBatch`, sharing the active-MAC-line state
+        with it. In fast mode every non-empty batch takes the numpy lane
+        (:meth:`_rewrite_batch_vec`); in scalar mode this runs the
+        :meth:`rewrite` oracle itself."""
         if faults.enabled():
             faults.fire("rewriter.rewrite", self._rewrite_calls)
         self._rewrite_calls += 1
+        if perf.fast_enabled() and len(batch):
+            return self._rewrite_batch_vec(batch)
+        return RequestBatch.from_requests(self.rewrite(batch))
+
+    def _rewrite_batch_vec(self, batch: RequestBatch) -> RequestBatch:
+        """The numpy lane. A request that spans several 512-B chunks
+        becomes one item per chunk (the scalar machine's inner loop), so
+        every item touches one MAC line. Same-line item runs collapse to
+        a MAC-line-change event stream computed entirely in numpy, with
+        each item's events right after its own request, and one scatter
+        assembles the interleaved output."""
         out = RequestBatch()
         if not self.integrity:
             out.extend(batch)
             return out
-        if _np is not None and perf.fast_enabled() and len(batch) >= 16:
-            address = _np.frombuffer(batch.address, dtype=_np.int64)
-            size = _np.frombuffer(batch.size, dtype=_np.int64)
-            chunk_bytes = self.params.chunk_bytes
-            if _np.array_equal(address // chunk_bytes,
-                               (address + size - 1) // chunk_bytes):
-                return self._rewrite_batch_vec(batch, out, address)
-            return self._rewrite_batch_runs(batch, out)
-        return self._rewrite_batch_loop(batch, out)
-
-    def _rewrite_batch_vec(self, batch: RequestBatch, out: RequestBatch,
-                           address) -> RequestBatch:
-        """All-single-chunk batches (the streaming common case) need no
-        per-run Python state machine at all: same-line runs collapse to
-        a MAC-line-change event stream computed entirely in numpy, then
-        one scatter assembles the interleaved output."""
-        n = len(batch)
+        address = _np.frombuffer(batch.address, dtype=_np.int64)
+        size = _np.frombuffer(batch.size, dtype=_np.int64)
         is_write = _np.frombuffer(batch.is_write, dtype=_np.int8)
+        chunk_bytes = self.params.chunk_bytes
+        chunk = address // chunk_bytes
+        chunks = (address + size - 1) // chunk_bytes - chunk + 1
+        owner = None  # item i is request i unless a request spans chunks
+        item_write = is_write
+        if chunks.max() > 1:
+            owner, chunk = _items(chunk, chunks)
+            item_write = is_write[owner]
         line_bytes = self.LINE_BYTES
         line = (self.metadata_base
-                + (address // self.params.chunk_bytes) * self.params.mac_bytes
-                // line_bytes * line_bytes)
+                + chunk * self.params.mac_bytes // line_bytes * line_bytes)
+        n = len(line)
         starts = _run_starts(line, _np.ones(n, dtype=bool))
         ends = _np.concatenate((starts[1:], [n]))
         m = len(starts)
-        writes_before = _np.concatenate(([0], _np.cumsum(is_write != 0)))
+        writes_before = _np.concatenate(([0], _np.cumsum(item_write != 0)))
         run_any_write = writes_before[ends] > writes_before[starts]
         run_line = line[starts]
-        run_read_first = is_write[starts] == 0
+        run_read_first = item_write[starts] == 0
 
         first = 0  # run 0 may just extend the carried active line
         if self._active_line is not None and run_line[0] == self._active_line:
@@ -264,6 +300,8 @@ class GuardNNTraceRewriter:
         ev_run = ev_slot >> 1
         ev_is_wb = (ev_slot & 1) == 0
         pos = starts[first:]
+        if owner is not None:
+            pos = owner[pos]
         ev_pos = pos[ev_run]
         ev_addr = _np.where(ev_is_wb, prev_line[ev_run],
                             run_line[first:][ev_run])
@@ -271,173 +309,13 @@ class GuardNNTraceRewriter:
         ev_kind = _np.full(len(ev_slot), MAC_CODE, dtype=_np.int8)
         self._active_line = int(run_line[-1])
         self._active_dirty = bool(run_any_write[-1])
-        size = _np.frombuffer(batch.size, dtype=_np.int64)
         _scatter_assemble(out, batch, address, size, is_write,
                           ev_pos, ev_addr, ev_write, ev_kind, line_bytes)
         return out
 
-    def _rewrite_batch_runs(self, batch: RequestBatch, out: RequestBatch) -> RequestBatch:
-        """Vectorized pre-pass + per-run state machine. A run is a
-        maximal stretch of single-chunk requests whose tags live in one
-        MAC line; the scalar machine emits nothing inside such a run,
-        so only its first request can produce MAC events and only the
-        run's write-OR reaches the dirty bit."""
-        n = len(batch)
-        address = _np.frombuffer(batch.address, dtype=_np.int64)
-        size = _np.frombuffer(batch.size, dtype=_np.int64)
-        is_write = _np.frombuffer(batch.is_write, dtype=_np.int8)
-        line_bytes = self.LINE_BYTES
-        chunk_bytes = self.params.chunk_bytes
-        mac_bytes = self.params.mac_bytes
-        base = self.metadata_base
-        first = address // chunk_bytes
-        last = (address + size - 1) // chunk_bytes
-        line = base + first * mac_bytes // line_bytes * line_bytes
-        single = first == last
-        starts = _run_starts(line, single)
-        ends = _np.concatenate((starts[1:], [n]))
-        # per-run attribute gathers: only run boundaries reach Python
-        writes_before = _np.concatenate(([0], _np.cumsum(is_write != 0)))
-        run_any_write = (writes_before[ends] > writes_before[starts]).tolist()
-        run_line = line[starts].tolist()
-        run_single = single[starts].tolist()
-        run_first = first[starts].tolist()
-        run_last = last[starts].tolist()
-        run_write = is_write[starts].tolist()
-        starts_list = starts.tolist()
-
-        put_address = out.address.append
-        put_size = out.size.append
-        put_write = out.is_write.append
-        put_kind = out.kind.append
-        active_line = self._active_line
-        active_dirty = self._active_dirty
-        pending = 0  # start of the verbatim run not yet copied out
-        for k, s in enumerate(starts_list):
-            if run_single[k]:
-                this_line = run_line[k]
-                if this_line == active_line:
-                    if run_any_write[k]:
-                        active_dirty = True
-                    continue
-                # MAC event right after request s; the rest of the run
-                # rides the newly active line
-                out.address.extend(batch.address[pending:s + 1])
-                out.size.extend(batch.size[pending:s + 1])
-                out.is_write.extend(batch.is_write[pending:s + 1])
-                out.kind.extend(batch.kind[pending:s + 1])
-                pending = s + 1
-                if active_line is not None and active_dirty:
-                    put_address(active_line)
-                    put_size(line_bytes)
-                    put_write(1)
-                    put_kind(MAC_CODE)
-                if not run_write[k]:
-                    put_address(this_line)
-                    put_size(line_bytes)
-                    put_write(0)
-                    put_kind(MAC_CODE)
-                active_line = this_line
-                active_dirty = run_any_write[k]
-                continue
-            # multi-chunk request: singleton run, walk its chunks
-            out.address.extend(batch.address[pending:s + 1])
-            out.size.extend(batch.size[pending:s + 1])
-            out.is_write.extend(batch.is_write[pending:s + 1])
-            out.kind.extend(batch.kind[pending:s + 1])
-            pending = s + 1
-            req_write = run_write[k]
-            for chunk in range(run_first[k], run_last[k] + 1):
-                chunk_line = base + chunk * mac_bytes // line_bytes * line_bytes
-                if chunk_line != active_line:
-                    if active_line is not None and active_dirty:
-                        put_address(active_line)
-                        put_size(line_bytes)
-                        put_write(1)
-                        put_kind(MAC_CODE)
-                    active_dirty = False
-                    if not req_write:
-                        put_address(chunk_line)
-                        put_size(line_bytes)
-                        put_write(0)
-                        put_kind(MAC_CODE)
-                    active_line = chunk_line
-                if req_write:
-                    active_dirty = True
-        out.address.extend(batch.address[pending:])
-        out.size.extend(batch.size[pending:])
-        out.is_write.extend(batch.is_write[pending:])
-        out.kind.extend(batch.kind[pending:])
-        self._active_line = active_line
-        self._active_dirty = active_dirty
-        return out
-
-    def _rewrite_batch_loop(self, batch: RequestBatch, out: RequestBatch) -> RequestBatch:
-        """Per-request fallback (no numpy, tiny batches, scalar mode)."""
-        put_address = out.address.append
-        put_size = out.size.append
-        put_write = out.is_write.append
-        put_kind = out.kind.append
-        line_bytes = self.LINE_BYTES
-        chunk_bytes = self.params.chunk_bytes
-        mac_bytes = self.params.mac_bytes
-        base = self.metadata_base
-        active_line = self._active_line
-        active_dirty = self._active_dirty
-        pending = 0  # start of the verbatim run not yet copied out
-        i = 0
-        for req_addr, req_size, req_write in zip(
-                batch.address, batch.size, batch.is_write):
-            first = req_addr // chunk_bytes
-            last = (req_addr + req_size - 1) // chunk_bytes
-            if first == last:
-                line = base + (first * mac_bytes // line_bytes) * line_bytes
-                if line == active_line:
-                    if req_write:
-                        active_dirty = True
-                    i += 1
-                    continue
-            # a MAC event follows this request: flush the verbatim run
-            # (including this request), then emit the event stream
-            i += 1
-            out.address.extend(batch.address[pending:i])
-            out.size.extend(batch.size[pending:i])
-            out.is_write.extend(batch.is_write[pending:i])
-            out.kind.extend(batch.kind[pending:i])
-            pending = i
-            for chunk in range(first, last + 1):
-                line = base + (chunk * mac_bytes // line_bytes) * line_bytes
-                if line != active_line:
-                    if active_line is not None and active_dirty:
-                        put_address(active_line)
-                        put_size(line_bytes)
-                        put_write(1)
-                        put_kind(MAC_CODE)
-                    active_dirty = False
-                    if not req_write:
-                        put_address(line)
-                        put_size(line_bytes)
-                        put_write(0)
-                        put_kind(MAC_CODE)
-                    active_line = line
-                if req_write:
-                    active_dirty = True
-        out.address.extend(batch.address[pending:])
-        out.size.extend(batch.size[pending:])
-        out.is_write.extend(batch.is_write[pending:])
-        out.kind.extend(batch.kind[pending:])
-        self._active_line = active_line
-        self._active_dirty = active_dirty
-        return out
-
     def flush_batch(self) -> RequestBatch:
         """Batch counterpart of :meth:`flush`."""
-        out = RequestBatch()
-        if self._active_line is not None and self._active_dirty:
-            out.append(self._active_line, self.LINE_BYTES, True, MAC_CODE)
-        self._active_dirty = False
-        self._active_line = None
-        return out
+        return RequestBatch.from_requests(self.flush())
 
 
 @dataclass
@@ -456,7 +334,8 @@ class MeeTraceRewriter:
     cached level authenticates it; dirty evictions emit writebacks."""
 
     def __init__(self, params: MeeParams = MeeParams(),
-                 protected_bytes: int = 1 << 30, metadata_base: int = 1 << 34):
+                 protected_bytes: int = 1 << 30,
+                 metadata_base: int = METADATA_BASE):
         self.params = params
         # the metadata cache in both modes: the scalar path calls its
         # ``access``, the batch fast lane runs the same state machine
@@ -556,33 +435,28 @@ class MeeTraceRewriter:
 
     # -- structure-of-arrays fast lane ------------------------------------
 
-    def _kind_code_of(self, meta_address: int) -> int:
-        if meta_address < self.regions.mac_base:
-            return VN_CODE
-        if not self.regions.tree_bases or meta_address < self.regions.tree_bases[0]:
-            return MAC_CODE
-        return TREE_CODE
-
     def rewrite_batch(self, batch: RequestBatch) -> RequestBatch:
         """Batch counterpart of :meth:`rewrite`: identical request
         sequence (same metadata-cache state machine), emitted straight
         into parallel arrays.
 
-        With numpy, VN-unit spans are precomputed for the whole batch
-        (SoA) and runs of requests inside one 512-B unit collapse: the
-        run's first request drives the cache state machine, the rest
-        are provably hits and reduce to one dirty-OR / LRU touch. One
-        sequential pass then runs the state machine item by item
-        (:meth:`_rewrite_batch_items`)."""
+        In fast mode every non-empty batch takes the numpy lane
+        (:meth:`_rewrite_batch_items`): VN-unit spans are precomputed
+        for the whole batch (SoA), runs of requests inside one 512-B
+        unit collapse (the run's first request drives the cache state
+        machine, the rest are provably hits and reduce to one dirty-OR /
+        LRU touch), and one sequential pass runs the state machine item
+        by item. In scalar mode this runs the :meth:`rewrite` oracle
+        itself, as does a tree too deep for the lane's event mask."""
         if faults.enabled():
             faults.fire("rewriter.rewrite", self._rewrite_calls)
         self._rewrite_calls += 1
-        # the fast lane packs two event bits per touch (VN, MAC, one
+        # the numpy lane packs two event bits per touch (VN, MAC, one
         # per tree level) into one int64 mask per item
-        if (_np is not None and perf.fast_enabled() and len(batch) >= 16
+        if (perf.fast_enabled() and len(batch)
                 and 2 * (len(self.regions.tree_bases) + 2) < 64):
             return self._rewrite_batch_items(batch)
-        return self._rewrite_batch_loop(batch)
+        return RequestBatch.from_requests(self.rewrite(batch))
 
     def _rewrite_batch_items(self, batch: RequestBatch) -> RequestBatch:
         """Numpy pre-pass, one pass over the cache in stream order,
@@ -629,11 +503,8 @@ class MeeTraceRewriter:
         ends = _np.append(starts[1:], n)
         writes_before = _np.concatenate(([0], _np.cumsum(is_write != 0)))
         run_first = first_unit[starts]
-        run_units = last_unit[starts] - run_first + 1
-        item_run = _np.repeat(_np.arange(len(starts)), run_units)
-        item_unit = run_first[item_run] + (
-            _np.arange(len(item_run))
-            - (_np.cumsum(run_units) - run_units)[item_run])
+        item_run, item_unit = _items(run_first,
+                                     last_unit[starts] - run_first + 1)
         vn_tag, vn_set = _np.divmod(vn_base // line_bytes + item_unit, num_sets)
         mac_tag, mac_set = _np.divmod(
             mac_base // line_bytes + item_unit * unit // per_mac, num_sets)
@@ -757,73 +628,6 @@ class MeeTraceRewriter:
                                     dtype=_np.int8)[ev_kind], line_bytes)
         return out
 
-    def _rewrite_batch_loop(self, batch: RequestBatch) -> RequestBatch:
-        """Per-request fallback (no numpy, tiny batches, scalar mode)."""
-        out = RequestBatch()
-        line_bytes = self.params.line_bytes
-        unit = self.params.data_per_vn_line
-        per_mac = self.params.data_per_mac_line
-        access = self.cache.access
-        kind_code_of = self._kind_code_of
-        vn_base = self.regions.vn_base
-        mac_base = self.regions.mac_base
-        tree_bases = self.regions.tree_bases
-        arity = self.params.tree_arity
-
-        # metadata emissions of the current request, buffered so that
-        # all-hit requests (the streaming common case once the cache is
-        # warm) pass through as bulk verbatim array copies
-        events = []
-        emit = events.append
-
-        def touch(meta_address: int, write: int, kind_code: int) -> bool:
-            hit, writeback = access(meta_address, write)
-            if writeback is not None:
-                emit((writeback, 1, kind_code_of(writeback)))
-            if not hit:
-                emit((meta_address, 0, kind_code))
-            return hit
-
-        pending = 0  # start of the verbatim run not yet copied out
-        i = 0
-        for req_addr, req_size, req_write in zip(
-                batch.address, batch.size, batch.is_write):
-            first_unit = req_addr // unit
-            last_unit = (req_addr + req_size - 1) // unit
-            for u in range(first_unit, last_unit + 1):
-                addr = u * unit
-                vn_hit = touch(vn_base + u * line_bytes, req_write, VN_CODE)
-                touch(mac_base + (addr // per_mac) * line_bytes, req_write, MAC_CODE)
-                if not vn_hit:
-                    coverage = unit * arity
-                    for level in range(len(tree_bases)):
-                        if touch(tree_bases[level] + (addr // coverage) * line_bytes,
-                                 req_write, TREE_CODE):
-                            break
-                        coverage *= arity
-            i += 1
-            if events:
-                out.address.extend(batch.address[pending:i])
-                out.size.extend(batch.size[pending:i])
-                out.is_write.extend(batch.is_write[pending:i])
-                out.kind.extend(batch.kind[pending:i])
-                pending = i
-                for meta_address, write, kind_code in events:
-                    out.address.append(meta_address)
-                    out.size.append(line_bytes)
-                    out.is_write.append(write)
-                    out.kind.append(kind_code)
-                events.clear()
-        out.address.extend(batch.address[pending:])
-        out.size.extend(batch.size[pending:])
-        out.is_write.extend(batch.is_write[pending:])
-        out.kind.extend(batch.kind[pending:])
-        return out
-
     def flush_batch(self) -> RequestBatch:
         """Batch counterpart of :meth:`flush`."""
-        out = RequestBatch()
-        for address in self.cache.flush():
-            out.append(address, self.params.line_bytes, True,
-                       self._kind_code_of(address))
-        return out
+        return RequestBatch.from_requests(self.flush())

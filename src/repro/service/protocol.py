@@ -237,11 +237,11 @@ def _parse_pipeline(obj: Dict[str, object]) -> JobRequest:
     try:
         spec_params = {key: value for key, value in params.items()
                        if key not in ("workload", "schemes", "chunk_requests")}
-        build_trace_spec(workload, **spec_params)
+        spec = build_trace_spec(workload, **spec_params)
         from repro.protection.trace_rewriter import build_trace_rewriter
 
         for scheme in schemes:
-            build_trace_rewriter(scheme)
+            build_trace_rewriter(scheme, end_address=spec.end_address)
     except (KeyError, ValueError, TypeError) as error:
         raise ProtocolError(
             f"invalid pipeline request: {error.args[0] if error.args else error}"

@@ -121,11 +121,11 @@ class ServeConfig:
     max_queued: int = 8         # admitted flights waiting for a thread
     cache: bool = True          # shared on-disk ResultCache
     cache_dir: Optional[str] = None
-    stream_jobs: Optional[int] = None  # sweep jobs per partial-rows event
     #: directory for pipeline flight checkpoints; None disables both
     #: periodic checkpointing and drain-time checkpoint/resume
     checkpoint_dir: Optional[str] = None
-    #: write a checkpoint every N pipeline chunks (0 = only on drain)
+    #: write a checkpoint every N pipeline chunks (0 = only on drain);
+    #: needs ``checkpoint_dir``
     checkpoint_every: int = 0
     #: seconds to wait for in-flight work after a drain begins before
     #: forcing shutdown
@@ -139,11 +139,16 @@ class ServeConfig:
     #: ``--reconnect-timeout 0`` rejoin between flights and across
     #: daemon restarts
     dist_port: int = 8790
-    dist_lease_seconds: float = 10.0
     #: seconds to hold work for remote workers before the local
     #: fallback starts leasing (0 = fall back immediately when none
     #: are live)
     dist_wait_workers: float = 0.0
+
+    def __post_init__(self):
+        if self.checkpoint_every and not self.checkpoint_dir:
+            # periodic checkpoints are files in that directory: without
+            # one, the setting would silently write nothing
+            raise ValueError("--checkpoint-every needs --checkpoint-dir")
 
 
 class ReproService:
@@ -523,7 +528,7 @@ class ReproService:
         else:
             runner = Runner(workers=self.workers, cache=self.cache,
                             pool_manager=self.pool_manager)
-            stride = self.config.stream_jobs or max(4, runner.workers * 2)
+            stride = max(4, runner.workers * 2)  # jobs per rows event
             rows = []
             for start in range(0, len(jobs), stride):
                 self._check_cancel(flight)
@@ -614,7 +619,6 @@ class ReproService:
         kwargs = dict(
             cache=self.cache, local_workers=self.workers,
             host=self.config.dist_host, port=self.config.dist_port,
-            lease_seconds=self.config.dist_lease_seconds,
             wait_workers=self.config.dist_wait_workers,
             pool_manager=self.pool_manager,
             journal_path=journal_path,

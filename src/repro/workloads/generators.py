@@ -257,6 +257,12 @@ class TraceSpec:
     def materialize(self) -> List[MemoryRequest]:
         return self.batch(0, self.total_requests).to_requests()
 
+    @property
+    def end_address(self) -> int:
+        """One past the highest byte any request of the trace can touch:
+        the extent a protection scheme's metadata must cover."""
+        raise NotImplementedError
+
     def state_dict(self) -> dict:
         """Identity of the trace this spec describes (type + every
         constructor parameter). Specs are stateless — ``batch`` is pure
@@ -283,6 +289,10 @@ class StreamingSpec(TraceSpec):
     def batch(self, start: int = 0, stop: Optional[int] = None) -> RequestBatch:
         return streaming_batch(self.nbytes, self.base, self.write_fraction,
                                self.stride, start=start, stop=stop)
+
+    @property
+    def end_address(self) -> int:
+        return self.base + self.total_requests * self.stride
 
     def state_dict(self) -> dict:
         return {"type": "streaming", "nbytes": self.nbytes, "base": self.base,
@@ -338,6 +348,10 @@ class RandomSpec(TraceSpec):
             batch.append(int(slot) * self.stride, self.stride, bool(is_write))
         return batch
 
+    @property
+    def end_address(self) -> int:
+        return self.span_bytes // self.stride * self.stride
+
     def state_dict(self) -> dict:
         return {"type": "random", "n_requests": self.total_requests,
                 "span_bytes": self.span_bytes, "seed": self.seed,
@@ -357,6 +371,14 @@ class BpMetadataSpec(TraceSpec):
     def batch(self, start: int = 0, stop: Optional[int] = None) -> RequestBatch:
         return bp_metadata_batch(self.nbytes, self.base, self.meta_base,
                                  start=start, stop=stop)
+
+    @property
+    def end_address(self) -> int:
+        n_data = self.nbytes // 64
+        end = self.base + n_data * 64
+        if n_data >= 8:  # the last MAC line fetched
+            end = max(end, self.meta_base + (1 << 20) + n_data // 8 * 64)
+        return end
 
     def state_dict(self) -> dict:
         return {"type": "bp-metadata", "nbytes": self.nbytes,

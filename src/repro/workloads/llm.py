@@ -154,6 +154,11 @@ class LlmDecodeSpec(TraceSpec):
                 "stride": self.stride, "seed": self.seed}
 
     @property
+    def end_address(self) -> int:
+        # the address map ends with the last layer's KV ring
+        return (self.kv_base + self.layers * self.kv_region_lines) * self.stride
+
+    @property
     def bytes_per_token(self) -> int:
         return self.requests_per_token * self.stride
 

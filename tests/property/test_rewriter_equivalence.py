@@ -1,4 +1,4 @@
-"""Randomized equivalence: the MEE rewriter's batch fast lane is
+"""Randomized equivalence: each trace rewriter's numpy lane is
 bit-identical to its per-request scalar reference.
 
 :meth:`~repro.protection.trace_rewriter.MeeTraceRewriter.rewrite_batch`
@@ -10,6 +10,13 @@ the scalar :meth:`~repro.protection.trace_rewriter.MeeTraceRewriter.rewrite`
 on the whole observable contract: the interleaved output stream, the
 cache stats, and the cache state (LRU order and dirty bits, via
 ``state_dict()``), across chunk boundaries and the final flush.
+
+:meth:`~repro.protection.trace_rewriter.GuardNNTraceRewriter.rewrite_batch`
+turns each request into one item per 512-B chunk it touches and
+collapses same-MAC-line item runs into line-change events. It is held
+to :meth:`~repro.protection.trace_rewriter.GuardNNTraceRewriter.rewrite`
+the same way: the stream, the active-MAC-line state (``state_dict()``)
+and the flush output.
 """
 
 from contextlib import contextmanager
@@ -20,8 +27,9 @@ from hypothesis import given, settings, strategies as st
 from repro import perf
 from repro.mem.batch import RequestBatch
 from repro.mem.trace import MemoryRequest
+from repro.protection.guardnn import GuardNNParams
 from repro.protection.mee import MeeParams
-from repro.protection.trace_rewriter import MeeTraceRewriter
+from repro.protection.trace_rewriter import GuardNNTraceRewriter, MeeTraceRewriter
 
 
 @contextmanager
@@ -124,8 +132,8 @@ def test_deep_tree_replays_each_request_of_a_run():
 @pytest.mark.parametrize("protected, levels", [(1 << 39, 29), (1 << 40, 30)])
 def test_tree_depth_at_the_event_mask_limit(protected, levels):
     """A binary tree over a huge region: 29 levels still fit the fast
-    lane's int64 event mask (two bits per touch), 30 take the
-    per-request loop; both match the scalar reference."""
+    lane's int64 event mask (two bits per touch), 30 take the scalar
+    reference itself; both match it."""
     params = MeeParams(tree_arity=2, cache_bytes=2048)
     assert len(MeeTraceRewriter(params, protected_bytes=protected)
                .regions.tree_bases) == levels
@@ -134,6 +142,33 @@ def test_tree_depth_at_the_event_mask_limit(protected, levels):
     assert_batches_match_scalar(
         lambda: MeeTraceRewriter(params, protected_bytes=protected),
         [trace[:700], trace[700:]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(params=st.sampled_from([GuardNNParams(),
+                               GuardNNParams(chunk_bytes=64, mac_bytes=16)]),
+       drawn=bursts, data=st.data())
+def test_guardnn_fast_lane_matches_scalar_in_random_chunks(params, drawn, data):
+    """GuardNN_CI's numpy lane, forced on, against its ``rewrite``
+    oracle. ``bursts`` doubles as a 512-B chunk pattern: requests that
+    stay inside a chunk, straddle one, or span several MAC lines (4096 B
+    is 8 chunks, 96 B of tags; 64 chunks under the 64-B geometry),
+    mixed reads and writes, cut at random seams (repeated cuts give
+    empty chunks, adjacent ones one-request chunks)."""
+    trace = expand(drawn)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(trace)), max_size=6)))
+    bounds = [0, *cuts, len(trace)]
+    fast = GuardNNTraceRewriter(integrity=True, params=params)
+    scalar = GuardNNTraceRewriter(integrity=True, params=params)
+    got = []
+    with fast_mode():
+        for lo, hi in zip(bounds, bounds[1:]):
+            got += fast.rewrite_batch(
+                RequestBatch.from_requests(trace[lo:hi])).to_requests()
+    assert got == scalar.rewrite(trace)
+    assert fast.state_dict() == scalar.state_dict()
+    assert fast.flush_batch().to_requests() == scalar.flush()
+    assert fast.state_dict() == scalar.state_dict()
 
 
 class TestMeeStreams:

@@ -5,6 +5,7 @@ a deep-stack ValueError (or a silent misbehaviour) later."""
 import pytest
 
 from repro.cli import build_parser
+from repro.service.server import ServeConfig
 
 
 def _error_for(argv, capsys):
@@ -21,7 +22,6 @@ REJECTED = [
     (["serve", "--workers", "0"], "--workers"),
     (["serve", "--max-running", "0"], "--max-running"),
     (["serve", "--max-queued", "-1"], "--max-queued"),
-    (["serve", "--stream-jobs", "0"], "--stream-jobs"),
     (["pipeline", "--workload", "streaming", "--chunk-requests", "0"],
      "--chunk-requests"),
     (["pipeline", "--workload", "streaming", "--checkpoint-every", "-4"],
@@ -51,6 +51,24 @@ def test_listen_requires_host_port(capsys):
     err = _error_for(["sweep", "--models", "alexnet", "--distributed",
                       "--listen", "not-an-address"], capsys)
     assert "HOST:PORT" in err
+
+
+@pytest.mark.parametrize("flag", ["--stream-jobs", "--dist-lease-seconds"])
+def test_removed_serve_options_are_unrecognized(flag, capsys):
+    err = _error_for(["serve", flag, "4"], capsys)
+    assert "unrecognized arguments" in err and flag in err
+
+
+def test_checkpoint_every_needs_checkpoint_dir(tmp_path):
+    """Periodic flight checkpoints are files in --checkpoint-dir:
+    without one the setting would silently write nothing."""
+    with pytest.raises(ValueError) as excinfo:
+        ServeConfig(checkpoint_every=5)
+    assert "--checkpoint-every" in str(excinfo.value)
+    assert "--checkpoint-dir" in str(excinfo.value)
+    assert ServeConfig(checkpoint_every=5,
+                       checkpoint_dir=str(tmp_path)).checkpoint_every == 5
+    assert ServeConfig(checkpoint_every=0).checkpoint_dir is None
 
 
 def test_valid_values_parse():
