@@ -11,7 +11,6 @@ The scalar-vs-fast speedup trajectory itself is recorded by
 per-kernel drill-down.
 """
 
-import numpy as np
 import pytest
 
 from repro import perf
@@ -21,8 +20,6 @@ from repro.crypto.gf128 import ghash
 from repro.crypto.gmac import AesGmac
 from repro.crypto.rng import HmacDrbg
 from repro.crypto.sha256_fast import hmac_sha256_many, sha256_many
-from repro.mem.cache import SetAssociativeCache
-from repro.mem.cache_fast import FastSetAssociativeCache
 from repro.mem.controller import MemoryController
 from repro.mem.pipeline import TracePipeline, run_materialized
 from repro.protection.merkle import MerkleTree
@@ -37,13 +34,6 @@ TRACE_BYTES = 1 << 18
 LANE_MESSAGES = [bytes((i + j) & 0xFF for j in range(64)) for i in range(256)]
 SIGN_KEY = EcdsaKeyPair.generate(HmacDrbg(b"bench-kernels"))
 SIGN_MSG = b"attestation output hash, signed by SK_Accel"
-
-
-def _cache_stream(n=8192, seed=5):
-    rng = np.random.default_rng(seed)
-    addresses = rng.integers(0, 1 << 14, size=n).astype(np.int64) * 64
-    writes = rng.random(n) < 0.4
-    return addresses, writes
 
 
 @pytest.fixture(scope="module")
@@ -85,19 +75,6 @@ def test_fast_kernels_match_scalar_references(trace_pair):
     with perf.scalar_mode():
         sig_ref = ecdsa_sign(SIGN_KEY.private, SIGN_MSG)
     assert ecdsa_sign(SIGN_KEY.private, SIGN_MSG) == sig_ref
-
-
-def test_cache_kernel_matches_reference():
-    addresses, writes = _cache_stream()
-    fast = FastSetAssociativeCache(64 * 1024, 64, 8)
-    reference = SetAssociativeCache(64 * 1024, 64, 8)
-    hits, writebacks = fast.access_many(addresses, writes)
-    expected = [reference.access(int(a), bool(w))
-                for a, w in zip(addresses, writes)]
-    assert hits.tolist() == [h for h, _ in expected]
-    assert writebacks.tolist() == [-1 if wb is None else wb
-                                   for _, wb in expected]
-    assert fast.flush() == reference.flush()
 
 
 def test_pipeline_chunked_matches_materialized():
@@ -210,15 +187,6 @@ def test_merkle_update_leaves(benchmark):
         mean_s = benchmark.stats.stats.mean
         benchmark.extra_info["per_update_latency_us"] = round(
             mean_s / len(updates) * 1e6, 3)
-
-
-def test_cache_access_many_8k(benchmark):
-    addresses, writes = _cache_stream()
-
-    def run():
-        FastSetAssociativeCache(64 * 1024, 64, 8).access_many(addresses, writes)
-
-    benchmark(run)
 
 
 def test_ecdsa_sign(benchmark):

@@ -58,10 +58,6 @@ class AcceleratorConfig:
     def dram_bytes_per_cycle(self) -> float:
         return self.dram_bandwidth_gbps * 1e9 / (self.freq_mhz * 1e6)
 
-    @property
-    def peak_macs_per_cycle(self) -> int:
-        return self.num_pes
-
 
 #: The paper's ASIC simulation target: "GuardNN is modeled based on Google
 #: TPU-v1, where it contains 64k processing elements and 24 MB on-chip

@@ -61,9 +61,6 @@ class DataFlowGraph:
     nodes: List[DfgNode]
     regions: Dict[str, TensorRegion]
 
-    def feature_regions(self) -> List[TensorRegion]:
-        return [r for r in self.regions.values() if r.kind == "feature"]
-
     def weight_regions(self) -> List[TensorRegion]:
         return [r for r in self.regions.values() if r.kind == "weight"]
 

@@ -394,7 +394,8 @@ def cmd_pipeline(args) -> int:
     import json
     import os
 
-    from repro.checkpoint import CheckpointError, load_checkpoint
+    from repro.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+    from repro.experiments.cache import code_fingerprint
     from repro.experiments.executors import pipeline_rows
 
     params = {"workload": args.workload}
@@ -426,6 +427,9 @@ def cmd_pipeline(args) -> int:
     if (args.checkpoint_every or args.resume) and not args.checkpoint:
         raise SystemExit("error: --checkpoint-every/--resume need "
                          "--checkpoint PATH")
+    # the pipeline fingerprint pins the computation, not the code: the
+    # build rides in the envelope's meta, and --resume refuses another's
+    meta = {"build": code_fingerprint()}
     resume_from = None
     if args.resume and os.path.exists(args.checkpoint):
         try:
@@ -433,11 +437,17 @@ def cmd_pipeline(args) -> int:
                                           kind="trace-pipeline")
         except CheckpointError as error:
             raise SystemExit(f"error: {error}")
+        if resume_from.get("meta") != meta:
+            raise SystemExit(f"error: checkpoint {args.checkpoint} was "
+                             f"written by another build of repro; delete "
+                             f"it to start over")
     kwargs = {}
     if args.checkpoint:
-        kwargs = dict(checkpoint_path=args.checkpoint,
-                      checkpoint_every=args.checkpoint_every,
-                      resume_from=resume_from)
+        def on_checkpoint(envelope, chunks, requests_done):
+            save_checkpoint(args.checkpoint, {**envelope, "meta": meta})
+
+        kwargs = dict(checkpoint_every=args.checkpoint_every,
+                      resume_from=resume_from, on_checkpoint=on_checkpoint)
     try:
         rows = pipeline_rows(params, **kwargs)
     except (KeyError, ValueError) as error:
@@ -663,7 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "migration cadence, default 4)")
     p.add_argument("--resume", action="store_true",
                    help="resume from --checkpoint if it exists (bit-"
-                        "identical to an uninterrupted run)")
+                        "identical to an uninterrupted run); a checkpoint "
+                        "another build of repro wrote is refused")
     p.add_argument("--distributed", action="store_true",
                    help="serve the run as a leased work unit to `repro "
                         "work` machines, with chunk-seam checkpoint "

@@ -13,10 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def to_int8(array: np.ndarray) -> np.ndarray:
-    return np.clip(np.round(array), -128, 127).astype(np.int8)
-
-
 def gemm_int8(a: np.ndarray, b: np.ndarray, shift: int = 7, relu: bool = False) -> np.ndarray:
     """C = requantize(A @ B) with int32 accumulation.
 

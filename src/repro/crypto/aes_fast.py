@@ -160,15 +160,6 @@ def encrypt_blocks(key: bytes, data: bytes) -> bytes:
     return bytes(out)
 
 
-def encrypt_block_fast(key: bytes, block: bytes) -> bytes:
-    """Single-block T-table encryption (used by GMAC's two AES calls)."""
-    if len(block) != BLOCK_SIZE:
-        raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    rk = expand_key_words(key)
-    w = [int.from_bytes(block[4 * j : 4 * j + 4], "big") for j in range(4)]
-    return b"".join(e.to_bytes(4, "big") for e in _encrypt_words_scalar(rk, *w))
-
-
 def _counter_words(counters):
     """(n,) iterable of 128-bit ints -> (n, 4) uint32 column words."""
     n = len(counters)

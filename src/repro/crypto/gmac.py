@@ -18,16 +18,6 @@ from repro.crypto.aes import AES128
 from repro.crypto.gf128 import mul_fn
 
 
-def _ghash_blocks(h: int, data: bytes) -> int:
-    y = 0
-    if len(data) % 16:
-        data = data + bytes(16 - len(data) % 16)
-    mul = mul_fn(h)
-    for i in range(0, len(data), 16):
-        y = mul(y ^ int.from_bytes(data[i : i + 16], "big"))
-    return y
-
-
 class AesGmac:
     """GMAC under one AES-128 key; fresh 96-bit IV per message."""
 

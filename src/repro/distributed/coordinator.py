@@ -29,8 +29,9 @@ Three robustness layers ride on the lease machinery:
   each chunk-seam envelope (``/v1/checkpoint``); the envelope is
   validated (version, kind, fingerprint) and the latest one rides
   along on the unit's next lease grant, so the successor of a
-  SIGKILLed worker resumes mid-unit via ``resume_from=`` instead of
-  recomputing — bit-identical by the pipeline's checkpoint contract.
+  SIGKILLed worker — the local fallback included — resumes mid-unit
+  via ``resume_from=`` instead of recomputing — bit-identical by the
+  pipeline's checkpoint contract.
   A rejected (corrupt/stale) upload stores nothing: the successor
   falls back to unit start, never wrong rows.
 * **Coordinator-served result cache** — before dispatching a unit the
@@ -786,6 +787,22 @@ def default_unit_jobs(n_jobs: int) -> int:
     return max(1, min(16, -(-n_jobs // 32)))
 
 
+def _resume_pipeline(job: Job, envelope: dict) -> List[dict]:
+    """A pipeline unit's rows, resumed from a migrated ``envelope`` as a
+    worker's successor would; an envelope this build cannot validate
+    restarts the unit from request zero."""
+    from repro.experiments.executors import pipeline_rows
+
+    try:
+        try:
+            return pipeline_rows(job.params, resume_from=dict(envelope))
+        except CheckpointError:
+            return pipeline_rows(job.params)
+    except Exception as exc:  # deterministic executor failure
+        raise JobExecutionError(job.executor, job.params_json,
+                                f"{type(exc).__name__}: {exc}") from None
+
+
 class SweepCoordinator:
     """Drives one sweep's job list to completion over remote workers,
     with the local pool as the degradation floor.
@@ -904,7 +921,8 @@ class SweepCoordinator:
         wait for commits; when none are (and the ``wait_workers`` grace
         has passed), lease units to the local pool through the very
         same state machine — first valid result wins either way, so a
-        worker that reappears mid-fallback is harmless."""
+        worker that reappears mid-fallback is harmless. A grant that
+        carries a migrated envelope resumes from it on this thread."""
         start = time.monotonic()
         runner: Optional[Runner] = None
         try:
@@ -919,14 +937,16 @@ class SweepCoordinator:
                 if reply["event"] != "lease":
                     time.sleep(POLL_SECONDS)
                     continue
-                if runner is None:
-                    # the local pool shares the coordinator's cache so a
-                    # partially-cached unit only recomputes its misses
-                    runner = Runner(workers=self.local_workers, cache=self.cache,
-                                    pool_manager=self.pool_manager)
                 unit_jobs = protocol.jobs_from_wire(reply["jobs"])
                 try:
-                    rows = runner.compute_rows(unit_jobs)
+                    if "checkpoint" in reply:
+                        rows = [_resume_pipeline(unit_jobs[0],
+                                                 reply["checkpoint"])]
+                    else:
+                        if runner is None:
+                            runner = Runner(workers=self.local_workers,
+                                            pool_manager=self.pool_manager)
+                        rows = runner.compute_rows(unit_jobs)
                 except JobExecutionError as exc:
                     self.state.fail(LOCAL_WORKER, reply["unit"], reply["key"],
                                     {"executor": exc.job.executor,

@@ -56,13 +56,16 @@ Work-unit identity
 A unit is a contiguous slice of the sweep's job list, content-addressed
 exactly like the result cache: :func:`unit_key` hashes the ordered
 (executor, canonical params) pairs together with the code fingerprint.
-A commit must present the key the coordinator computed — a worker
-running different code (different fingerprint baked into its lease)
-cannot silently contribute rows. Idempotency rides on the same
-currency: :func:`rows_digest` hashes a result payload canonically, so
-the coordinator can prove a duplicate commit (a lease that expired,
-was re-dispatched, and then *both* workers answered) carries identical
-bytes before dropping it.
+A commit must present the key the coordinator computed, and a worker
+recomputes that key with its own fingerprint before it runs a unit: a
+worker running different code cannot reproduce it, so it deregisters
+and exits 1 at its first lease instead of contributing rows. The
+coordinator's local fallback leases through the same state machine,
+and resumes a pipeline unit from the envelope its grant carries.
+Idempotency rides on the same currency: :func:`rows_digest` hashes a
+result payload canonically, so the coordinator can prove a duplicate
+commit (a lease that expired, was re-dispatched, and then *both*
+workers answered) carries identical bytes before dropping it.
 """
 
 from __future__ import annotations

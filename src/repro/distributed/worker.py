@@ -18,6 +18,10 @@ Loop shape::
   correctness). A lease that arrives carrying an envelope resumes
   from it (``resume_from=``); an envelope this build cannot validate
   falls back to unit start — wrong rows are impossible either way;
+* a unit key hashes the coordinator's code fingerprint, so a lease
+  whose key this build does not reproduce was minted by another build
+  of repro: the worker computes nothing, deregisters and exits 1 (with
+  ``reconnect_timeout=0`` too — waiting does not change a build);
 * with a local result cache configured the worker consults it before
   computing: a whole-unit hit is submitted with ``cache_hit``
   provenance, and computed pipeline rows are remembered so *this*
@@ -75,7 +79,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.checkpoint import CheckpointError
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ResultCache, code_fingerprint
 from repro.experiments.jobs import Job
 from repro.experiments.runner import (
     JobExecutionError,
@@ -88,7 +92,7 @@ from repro.service.client import retry_delay
 from repro.testing import faults
 
 from .client import CoordinatorClient, CoordinatorUnreachable, WorkerRejected
-from .protocol import ProtocolError, jobs_from_wire
+from .protocol import ProtocolError, jobs_from_wire, unit_key
 
 
 def _backoff(attempt: int) -> float:
@@ -190,17 +194,21 @@ class Worker:
             faults.fire(f"dist.unit@{self.config.name}", index)
         faults.fire("dist.unit", index)
 
-    def _run_unit(self, lease: dict) -> None:
+    def _run_unit(self, lease: dict) -> bool:
+        """Run one leased unit; False, with nothing run, when the lease's
+        key was made by another build (it hashes the code fingerprint)."""
         # the fault fires *before* the heartbeat thread starts, so a
         # "raise" here models a worker that died holding a fresh lease —
         # nothing renews it and it expires on schedule
         self._fire_unit_fault()
         jobs = jobs_from_wire(lease["jobs"])
+        if unit_key(jobs, code_fingerprint()) != lease["key"]:
+            return False
         cached = recall_unit(jobs, self._cache)
         if cached is not None:
             self._log(f"unit {lease['unit']}: local cache hit")
             self._submit(lease, cached, None, provenance="cache_hit")
-            return
+            return True
         stop = threading.Event()
         beat = threading.Thread(
             target=self._heartbeat_loop, args=(lease["lease"], stop),
@@ -225,11 +233,11 @@ class Worker:
         finally:
             stop.set()
         beat.join(timeout=2.0)
-        if drained:
-            # the final envelope is migrated; the lease is released by
-            # the deregister that follows in run() — nothing to submit
-            return
-        self._submit(lease, rows, error)
+        if not drained:
+            # a drained unit's final envelope is migrated; the lease is
+            # released by the deregister that follows in run()
+            self._submit(lease, rows, error)
+        return True
 
     def _run_pipeline(self, lease: dict, jobs: List[Job]):
         """Execute a singleton pipeline unit inline, migrating every
@@ -421,8 +429,14 @@ class Worker:
                 self.worker_id = None
                 continue
             if event == "lease":
-                self._run_unit(reply)
-                continue
+                if self._run_unit(reply):
+                    continue
+                self._log(f"unit {reply['unit']}: the coordinator runs "
+                          f"another build of repro; deregistering "
+                          f"({self._exit_stats()})")
+                self._deregister()
+                self._close_runner()
+                return 1
             raise ProtocolError(f"unexpected lease reply {reply!r}")
 
     def _deregister(self) -> None:

@@ -65,13 +65,6 @@ class RequestBatch:
         self.is_write.append(1 if is_write else 0)
         self.kind.append(kind_code)
 
-    def append_request(self, request: MemoryRequest) -> None:
-        # already validated by MemoryRequest.__post_init__
-        self.address.append(request.address)
-        self.size.append(request.size)
-        self.is_write.append(1 if request.is_write else 0)
-        self.kind.append(KIND_CODE[request.kind])
-
     @classmethod
     def from_requests(cls, requests: Iterable[MemoryRequest]) -> "RequestBatch":
         batch = cls()

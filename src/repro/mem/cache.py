@@ -84,19 +84,6 @@ class SetAssociativeCache:
         cache_set[tag] = is_write
         return False, writeback
 
-    def retouch(self, address: int, is_write: bool, accesses: int) -> None:
-        """Replay ``accesses`` guaranteed-hit touches of a resident line
-        in one step: a hit run's entire cache effect is one LRU move
-        plus an OR into the dirty bit. Used by the batch rewriters to
-        coalesce same-line request runs; the caller must know the line
-        is resident (it just filled it)."""
-        set_idx, tag = self._locate(address)
-        cache_set = self._sets[set_idx]
-        cache_set.move_to_end(tag)
-        if is_write:
-            cache_set[tag] = True
-        self.stats.hits += accesses
-
     def contains(self, address: int) -> bool:
         set_idx, tag = self._locate(address)
         return tag in self._sets[set_idx]
@@ -115,12 +102,11 @@ class SetAssociativeCache:
 
     # -- checkpointing -----------------------------------------------------
     #
-    # The canonical serialized form is implementation-neutral: per set, a
-    # list of ``[tag, dirty]`` pairs in LRU order (oldest first), plus the
-    # stats counters. Only the *relative* recency order within a set is
-    # observable (victim choice and flush order), so this round-trips into
-    # either the OrderedDict reference or the stamp-array fast engine with
-    # bit-identical future behaviour.
+    # The serialized form is, per set, a list of ``[tag, dirty]`` pairs in
+    # LRU order (oldest first), plus the stats counters. Only the
+    # *relative* recency order within a set is observable (victim choice
+    # and flush order), so a loaded cache behaves bit-identically to the
+    # one that was saved.
 
     def state_dict(self) -> dict:
         return {

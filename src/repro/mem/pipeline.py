@@ -120,8 +120,7 @@ class TracePipeline:
 
     def __init__(self, source, schemes: Sequence[str] = ("np",),
                  chunk_requests: int = DEFAULT_CHUNK_REQUESTS,
-                 scheme_params: Optional[Dict[str, dict]] = None,
-                 controller_factory=MemoryController):
+                 scheme_params: Optional[Dict[str, dict]] = None):
         if chunk_requests <= 0:
             raise ValueError("chunk_requests must be positive")
         if len(set(schemes)) != len(schemes):
@@ -139,7 +138,7 @@ class TracePipeline:
                                         **self.scheme_params[name])
             for name in self.schemes
         }
-        self.controllers = {name: controller_factory() for name in self.schemes}
+        self.controllers = {name: MemoryController() for name in self.schemes}
         self._ran = False
 
     # -- checkpointing -----------------------------------------------------
@@ -307,8 +306,7 @@ class TracePipeline:
         return self.run()[scheme]
 
 
-def run_materialized(source, scheme: str = "np",
-                     controller_factory=MemoryController) -> ControllerResult:
+def run_materialized(source, scheme: str = "np") -> ControllerResult:
     """The pre-pipeline path, kept as the reference and benchmark
     baseline: materialize the whole trace as ``MemoryRequest`` objects,
     rewrite it in one piece, time it in one piece. Peak memory O(trace)
@@ -317,4 +315,4 @@ def run_materialized(source, scheme: str = "np",
     rewriter = _build_trace_rewriter(scheme, source)
     if rewriter is not None:
         trace = rewriter.rewrite(trace) + rewriter.flush()
-    return controller_factory().run_trace(trace)
+    return MemoryController().run_trace(trace)

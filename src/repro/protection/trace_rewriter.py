@@ -513,8 +513,8 @@ class MeeTraceRewriter:
                 for level, base in enumerate(tree_bases)]
 
         # -- the state machine ---------------------------------------------
-        # A run's remaining requests re-touch VN and MAC (a retouch: one
-        # LRU move each) and OR their writes into both dirty bits. No
+        # A run's remaining requests re-touch VN and MAC (hits: one LRU
+        # move each) and OR their writes into both dirty bits. No
         # eviction can observe those bits in between, so the item's own
         # VN/MAC touches store the whole run's write-OR (``run_write``);
         # its tree touches store the first request's write.

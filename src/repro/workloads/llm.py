@@ -158,10 +158,6 @@ class LlmDecodeSpec(TraceSpec):
         # the address map ends with the last layer's KV ring
         return (self.kv_base + self.layers * self.kv_region_lines) * self.stride
 
-    @property
-    def bytes_per_token(self) -> int:
-        return self.requests_per_token * self.stride
-
     def __repr__(self) -> str:
         return (f"<LlmDecodeSpec {self.geometry.name} tokens={self.tokens} "
                 f"context={self.context} layers={self.layers} "

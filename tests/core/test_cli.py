@@ -134,3 +134,32 @@ class TestSweep:
         with pytest.raises(SystemExit, match="unknown scheme"):
             main(["sweep", "--models", "alexnet", "--schemes", "rot13",
                   "--no-cache"])
+
+
+class TestPipeline:
+    def test_resume_refuses_another_builds_checkpoint(self, tmp_path):
+        """A pipeline fingerprint pins the computation, not the code,
+        so ``--resume`` checks the build in the envelope's meta: state
+        another build wrote is refused, not mixed into this model's."""
+        import json
+
+        from repro.checkpoint import save_checkpoint
+        from repro.experiments.executors import pipeline_rows
+
+        params = {"workload": "streaming", "nbytes": 1 << 12,
+                  "chunk_requests": 16, "schemes": ["np"]}
+        envelopes = []
+        pipeline_rows(dict(params), checkpoint_every=1,
+                      on_checkpoint=lambda state, *_: envelopes.append(state))
+        path = str(tmp_path / "run.ckpt")
+        save_checkpoint(path, {**envelopes[0],
+                               "meta": {"build": "another-build"}})
+        argv = ["pipeline", "--workload", "streaming", "--schemes", "np",
+                "--chunk-requests", "16", "--params",
+                json.dumps({"nbytes": 1 << 12}), "--checkpoint", path,
+                "--resume"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value) == (
+            f"error: checkpoint {path} was written by another build of "
+            f"repro; delete it to start over")

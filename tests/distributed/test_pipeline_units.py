@@ -1,8 +1,9 @@
 """Pipeline work units end to end, in process: singleton sharding, the
 coordinator-computed fingerprint pinned against the real pipeline's,
-checkpoint migration through real HTTP, mid-unit failover resume, the
-worker's local-cache provenance, the end of a run reaching a napping
-worker, and graceful drain."""
+checkpoint migration through real HTTP, mid-unit failover resume (by a
+worker or by the coordinator's local fallback), the worker's
+local-cache provenance, a worker refusing another build's lease, the
+end of a run reaching a napping worker, and graceful drain."""
 
 import threading
 import time
@@ -20,6 +21,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.executors import pipeline_fingerprint, pipeline_rows
 from repro.experiments.jobs import Job, canonical_json
 from repro.experiments.runner import _MEMORY_CACHE
+from repro.testing import faults
 
 PARAMS = {"workload": "streaming", "nbytes": 1 << 14, "chunk_requests": 32,
           "schemes": ["np", "bp"]}
@@ -149,6 +151,43 @@ class TestEndToEnd:
         assert coordinator.state.counters["resumed_units"] >= 1
         assert worker.units_resumed == 1
 
+    def test_local_fallback_resumes_from_migrated_envelope(self):
+        """The last remote worker migrates the seam-2 envelope of a
+        4-chunk unit and leaves; the coordinator's own fallback resumes
+        from the envelope its grant carries. A fault planted at chunk 0
+        fires only if the unit restarts from request zero."""
+        params = {"workload": "streaming", "nbytes": 1 << 20,
+                  "chunk_requests": 4096, "schemes": ["np", "bp"]}
+        local = pipeline_rows(dict(params))
+        _MEMORY_CACHE.clear()
+        coordinator = SweepCoordinator([pipeline_job(params)], cache=None,
+                                       local_workers=1, lease_seconds=30.0,
+                                       checkpoint_every=2)
+        client = CoordinatorClient(coordinator.url)
+        holder = client.register("holder")["worker"]
+        lease = client.lease(holder)
+
+        class Left(Exception):
+            pass
+
+        def upload(state, chunks, requests_done):
+            client.checkpoint(holder, lease["unit"], lease["key"],
+                              lease["lease"], state)
+            raise Left()
+
+        with pytest.raises(Left):
+            pipeline_rows(dict(params), checkpoint_every=2,
+                          on_checkpoint=upload)
+        client.deregister(holder)
+        faults.install({"points": [
+            {"site": "pipeline.chunk", "at": 0, "action": "raise"}]})
+        try:
+            rows_per_job = coordinator.run()
+        finally:
+            faults.clear()
+        assert rows_per_job[0] == local
+        assert coordinator.state.counters["resumed_units"] == 1
+
     def test_warm_coordinator_serves_unit_from_shared_cache(self, tmp_path):
         cache_dir = str(tmp_path / "shared")
         local = pipeline_rows(dict(PARAMS))
@@ -192,6 +231,31 @@ class TestEndToEnd:
         thread2.join(timeout=10.0)
         assert second.state.counters["worker_cache_commits"] == 1
         assert second.state.counters["checkpoints_migrated"] == 0
+
+
+class TestBuildMismatch:
+    def test_worker_refuses_lease_from_another_build(self, tmp_path):
+        """Unit keys hash the coordinator's code fingerprint: a worker
+        that cannot reproduce a lease's key computes nothing, deregisters
+        and exits 1, even with no reconnect budget."""
+        coordinator = SweepCoordinator(
+            [pipeline_job()], wait_workers=60.0, lease_seconds=5.0,
+            cache=ResultCache(str(tmp_path), fingerprint="another-build"))
+        try:
+            worker = Worker(WorkerConfig(url=coordinator.url, name="other",
+                                         log=False, reconnect_timeout=0))
+            results = {}
+            thread = threading.Thread(
+                target=lambda: results.update(code=worker.run()),
+                daemon=True)
+            thread.start()
+            thread.join(timeout=10.0)
+            assert results.get("code") == 1
+            counters = coordinator.state.counters
+            assert counters["results_total"] == 0
+            assert counters["workers_deregistered"] == 1
+        finally:
+            coordinator.close()
 
 
 class TestRunEnd:

@@ -1,8 +1,10 @@
 """Checkpoints written by an earlier FR-FCFS loop still resume.
 
 A pipeline fingerprint pins the trace spec, the schemes and the chunk
-size, not the code, so ``repro pipeline --resume`` and ``repro serve
---checkpoint-dir`` load envelopes that an older build wrote.
+size, not the code, so the API's ``resume_from`` loads envelopes that
+an older build wrote. Both front doors refuse them: ``repro pipeline
+--resume`` compares the build in the envelope's meta, and ``repro serve
+--checkpoint-dir`` keys its records by the code fingerprint.
 ``data/bp_session_residue.ckpt.json`` was written at the third seam of
 a chunked BP run by the leftovers-list controller loop. Its session
 carries 31 bursts of window residue (out-of-order leftovers ahead of
