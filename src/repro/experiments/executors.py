@@ -349,8 +349,9 @@ def crypto_kernel(params: Dict[str, object]) -> Dict[str, object]:
 def pipeline_run(params: Dict[str, object]) -> List[Dict[str, object]]:
     """End-to-end streaming simulation of one workload through the
     :class:`~repro.mem.pipeline.TracePipeline`: one generation pass,
-    every requested protection scheme timed on its own DDR4 controller
-    (the multi-scheme shared-pass mode). One row per scheme, with the
+    every requested protection scheme timed on a DDR4 controller (the
+    multi-scheme shared-pass mode; schemes that leave the stream
+    unchanged share one). One row per scheme, with the
     unprotected baseline's cycles joined in as ``slowdown``."""
     return pipeline_rows(params)
 

@@ -130,9 +130,9 @@ class MemoryController:
         """Time a :class:`RequestBatch` — same FR-FCFS schedule and
         cycle accounting as :meth:`run_trace`, but burst expansion and
         address decomposition happen once, vectorized, and the schedule
-        loop services whole (bank, row) chains of row hits at a time (see
-        :class:`ControllerSession`, which owns the loop; this method is
-        the one-shot feed + finish)."""
+        loop walks the stream once, servicing whole (bank, row) runs of
+        row hits at a time (see :class:`ControllerSession`, which owns the
+        loop; this method is the one-shot feed + finish)."""
         session = ControllerSession(self)
         session.feed(batch)
         return session.finish()
@@ -185,24 +185,49 @@ class ControllerSession:
     and DRAM stats match exactly, and the fast and reference loops
     carry the same residue across every seam.
 
-    The fast path is a head-indexed FR-FCFS built on two invariants of
-    the policy:
+    The fast path is a scan-ordered FR-FCFS: it walks the burst stream
+    once, run by run, with a scan pointer ``j``, and rests on one
+    invariant:
 
-    * the window is always the first ``queue_depth`` unserviced bursts,
-      so a burst ``j`` is in it iff ``j < served + queue_depth`` (a
-      younger serviced burst implies ``j`` was already in the window);
-    * bursts sharing a (bank, row) are all hits or all misses at any
-      pick, so each such group is serviced in age order.
+    * every unserviced burst behind ``j`` waits on a closed row. It was
+      scanned while its (bank, row) was closed, and that row opens again
+      only in two ways: a miss pick of its group's oldest waiting burst,
+      which services the group's waiting bursts right away, or a
+      refresh-path access of a hit, whose row was already open.
 
-    Per feed, numpy gives every burst the end of its same-(bank, row)
-    run and the start of its group's next run. The loop keeps
-    ``head[bank]``, the oldest unserviced burst of the bank's open-row
-    group, so a pick is ``min(head)`` tested against the window; a hit
-    services its group's chain — run by run, with a closed-form
-    bus-bound jump between refreshes — while the next run stays inside
-    the window and older than every other bank's head; without a hit,
-    the oldest unserviced burst opens its row through the full DRAM
-    model. Under ``REPRO_SCALAR=1`` the plain windowed loop runs
+    So the pick rule is local. A run at ``j`` on its bank's open row is
+    the window's first hit, and burst ``j`` is in the window iff
+    ``j - served < queue_depth``, because every serviced burst lies
+    before ``j``. Per feed, numpy cuts the stream into runs of one
+    (bank, row) and gives every burst its run end and the start of the
+    next run of its (bank, row) group. Each step of the loop is one of:
+
+    1. a just-opened group still has waiting bursts before ``j``:
+       service its next segment, up to ``j``, then follow its links;
+    2. fewer than ``queue_depth`` bursts wait: service the run at ``j``
+       if its row is open, else scan past it, by at most the free window
+       slots (a miss costs only the pointer);
+    3. otherwise no burst in the window hits: the oldest waiting burst
+       opens its row through the full DRAM model, inlined (refresh, miss
+       or conflict, then CAS), and its group's next waiting burst
+       starts step 1. A hit that finds a refresh due takes the same
+       model and counts as a miss, as ``DramChip.access_decomposed``
+       counts it.
+
+    Row hits take an exact bus-bound jump. Let ``bound = slot +
+    CMD_DATA_COUPLING``. When ``cycle == bus_free - bound`` and the
+    row's activation plus ``tRCD + max(tCL, tCWL)`` is at most
+    ``bus_free``, the next hit's CAS is ready by ``bus_free`` whichever
+    bounds its issue: issued at ``cycle``, it is ready by ``bus_free -
+    bound + max(tCL, tCWL) <= bus_free`` (DDR4-class timing has
+    ``max(tCL, tCWL) <= bound``; the loop checks it), and issued at
+    the activation's ``tRCD``, by the second condition. So its data
+    starts at ``bus_free``, the command pointer lands on the new
+    ``bus_free - bound``, and both conditions hold again: every further
+    hit adds exactly one bus slot. The loop takes them at once, up to
+    the refresh horizon of ``(next_refresh + bound - 1 - bus_free) //
+    slot + 1`` hits (the last one whose command issues before the
+    refresh). Under ``REPRO_SCALAR=1`` the plain windowed loop runs
     instead: it is the oracle.
     """
 
@@ -294,7 +319,7 @@ class ControllerSession:
             self._carry = bursts  # the window cannot fill yet: carry everything
             return
         if perf.fast_enabled():
-            residue = self._schedule_heads(*bursts, final=final)
+            residue = self._schedule_scan(*bursts, final=final)
         else:
             residue = self._schedule_window(*(column.tolist() for column in bursts),
                                             final=final)
@@ -307,7 +332,7 @@ class ControllerSession:
         unserviced burst indices in age order."""
         ctrl = self.controller
         depth = ctrl.queue_depth
-        dram_banks = ctrl.dram._banks
+        open_row = ctrl.dram.open_row
         access = ctrl.dram.access_decomposed
         cycle = self._cycle
         last_data_end = self._last_data_end
@@ -322,7 +347,7 @@ class ControllerSession:
                 break  # refill exhausted: pause until the next chunk
             chosen_pos = 0
             for pos, j in enumerate(window):
-                if dram_banks[bank_list[j]].open_row == row_list[j]:
+                if open_row[bank_list[j]] == row_list[j]:
                     chosen_pos = pos
                     break
             j = window[chosen_pos]
@@ -335,29 +360,29 @@ class ControllerSession:
         self._last_data_end = last_data_end
         return list(window)
 
-    def _schedule_heads(self, write_arr, bank_arr, row_arr, final: bool):
-        """The head-indexed fast loop (see the class docstring). Returns
+    def _schedule_scan(self, write_arr, bank_arr, row_arr, final: bool):
+        """The scan-ordered fast loop (see the class docstring). Returns
         the unserviced burst indices in age order."""
         ctrl = self.controller
         depth = ctrl.queue_depth
         dram = ctrl.dram
-        dram_banks = dram._banks
-        nbanks = len(dram_banks)
-        access = dram.access_decomposed
-        stats = dram.stats
+        open_row = dram.open_row
+        activated_at = dram.activated_at
+        bank_end = dram.last_data_end
+        bank_write = dram.last_was_write
         t = dram.timing
-        tRCD = t.tRCD
-        tCL = t.tCL
-        tCWL = t.tCWL
-        tBL = t.tBL
+        tRCD, tCL, tCWL, tBL = t.tRCD, t.tCL, t.tCWL, t.tBL
+        tRP, tRAS, tRC, tWR, tRTP = t.tRP, t.tRAS, dram._tRC, t.tWR, t.tRTP
         slot = dram._slot  # data-bus spacing between bursts
         couple = CMD_DATA_COUPLING
-        # the closed form needs CAS to hide inside the command/data
-        # coupling window (true for every DDR4-class timing)
-        jumpable = tCL <= couple + slot and tCWL <= couple + slot
+        bound = slot + couple  # bus-bound: cycle == bus_free - bound
+        cas = tCL if tCL > tCWL else tCWL
+        # the jump needs CAS to hide inside the coupling window (true for
+        # every DDR4-class timing)
+        jumpable = cas <= bound
 
         n = len(write_arr)
-        run_end, next_run, heads = _group_links(bank_arr, row_arr, dram_banks)
+        run_end, next_run = _group_links(bank_arr, row_arr, len(open_row))
         # small ints come from Python's cache, so these lists are cheap;
         # large-int columns (rows, links) are read through memoryviews,
         # which box on access: most bursts of a long run are jumped over
@@ -366,126 +391,147 @@ class ControllerSession:
         bank_of = bank_arr.tolist()
         row_of = memoryview(row_arr)
         done = bytearray(n)
-        oldest = 0  # every burst before it is serviced
-        served = 0
         # picks happen while the window is full, or all of them on a drain
         picks = n if final else n - depth + 1
-        best = min(heads)  # kept equal to min(heads) throughout
+        served = oldest = j = 0
+        g = n  # the just-opened group's next waiting burst before j (n: none)
+        misses = conflicts = 0
         cycle = self._cycle
-        last_data_end = self._last_data_end
+        bus_free = dram._bus_free_at
+        next_refresh = dram._next_refresh
         while served < picks:
-            if best < served + depth:
-                # row hit: service the open-row group's chain from its head
-                h = best
-                b = bank_of[h]
-                heads[b] = _NONE
-                other = min(heads)
-                bank = dram_banks[b]
-                next_refresh = dram._next_refresh
-                bus_free = dram._bus_free_at
-                act_rcd = bank.activated_at + tRCD
-                serviced = 0
-                data_end = 0
-                i = h
-                while True:
-                    seg = i
+            if g < j or (j < n and j - served < depth):
+                if g < j:
+                    # the just-opened group's waiting bursts are the
+                    # window's oldest hits
+                    i = g
                     stop = run_end[i]
-                    if stop - i > picks - served - serviced:
-                        stop = i + picks - served - serviced
-                    while i < stop:
-                        if cycle >= next_refresh:
-                            break  # the generic step replays this burst
-                        col_issue = cycle if cycle > act_rcd else act_rcd
-                        ready = col_issue + (tCWL if writes[i] else tCL)
-                        data_start = ready if ready > bus_free else bus_free
-                        data_end = data_start + tBL
-                        bus_free = data_start + slot
-                        stall = data_start - couple
-                        nc = cycle + 1
-                        cycle = nc if nc > stall else stall
-                        i += 1
-                        if (i < stop and jumpable and cycle == stall
-                                and cycle >= act_rcd):
-                            # bus-bound steady state: every further hit
-                            # adds one bus slot; jump to the refresh
-                            # horizon in O(1)
-                            horizon = (next_refresh + couple - 1
-                                       - data_start) // slot + 1
+                    if stop > j:
+                        stop = j
+                else:
+                    i = j
+                    stop = run_end[i]
+                    if open_row[bank_of[i]] != row_of[i]:
+                        # a miss waits: scan past its run, within the window
+                        j = stop if stop < served + depth else served + depth
+                        continue
+                if stop > i + picks - served:
+                    stop = i + picks - served
+                seg = i
+                b = bank_of[i]
+                act_rcd = activated_at[b] + tRCD
+                ready_by = act_rcd + cas  # a CAS at tRCD is ready by then
+                while i < stop:
+                    if cycle >= next_refresh:
+                        break  # the full model below serves this burst
+                    if cycle == bus_free - bound and ready_by <= bus_free and jumpable:
+                        # bus-bound: every further hit adds one bus slot,
+                        # up to the refresh horizon
+                        m = (next_refresh + bound - 1 - bus_free) // slot + 1
+                        if m > stop - i:
                             m = stop - i
-                            if horizon < m:
-                                m = horizon
-                            if m > 0:
-                                data_start += m * slot
-                                data_end = data_start + tBL
-                                bus_free = data_start + slot
-                                cycle = data_start - couple
-                                i += m
-                    if i > seg:
-                        done[seg:i] = b"\x01" * (i - seg)
-                        serviced += i - seg
-                        last = i - 1
-                    if i == run_end[seg]:
-                        i = next_run[seg]
-                        if i < other and i < served + serviced + depth:
-                            continue  # still the oldest hit in the window
-                    break  # refresh due, pause reached, or another pick first
-                heads[b] = i
-                best = i if i < other else other
-                if serviced:
-                    bank.last_data_end = data_end
-                    bank.last_was_write = bool(writes[last])
-                    dram._bus_free_at = bus_free
-                    stats["row_hits"] += serviced
-                    if data_end > last_data_end:
-                        last_data_end = data_end
-                    served += serviced
+                        bus_free += m * slot
+                        cycle = bus_free - bound
+                        i += m
+                        continue
+                    col = cycle if cycle > act_rcd else act_rcd
+                    ready = col + (tCWL if writes[i] else tCL)
+                    if ready < bus_free:
+                        ready = bus_free
+                    bus_free = ready + slot
+                    ready -= couple
+                    cycle = cycle + 1 if cycle >= ready else ready
+                    i += 1
+                if i - seg == 1:
+                    done[seg] = 1  # a tenth of a slice assignment's cost
+                else:
+                    done[seg:i] = b"\x01" * (i - seg)
+                served += i - seg
+                if i == stop:
+                    bank_end[b] = bus_free - slot + tBL
+                    bank_write[b] = writes[i - 1]
+                    if seg < j:
+                        # follow the group's links to its next waiting run
+                        g = next_run[seg] if i == run_end[seg] else n
+                        if g >= j:
+                            g = n
+                    else:
+                        j = i
                     continue
-                # a refresh is due before the first hit: the full model
-                # refreshes, closing the row, and the hit becomes a miss
-                j = h
+                # a refresh is due before hit i: the full model closes
+                # every row and serves the hit as a miss; its access
+                # rewrites the bank's last data end and direction, so
+                # the segment needs no write-back
+                x = i
             else:
                 # no hit in the window: the oldest burst opens its row
-                j = oldest = done.find(0, oldest)
-            refresh_mark = dram._next_refresh
-            cycle, data_end = access(bank_of[j], row_of[j], bool(writes[j]), cycle)
-            b = bank_of[j]
-            succ = j + 1 if j + 1 < run_end[j] else next_run[j]
-            if dram._next_refresh != refresh_mark:
-                heads = [_NONE] * nbanks  # the refresh closed every row
-                heads[b] = best = succ
+                x = oldest = done.find(0, oldest)
+            # the full DRAM model: refresh if due, open the row (a miss,
+            # or a conflict with the bank's open row), then CAS
+            b = bank_of[x]
+            if cycle >= next_refresh:
+                dram._bus_free_at = bus_free
+                cycle = dram._refresh_if_due(cycle)
+                bus_free = dram._bus_free_at
+                next_refresh = dram._next_refresh
+            act = activated_at[b]
+            if open_row[b] is None:
+                misses += 1
+                col = cycle
             else:
-                replaced = heads[b]
-                heads[b] = succ
-                if succ < best:
-                    best = succ
-                elif replaced == best and succ != replaced:
-                    best = min(heads)
-            done[j] = 1
+                conflicts += 1
+                col = bank_end[b] + (tWR if bank_write[b] else tRTP) - tBL
+                if act + tRAS > col:
+                    col = act + tRAS
+                if cycle > col:
+                    col = cycle
+                col += tRP
+            if act + tRC > col:
+                col = act + tRC
+            activated_at[b] = col
+            open_row[b] = row_of[x]
+            write = writes[x]
+            ready = col + tRCD + (tCWL if write else tCL)
+            if ready < bus_free:
+                ready = bus_free
+            bus_free = ready + slot
+            bank_end[b] = ready + tBL
+            bank_write[b] = write
+            ready -= couple
+            cycle = cycle + 1 if cycle >= ready else ready
+            done[x] = 1
             served += 1
-            if data_end > last_data_end:
-                last_data_end = data_end
+            if x < j:
+                # its group's waiting bursts are hits now
+                g = x + 1 if x + 1 < run_end[x] else next_run[x]
+                if g >= j:
+                    g = n
+            else:
+                j = x + 1
+        dram._bus_free_at = bus_free
+        stats = dram.stats
+        stats["row_hits"] += served - misses - conflicts
+        stats["row_misses"] += misses
+        stats["row_conflicts"] += conflicts
         self._cycle = cycle
-        self._last_data_end = last_data_end
+        if served:
+            # data starts strictly increase, so the last burst ends last
+            self._last_data_end = bus_free - slot + tBL
         self._bursts += served
         return _np.flatnonzero(_np.frombuffer(done, dtype=_np.uint8) == 0)
 
-
-#: "no such burst" in the head and next-run tables: beyond every index
-_NONE = 1 << 62
 
 #: an empty (is_write, bank, row) burst stream
 _NO_BURSTS = (_np.zeros(0, dtype=_np.int8), _np.zeros(0, dtype=_np.int64),
               _np.zeros(0, dtype=_np.int64))
 
 
-def _group_links(bank_arr, row_arr, dram_banks):
-    """Per-burst links over one schedulable stream: ``run_end[i]`` ends
-    the maximal stretch of consecutive bursts sharing burst ``i``'s
-    (bank, row); ``next_run[i]`` starts the next such stretch of the
-    same (bank, row) group (``_NONE`` if none). Also returns the head
-    table for the chip's open rows: per bank, the group's first burst."""
+def _group_links(bank_arr, row_arr, nbanks: int):
+    """Per-burst links over one schedulable stream of ``n`` bursts:
+    ``run_end[i]`` ends the maximal stretch of consecutive bursts sharing
+    burst ``i``'s (bank, row); ``next_run[i]`` starts the next such
+    stretch of the same (bank, row) group (``n`` if none)."""
     n = len(bank_arr)
-    nbanks = len(dram_banks)
     change = _np.empty(n, dtype=bool)
     change[0] = True
     _np.not_equal(bank_arr[1:], bank_arr[:-1], out=change[1:])
@@ -494,19 +540,9 @@ def _group_links(bank_arr, row_arr, dram_banks):
     ends = _np.append(starts[1:], n)
     keys = row_arr[starts] * nbanks + bank_arr[starts]
     order = _np.argsort(keys, kind="stable")  # groups, age order within
-    sorted_keys = keys[order]
-    same = sorted_keys[1:] == sorted_keys[:-1]
-    next_start = _np.full(len(starts), _NONE, dtype=_np.int64)
+    same = keys[order[1:]] == keys[order[:-1]]
+    next_start = _np.full(len(starts), n, dtype=_np.int64)
     next_start[order[:-1][same]] = starts[order[1:][same]]
     lengths = ends - starts
-    heads = [_NONE] * nbanks
-    open_rows = [(b, bank.open_row) for b, bank in enumerate(dram_banks)
-                 if bank.open_row is not None]
-    if open_rows:
-        wanted = _np.array([row * nbanks + b for b, row in open_rows], dtype=_np.int64)
-        found = _np.minimum(_np.searchsorted(sorted_keys, wanted), len(starts) - 1)
-        for (b, _row), pos, key in zip(open_rows, found.tolist(), wanted.tolist()):
-            if sorted_keys[pos] == key:
-                heads[b] = int(starts[order[pos]])
     return (memoryview(_np.repeat(ends, lengths)),
-            memoryview(_np.repeat(next_start, lengths)), heads)
+            memoryview(_np.repeat(next_start, lengths)))

@@ -76,16 +76,6 @@ DDR4_2400 = DramTiming(
 )
 
 
-class _BankState:
-    __slots__ = ("open_row", "activated_at", "last_data_end", "last_was_write")
-
-    def __init__(self):
-        self.open_row = None
-        self.activated_at = -(10**9)
-        self.last_data_end = 0
-        self.last_was_write = False
-
-
 class DramChip:
     """One DRAM channel with per-bank row state.
 
@@ -94,6 +84,13 @@ class DramChip:
     Column commands pipeline: consecutive row hits are spaced by the data
     bus (max(tBL, tCCD)), not by full CAS latency, which is how a real
     controller sustains near-peak streaming bandwidth.
+
+    Bank state is four per-bank lists: ``open_row`` (``None`` while the
+    bank is precharged), ``activated_at``, ``last_data_end`` and
+    ``last_was_write``. Every update, refresh included, mutates them in
+    place, so the batch controller's fast loop binds the lists once per
+    call and updates them directly (see
+    :class:`~repro.mem.controller.ControllerSession`).
     """
 
     def __init__(self, timing: DramTiming = DDR4_2400, layout: AddressLayout = None):
@@ -101,7 +98,11 @@ class DramChip:
         self.layout = layout or AddressLayout()
         self._tRC = timing.tRC
         self._slot = max(timing.tBL, timing.tCCD)  # data-bus spacing per burst
-        self._banks = [_BankState() for _ in range(self.layout.banks)]
+        banks = self.layout.banks
+        self.open_row = [None] * banks
+        self.activated_at = [-(10**9)] * banks
+        self.last_data_end = [0] * banks
+        self.last_was_write = [False] * banks
         self._bus_free_at = 0
         self._next_refresh = timing.tREFI
         self.stats = {"row_hits": 0, "row_misses": 0, "row_conflicts": 0, "refreshes": 0}
@@ -110,9 +111,9 @@ class DramChip:
         """All-bank refresh: close all rows and stall for tRFC."""
         while cycle >= self._next_refresh:
             end = self._next_refresh + self.timing.tRFC
-            for bank in self._banks:
-                bank.open_row = None
-                bank.last_data_end = max(bank.last_data_end, end)
+            self.open_row[:] = [None] * len(self.open_row)
+            self.last_data_end[:] = [data_end if data_end > end else end
+                                     for data_end in self.last_data_end]
             self._bus_free_at = max(self._bus_free_at, end)
             self._next_refresh += self.timing.tREFI
             self.stats["refreshes"] += 1
@@ -128,28 +129,30 @@ class DramChip:
         """Time one burst access given pre-decomposed (bank, row)
         coordinates — the batch pipeline decomposes whole traces up
         front (vectorized) instead of per access. Identical timing to
-        :meth:`access`."""
-        # the FR-FCFS loops call this once per row change (and the scalar
-        # reference once per burst), so maxima are spelled as comparisons
+        :meth:`access`. It is the windowed reference loop's step; the
+        batch controller's fast loop inlines the same model, and the
+        session equivalence tests hold the two equal."""
+        # the reference loops call this once per burst, so maxima are
+        # spelled as comparisons
         t = self.timing
         if cycle >= self._next_refresh:
             cycle = self._refresh_if_due(cycle)
-        bank = self._banks[bank_idx]
-        activated_at = bank.activated_at
+        open_row = self.open_row[bank_idx]
+        activated_at = self.activated_at[bank_idx]
 
-        if bank.open_row == row:
+        if open_row == row:
             self.stats["row_hits"] += 1
             col_issue = activated_at + t.tRCD
             if cycle > col_issue:
                 col_issue = cycle
         else:
-            if bank.open_row is None:
+            if open_row is None:
                 self.stats["row_misses"] += 1
                 activate_at = cycle
             else:
                 self.stats["row_conflicts"] += 1
-                recovery = t.tWR if bank.last_was_write else t.tRTP
-                precharge_at = bank.last_data_end + recovery - t.tBL
+                recovery = t.tWR if self.last_was_write[bank_idx] else t.tRTP
+                precharge_at = self.last_data_end[bank_idx] + recovery - t.tBL
                 if activated_at + t.tRAS > precharge_at:
                     precharge_at = activated_at + t.tRAS
                 if cycle > precharge_at:
@@ -157,8 +160,8 @@ class DramChip:
                 activate_at = precharge_at + t.tRP
             if activated_at + self._tRC > activate_at:
                 activate_at = activated_at + self._tRC
-            bank.activated_at = activate_at
-            bank.open_row = row
+            self.activated_at[bank_idx] = activate_at
+            self.open_row[bank_idx] = row
             col_issue = activate_at + t.tRCD
 
         data_start = col_issue + (t.tCWL if is_write else t.tCL)
@@ -167,8 +170,8 @@ class DramChip:
         data_end = data_start + t.tBL
         self._bus_free_at = data_start + self._slot
 
-        bank.last_data_end = data_end
-        bank.last_was_write = is_write
+        self.last_data_end[bank_idx] = data_end
+        self.last_was_write[bank_idx] = is_write
 
         # The command bus can issue the next command one cycle later.
         # Keep the command pointer loosely coupled to the data bus so the
@@ -180,7 +183,7 @@ class DramChip:
         return next_command, data_end
 
     def open_row_of(self, bank_index: int):
-        return self._banks[bank_index].open_row
+        return self.open_row[bank_index]
 
     # -- checkpointing -----------------------------------------------------
 
@@ -189,24 +192,26 @@ class DramChip:
         bus, refresh horizon, and stats — everything a resumed run needs
         for cycle-exact continuation."""
         return {
-            "banks": [[bank.open_row, bank.activated_at, bank.last_data_end,
-                       bool(bank.last_was_write)] for bank in self._banks],
+            "banks": [[open_row, activated_at, last_data_end, bool(last_was_write)]
+                      for open_row, activated_at, last_data_end, last_was_write
+                      in zip(self.open_row, self.activated_at,
+                             self.last_data_end, self.last_was_write)],
             "bus_free_at": self._bus_free_at,
             "next_refresh": self._next_refresh,
             "stats": dict(self.stats),
         }
 
     def load_state(self, state: dict) -> None:
-        if len(state["banks"]) != len(self._banks):
+        banks = state["banks"]
+        if len(banks) != len(self.open_row):
             raise ValueError(
-                f"bank count mismatch: checkpoint has {len(state['banks'])}, "
-                f"chip has {len(self._banks)}")
-        for bank, (open_row, activated_at, last_data_end, last_was_write) in zip(
-                self._banks, state["banks"]):
-            bank.open_row = None if open_row is None else int(open_row)
-            bank.activated_at = int(activated_at)
-            bank.last_data_end = int(last_data_end)
-            bank.last_was_write = bool(last_was_write)
+                f"bank count mismatch: checkpoint has {len(banks)}, "
+                f"chip has {len(self.open_row)}")
+        self.open_row[:] = [None if bank[0] is None else int(bank[0])
+                            for bank in banks]
+        self.activated_at[:] = [int(bank[1]) for bank in banks]
+        self.last_data_end[:] = [int(bank[2]) for bank in banks]
+        self.last_was_write[:] = [bool(bank[3]) for bank in banks]
         self._bus_free_at = int(state["bus_free_at"])
         self._next_refresh = int(state["next_refresh"])
         self.stats = {key: int(value) for key, value in state["stats"].items()}

@@ -26,7 +26,9 @@ while peak memory stays bounded by the chunk size.
 same data stream under several protection points. ``TracePipeline``
 accepts a tuple of scheme names and forks each generated chunk through
 every scheme's rewriter + controller in one pass, amortizing trace
-generation across the whole comparison.
+generation across the whole comparison. Schemes that leave the stream
+unchanged (``np``, ``guardnn-c``: no rewriter) share one controller,
+so each chunk is timed once per distinct stream.
 """
 
 from __future__ import annotations
@@ -113,9 +115,12 @@ class TracePipeline:
     """Fused generate → rewrite → time over a :class:`TraceSpec`.
 
     ``schemes`` are protection short names (``np`` / ``guardnn-c`` /
-    ``guardnn-ci`` / ``bp``); each gets its own rewriter and DDR4
-    controller, all fed from one generation pass. ``scheme_params``
-    optionally maps a scheme name to rewriter parameters.
+    ``guardnn-ci`` / ``bp``), all fed from one generation pass. A scheme
+    with a rewriter gets its own DDR4 controller; the schemes without
+    one time the unchanged stream, so they share one controller and
+    one :class:`~repro.mem.controller.ControllerResult`.
+    ``scheme_params`` optionally maps a scheme name to rewriter
+    parameters.
     """
 
     def __init__(self, source, schemes: Sequence[str] = ("np",),
@@ -138,7 +143,10 @@ class TracePipeline:
                                         **self.scheme_params[name])
             for name in self.schemes
         }
-        self.controllers = {name: MemoryController() for name in self.schemes}
+        unchanged = MemoryController()  # times the stream as generated
+        self.controllers = {
+            name: unchanged if self.rewriters[name] is None
+            else MemoryController() for name in self.schemes}
         self._ran = False
 
     # -- checkpointing -----------------------------------------------------
@@ -164,7 +172,7 @@ class TracePipeline:
                 name: {
                     "rewriter": (None if self.rewriters[name] is None
                                  else self.rewriters[name].state_dict()),
-                    "session": sessions[name].state_dict(),
+                    "session": sessions[self.controllers[name]].state_dict(),
                 } for name in self.schemes
             },
         })
@@ -193,7 +201,8 @@ class TracePipeline:
             scheme_state = state["schemes"][name]
             if self.rewriters[name] is not None:
                 self.rewriters[name].load_state(scheme_state["rewriter"])
-            sessions[name].load_state(scheme_state["session"])
+            # schemes that share a session carry equal states
+            sessions[self.controllers[name]].load_state(scheme_state["session"])
         return int(state["chunks"]), cursor
 
     def run(self, on_chunk=None, should_stop=None, checkpoint_path=None,
@@ -243,8 +252,10 @@ class TracePipeline:
             raise ValueError("checkpointing requested without a "
                              "checkpoint_path or on_checkpoint hook")
         self._ran = True
-        sessions = {name: self.controllers[name].session()
-                    for name in self.schemes}
+        # one session per distinct stream: controller -> its rewriter
+        streams = {self.controllers[name]: self.rewriters[name]
+                   for name in self.schemes}
+        sessions = {controller: controller.session() for controller in streams}
         chunks = 0
         requests_done = 0
         total = self.source.total_requests
@@ -273,9 +284,8 @@ class TracePipeline:
                 start, min(start + self.chunk_requests, total))
             chunks += 1
             requests_done += len(batch)
-            for name in self.schemes:
-                rewriter = self.rewriters[name]
-                sessions[name].feed(
+            for controller, rewriter in streams.items():
+                sessions[controller].feed(
                     rewriter.rewrite_batch(batch) if rewriter is not None
                     else batch)
             if on_chunk is not None:
@@ -285,16 +295,14 @@ class TracePipeline:
                 write_checkpoint()
         if should_stop is not None and should_stop():
             raise PipelineCancelled(f"cancelled after {chunks} chunks")
-        results = {}
-        for name in self.schemes:
-            rewriter = self.rewriters[name]
+        for controller, rewriter in streams.items():
             if rewriter is not None:
-                sessions[name].feed(rewriter.flush_batch())
-            results[name] = PipelineResult(
-                scheme=name, result=sessions[name].finish(),
-                source_requests=self.source.total_requests,
-                chunks=chunks, chunk_requests=self.chunk_requests)
-        return results
+                sessions[controller].feed(rewriter.flush_batch())
+        return {name: PipelineResult(
+                    scheme=name, result=sessions[self.controllers[name]].finish(),
+                    source_requests=self.source.total_requests,
+                    chunks=chunks, chunk_requests=self.chunk_requests)
+                for name in self.schemes}
 
     def run_single(self, scheme: Optional[str] = None) -> PipelineResult:
         """Run and return one scheme's result (the only scheme by

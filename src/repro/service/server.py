@@ -474,8 +474,6 @@ class ReproService:
                 final = self._execute_sweep(flight)
             else:
                 final = self._execute_pipeline(flight)
-            self._retire(flight.key)
-            self.metrics.incr("completed_total")
         except (FlightCancelled, PipelineCancelled) as error:
             self.metrics.incr("cancelled_total")
             final = {"event": "cancelled", "reason": str(error)}
@@ -503,6 +501,11 @@ class ReproService:
                        latency: Optional[float], started: bool) -> None:
         flight.publish(final, final=True)
         self.coalescer.finish(flight.key)
+        if final["event"] == "result":
+            # only now, with the flight gone from the coalescer: a request
+            # that finds the record gone cannot join the finished flight
+            self._retire(flight.key)
+            self.metrics.incr("completed_total")
         if started:
             self.admission.on_finish()
         else:

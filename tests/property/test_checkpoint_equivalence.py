@@ -123,7 +123,7 @@ def test_periodic_checkpoints_resume_identically(tmp_path_factory, spec,
     tmp_path = tmp_path_factory.mktemp("ckpt")
     chunk = min(chunk, max(spec.total_requests, 1))
     path = str(tmp_path / "periodic.ckpt")
-    schemes = ("np", "bp")
+    schemes = ("np", "guardnn-c", "bp")
 
     reference = _summary(_fresh(spec, schemes, chunk).run())
     written = []

@@ -21,7 +21,8 @@ from repro.distributed.protocol import rows_digest
 from repro.experiments.executors import pipeline_rows
 from repro.mem.pipeline import PipelineCheckpointed
 
-SCHEME_SETS = (["np"], ["np", "bp"], ["np", "guardnn-ci"])
+SCHEME_SETS = (["np"], ["np", "bp"], ["np", "guardnn-ci"],
+               ["np", "guardnn-c", "guardnn-ci"])
 
 params_strategy = st.one_of(
     st.fixed_dictionaries({

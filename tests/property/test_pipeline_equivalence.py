@@ -21,8 +21,10 @@ from repro import perf
 from repro.mem.batch import RequestBatch
 from repro.mem.controller import MemoryController
 from repro.mem.layout import AddressLayout
-from repro.mem.pipeline import TracePipeline, run_materialized
+from repro.mem.pipeline import (DEFAULT_CHUNK_REQUESTS, TracePipeline,
+                                run_materialized)
 from repro.mem.trace import MemoryRequest
+from repro.protection.trace_rewriter import build_trace_rewriter
 from repro.workloads import (
     BpMetadataSpec,
     RandomSpec,
@@ -123,8 +125,10 @@ def test_multischeme_shared_pass_equals_solo_runs():
     """Forking one generated stream through several schemes gives each
     scheme exactly its solo-run result."""
     schemes = ("np", "guardnn-c", "guardnn-ci", "bp")
-    shared = TracePipeline(StreamingSpec(1 << 16, write_fraction=0.25),
-                           schemes=schemes, chunk_requests=509).run()
+    pipeline = TracePipeline(StreamingSpec(1 << 16, write_fraction=0.25),
+                             schemes=schemes, chunk_requests=509)
+    assert pipeline.controllers["np"] is pipeline.controllers["guardnn-c"]
+    shared = pipeline.run()
     for scheme in schemes:
         solo = TracePipeline(StreamingSpec(1 << 16, write_fraction=0.25),
                              schemes=(scheme,), chunk_requests=509).run()[scheme]
@@ -179,6 +183,37 @@ def bp_interleave_trace(draw):
 
 
 @st.composite
+def metadata_pingpong_trace(draw):
+    """``llm-decode``'s BP shape: data bursts stream through rows of one
+    bank; after every 8 of them one VN and one MAC burst go to two fixed
+    rows of another bank, now and then with a tree burst on a third row
+    of that bank. Metadata group walks interleave with the data bank's
+    hits, and hits follow activations closely."""
+    layout = AddressLayout()
+    cpr = layout.columns_per_row
+    data_bank, meta_bank = draw(st.lists(st.integers(0, layout.banks - 1),
+                                         min_size=2, max_size=2, unique=True))
+    data_row = draw(st.integers(0, 1 << 10))
+    vn_row, mac_row, tree_row = draw(st.lists(st.integers(1 << 11, 1 << 14),
+                                              min_size=3, max_size=3,
+                                              unique=True))
+    groups = draw(st.integers(1, 400))
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    trace = []
+    for group in range(groups):
+        for k in range(8):
+            burst = group * 8 + k
+            trace.append(MemoryRequest(
+                layout.compose(data_bank, data_row + burst // cpr, burst % cpr),
+                64, is_write=rng.random() < 0.3))
+        rows = (vn_row, mac_row, tree_row) if rng.random() < 0.1 else (vn_row, mac_row)
+        for row in rows:
+            trace.append(MemoryRequest(layout.compose(meta_bank, row, group % cpr),
+                                       64, is_write=rng.random() < 0.5))
+    return trace
+
+
+@st.composite
 def hot_rows_trace(draw):
     """Random bursts over a few rows spread across banks: open-row
     groups in several banks at once, and conflicts that cross refreshes
@@ -197,6 +232,7 @@ def hot_rows_trace(draw):
 session_trace_strategy = st.one_of(
     spec_strategy.map(lambda spec: spec.batch().to_requests()),
     bp_interleave_trace(),
+    metadata_pingpong_trace(),
     hot_rows_trace(),
     # 160-320 KB streams run 2560-5120 row-hit bursts: long enough to
     # cross one or two refreshes (tREFI = 9360 cycles) mid-run
@@ -243,6 +279,51 @@ def test_controller_session_matches_scalar_run_trace(trace, depth, splits):
         assert (counted["row_hits"] + counted["row_misses"]
                 + counted["row_conflicts"]) == seam["bursts"]
     assert chunked(scalar=True)[2] == part_seams
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("trace, params, chunk", [
+    ("random", {"n_requests": 32768, "span_bytes": 256 << 20}, 2048),
+    ("gpt2", {"tokens": 1}, DEFAULT_CHUNK_REQUESTS),
+], ids=["random-bp", "llm-decode"])
+def test_controller_session_matches_scalar_on_benchmark_streams(trace, params,
+                                                                chunk):
+    """The benchmark's own streams (seed 3) under NP, GuardNN-CI and BP:
+    a fast session and the scalar windowed session, fed the same
+    rewritten chunks, hold the same state after every feed (bank state
+    and seam residue on real traffic) and finish with the same result."""
+    spec = build_trace_spec(trace, seed=3, **params)
+    previous = perf.fast_enabled()
+    perf.set_fast(True)
+    try:
+        for scheme in ("np", "guardnn-ci", "bp"):
+            rewriter = build_trace_rewriter(scheme, end_address=spec.end_address)
+            fast = MemoryController().session()
+            oracle = MemoryController().session()
+
+            def feed(batch):
+                fast.feed(batch)
+                with perf.scalar_mode():
+                    oracle.feed(batch)
+                assert fast.state_dict() == oracle.state_dict(), scheme
+
+            total = spec.total_requests
+            for start in range(0, total, chunk):
+                batch = spec.batch(start, min(start + chunk, total))
+                feed(batch if rewriter is None else rewriter.rewrite_batch(batch))
+            if rewriter is not None:
+                feed(rewriter.flush_batch())
+            results = [fast.finish()]
+            with perf.scalar_mode():
+                results.append(oracle.finish())
+            fast_result, oracle_result = (
+                (r.cycles, r.requests, r.bursts, r.stats.state_dict())
+                for r in results)
+            assert fast_result == oracle_result, scheme
+            assert (fast.controller.dram.state_dict()
+                    == oracle.controller.dram.state_dict()), scheme
+    finally:
+        perf.set_fast(previous)
 
 
 # -- generator-level contracts ---------------------------------------------

@@ -164,6 +164,26 @@ def test_cache_hit_flight_deletes_its_checkpoint(tmp_path):
         stop_service(service, thread)
 
 
+def test_flight_retires_its_records_after_leaving_the_coalescer(tmp_path):
+    """A request that sees a flight's record gone must not join that
+    flight: the records go only once the coalescer has let it go."""
+    service, client, thread = start_service(checkpoint_dir=str(tmp_path))
+    registered = []
+    retire = service._retire
+
+    def recording(key):
+        registered.append(service.coalescer.peek(key))
+        retire(key)
+
+    service._retire = recording
+    try:
+        assert client.run(PIPELINE_JOB)["rows"] == reference_rows()
+        wait_for(lambda: registered)
+        assert registered == [None]
+    finally:
+        stop_service(service, thread)
+
+
 def test_corrupt_checkpoint_on_submit_is_quarantined(tmp_path):
     service, client, thread = start_service(checkpoint_dir=str(tmp_path))
     try:
