@@ -17,8 +17,9 @@ The check has three parts:
    (``getrusage(ru_maxrss)``) must stay within ``--rss-budget-mb`` —
    O(chunk), not O(trace). (``tracemalloc`` would be byte-exact but
    slows this allocation-heavy run ~30x; the fine-grained O(chunk)
-   assertion lives in ``benchmarks/bench_perf_kernels.py`` at a size
-   where tracing is cheap.)
+   assertion, ``test_pipeline_memory_stays_bounded_by_chunk`` in
+   ``tests/property/test_pipeline_equivalence.py``, runs with the slow
+   tier at a size where tracing is affordable.)
 
 Usage (the CI perf-smoke leg)::
 

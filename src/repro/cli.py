@@ -4,10 +4,9 @@ Gives downstream users the paper's experiments without writing code:
 
 * ``simulate`` — one network under one protection scheme (Figure 3 cell);
 * ``sweep`` — any registered experiment grid through the orchestration
-  subsystem (parallel workers + result cache);
-* ``figure3`` — the full normalized-time series;
-* ``fpga-table`` — Table II;
-* ``traffic`` — the Section III-C traffic-increase numbers;
+  subsystem (parallel workers + result cache). Every paper artifact
+  (Figure 3a/3b, Tables II/III, the Section III overheads, the
+  ablations) is one preset: ``repro sweep --list`` names them;
 * ``compile`` — compile a network's DFG to GuardNN instructions and
   verify the read-counter schedule;
 * ``pipeline`` — one streaming trace-pipeline run with optional
@@ -30,8 +29,6 @@ import sys
 from repro.accel.accelerator import AcceleratorModel, TPU_V1_CONFIG
 from repro.accel.models import build_model, list_models
 from repro.protection import build_scheme, list_schemes
-from repro.protection.guardnn import GuardNNProtection
-from repro.protection.mee import BaselineMEE
 from repro.protection.none import NoProtection
 
 
@@ -295,50 +292,6 @@ def cmd_work(args) -> int:
         signal.signal(signal.SIGTERM, previous)
 
 
-def cmd_figure3(args) -> int:
-    accel = AcceleratorModel(TPU_V1_CONFIG)
-    networks = list_models() if args.network == "all" else [args.network]
-    schemes = [GuardNNProtection(False), GuardNNProtection(True), BaselineMEE()]
-    print(f"{'network':12s} {'GuardNN_C':>10s} {'GuardNN_CI':>11s} {'BP':>8s}")
-    for name in networks:
-        if args.training and name == "dlrm":
-            continue  # as in the paper's Figure 3b
-        model = build_model(name)
-        base = accel.run(model, NoProtection(), training=args.training, batch=args.batch)
-        cells = [accel.run(model, s, training=args.training, batch=args.batch)
-                 .normalized_to(base) for s in schemes]
-        print(f"{name:12s} {cells[0]:>10.4f} {cells[1]:>11.4f} {cells[2]:>8.4f}")
-    return 0
-
-
-def cmd_fpga_table(args) -> int:
-    from repro.analysis.fpga import FpgaConfig, FpgaPrototypeModel
-
-    model = FpgaPrototypeModel(aes_engines=args.engines)
-    networks = ["alexnet", "googlenet", "resnet50", "vgg16"]
-    print(f"GuardNN_C ({args.precision}-bit), {args.engines} AES engines — fps (+overhead %)")
-    print(f"{'DSPs':>6s}" + "".join(f"{n:>20s}" for n in networks))
-    for dsps in (128, 256, 512, 1024):
-        cells = []
-        for net in networks:
-            row = model.table_row(net, FpgaConfig(dsps, args.precision))
-            cells.append(f"{row['guardnn_fps']:9.1f} (+{row['overhead_pct']:.2f}%)")
-        print(f"{dsps:>6d}" + "".join(f"{c:>20s}" for c in cells))
-    return 0
-
-
-def cmd_traffic(args) -> int:
-    accel = AcceleratorModel(TPU_V1_CONFIG)
-    bp, ci = BaselineMEE(), GuardNNProtection(True)
-    print(f"{'network':12s} {'BP +%':>8s} {'GuardNN_CI +%':>14s}")
-    for name in list_models():
-        model = build_model(name)
-        r_bp = accel.run(model, bp, training=args.training, batch=args.batch)
-        r_ci = accel.run(model, ci, training=args.training, batch=args.batch)
-        print(f"{name:12s} {100*r_bp.traffic_increase:>8.1f} {100*r_ci.traffic_increase:>14.1f}")
-    return 0
-
-
 def cmd_compile(args) -> int:
     from repro.core.compiler import DfgCompiler, verify_schedule
 
@@ -352,36 +305,6 @@ def cmd_compile(args) -> int:
           f"read-consistent={report.reads_consistent} "
           f"({report.writes} writes, {report.declared_reads} declared reads)")
     return 0 if report.ok else 1
-
-
-def cmd_bench(args) -> int:
-    """Run the tracked perf kernels (wraps ``scripts/bench_perf.py``)
-    without needing to know the scripts layout."""
-    import importlib.util
-    import os
-
-    script = os.path.normpath(os.path.join(
-        os.path.dirname(os.path.abspath(__file__)),
-        "..", "..", "scripts", "bench_perf.py"))
-    if not os.path.exists(script):
-        raise SystemExit(
-            "scripts/bench_perf.py not found — `repro bench` runs the "
-            "benchmark suite from a source checkout (expected it at "
-            f"{script})")
-    spec = importlib.util.spec_from_file_location("repro_bench_perf", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-
-    argv = []
-    if not args.full:
-        argv.append("--quick")
-    for kernel in args.kernel or []:
-        argv.extend(["--kernel", kernel])
-    # every other option (--repeat, --output, --check, --list-kernels,
-    # ...) is forwarded verbatim, so the script stays the single source
-    # of truth for its option surface
-    argv.extend(getattr(args, "extra", []))
-    return module.main(argv)
 
 
 def cmd_pipeline(args) -> int:
@@ -452,6 +375,12 @@ def cmd_pipeline(args) -> int:
         rows = pipeline_rows(params, **kwargs)
     except (KeyError, ValueError) as error:
         raise SystemExit(f"error: {error}")
+    except CheckpointError as error:
+        # this build's envelope of another computation (spec, schemes,
+        # chunk size) or an off-grid cursor: the file stays for its run
+        raise SystemExit(f"error: checkpoint {args.checkpoint} does not "
+                         f"match this run ({error}); rerun with its "
+                         f"options or delete it")
     if args.checkpoint and os.path.exists(args.checkpoint):
         os.unlink(args.checkpoint)  # completed: the checkpoint is spent
     print(json.dumps(rows, indent=2, sort_keys=True))
@@ -618,37 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="result-cache directory (default: ~/.cache/repro/sweeps)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("figure3", help="normalized-time series (Figure 3)")
-    common(p, network_default="all")
-    p.set_defaults(func=cmd_figure3)
-
-    p = sub.add_parser("fpga-table", help="Table II")
-    p.add_argument("--precision", type=int, default=8, choices=(6, 8))
-    p.add_argument("--engines", type=int, default=3)
-    p.set_defaults(func=cmd_fpga_table)
-
-    p = sub.add_parser("traffic", help="memory-traffic increases")
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--training", action="store_true")
-    p.set_defaults(func=cmd_traffic)
-
     p = sub.add_parser("compile", help="compile a DFG to GuardNN instructions")
     common(p, network_default="alexnet")
     p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("bench", help="scalar-vs-fast perf kernels "
-                                     "(wraps scripts/bench_perf.py)")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--quick", action="store_true", default=True,
-                      help="small inputs, few repeats (default)")
-    mode.add_argument("--full", action="store_true",
-                      help="full-size inputs (the tracked BENCH_perf.json mode)")
-    p.add_argument("--kernel", action="append",
-                   help="measure only this kernel (repeatable; "
-                        "--list-kernels prints the names)")
-    p.epilog = ("any further options (--repeat N, --output FILE, --check, "
-                "--list-kernels, ...) are forwarded to scripts/bench_perf.py")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("pipeline", help="one streaming trace-pipeline run "
                                         "(checkpointable + resumable)")
@@ -792,14 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    # `bench` forwards unrecognized options to scripts/bench_perf.py;
-    # every other command keeps strict parsing
-    args, extra = parser.parse_known_args(argv)
-    if getattr(args, "func", None) is cmd_bench:
-        args.extra = extra
-    elif extra:
-        parser.error("unrecognized arguments: " + " ".join(extra))
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

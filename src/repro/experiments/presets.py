@@ -1,10 +1,10 @@
 """Registered sweeps for every paper artifact.
 
-One entry per benchmark: the `E*` experiments (Figure 3, Tables II/III,
+One entry per artifact: the `E*` experiments (Figure 3, Tables II/III,
 traffic, ASIC/FPGA overheads), the `A*` ablations, and the `X*`
-extensions. Each ``benchmarks/bench_*.py`` file resolves its grid from
-here, the CLI exposes the same names as ``repro sweep --preset``, and
-``scripts/run_experiments.py`` iterates the registry.
+extensions. ``repro sweep --preset NAME`` runs any of them through the
+runner and the result cache (``repro sweep --list`` names them all),
+and each ``benchmarks/bench_*.py`` file resolves its grid from here.
 """
 
 from __future__ import annotations

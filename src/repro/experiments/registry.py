@@ -1,15 +1,14 @@
 """Named-sweep registry.
 
-Benchmarks, the CLI, and the experiment scripts all resolve sweeps by
-name here, so every paper artifact has exactly one definition of its
-grid. A registered sweep is a builder returning a job list (or a
+The benchmark harnesses and ``repro sweep`` resolve sweeps by name
+here, so every paper artifact has exactly one definition of its grid.
+A registered sweep is a builder returning a job list (or a
 :class:`SweepSpec`), plus an optional post-processing step applied to
 the finished table (e.g. joining in normalized execution time).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -66,7 +65,6 @@ def list_sweeps() -> List[SweepDefinition]:
     return [_SWEEPS[name] for name in sorted(_SWEEPS)]
 
 
-_ENV_CACHE = "REPRO_SWEEP_CACHE"
 #: process-wide default caches, one per directory, so stats aggregate
 #: across every run_sweep() call of a session
 _default_caches: Dict[str, ResultCache] = {}
@@ -83,13 +81,6 @@ def default_cache() -> ResultCache:
 
 
 def _resolve_cache(cache: Union[bool, ResultCache, None]) -> Optional[ResultCache]:
-    if cache is None:
-        # opt in for callers that pass nothing (the bench harnesses) via
-        # REPRO_SWEEP_CACHE=1 — e.g. scripts/run_experiments.py --cache.
-        # Whitelist truthy spellings so "off"/"OFF" stay disabled.
-        if os.environ.get(_ENV_CACHE, "").strip().lower() not in ("1", "true", "yes", "on"):
-            return None
-        cache = True
     if cache is True:
         return default_cache()
     return cache or None
@@ -121,9 +112,8 @@ def run_sweep(name: str, workers: Optional[int] = None,
               runner: Optional[Runner] = None) -> ResultTable:
     """Run a registered sweep to a finished :class:`ResultTable`.
 
-    ``cache`` controls the *on-disk* result cache: False (skip it),
-    True (the shared default), a :class:`ResultCache` instance, or None
-    (off unless the ``REPRO_SWEEP_CACHE`` env var enables the default).
+    ``cache`` controls the *on-disk* result cache: False or None (skip
+    it), True (the shared default), or a :class:`ResultCache` instance.
     On the fast path an in-memory first-level cache in the runner also
     serves repeated jobs within the process; ``repro.perf.scalar_mode``
     bypasses and drops it, keeping scalar benchmark timings honest.

@@ -1,7 +1,11 @@
 """Shared fixtures: a provisioned device, its manufacturer, a remote
-user, and an honest host — the full cast of the paper's threat model."""
+user, and an honest host — the full cast of the paper's threat model.
+Plus :func:`wait_for`, the one polling helper (``from conftest import
+wait_for``)."""
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -45,3 +49,14 @@ def established(device, user, host):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def wait_for(predicate, timeout=30.0, interval=0.02):
+    """Poll ``predicate`` every ``interval`` seconds: True once it holds,
+    :class:`TimeoutError` if it does not within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    raise TimeoutError("condition not reached")

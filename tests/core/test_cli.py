@@ -1,8 +1,23 @@
-"""CLI surface."""
+"""CLI surface, and the kernel ledger's command line."""
+
+import importlib.util
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
+
+BENCH_PERF = os.path.join(os.path.dirname(__file__), "..", "..", "scripts",
+                          "bench_perf.py")
+
+
+@pytest.fixture(scope="module")
+def bench_perf():
+    """``scripts/bench_perf.py``, the one kernel harness, loaded by path."""
+    spec = importlib.util.spec_from_file_location("bench_perf", BENCH_PERF)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestParser:
@@ -14,26 +29,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--scheme", "rot13"])
 
-    def test_bench_quick_full_exclusive(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--quick", "--full"])
-
 
 class TestBench:
-    def test_list_kernels(self, capsys):
-        assert main(["bench", "--list-kernels"]) == 0
+    def test_list_kernels(self, bench_perf, capsys):
+        assert bench_perf.main(["--quick", "--list-kernels"]) == 0
         names = capsys.readouterr().out.split()
         assert "sha256_batch" in names
         assert "merkle_updates" in names
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SystemExit, match="unknown kernel"):
-            main(["bench", "--kernel", "rot13"])
+    def test_unknown_kernel_rejected(self, bench_perf):
+        with pytest.raises(SystemExit, match="unknown kernel\\(s\\) rot13"):
+            bench_perf.main(["--quick", "--kernel", "rot13"])
 
-    def test_single_kernel_run_writes_report(self, capsys, tmp_path):
+    def test_single_kernel_run_writes_report(self, bench_perf, capsys, tmp_path):
         out_file = str(tmp_path / "bench.json")
-        assert main(["bench", "--kernel", "merkle_updates", "--repeat", "1",
-                     "--output", out_file]) == 0
+        assert bench_perf.main(["--quick", "--kernel", "merkle_updates",
+                                "--repeat", "1", "--output", out_file]) == 0
         import json
 
         report = json.load(open(out_file))
@@ -56,16 +67,6 @@ class TestCommands:
                      "--training", "--batch", "2"]) == 0
         assert "training" in capsys.readouterr().out
 
-    def test_figure3_single_network(self, capsys):
-        assert main(["figure3", "--network", "mobilenet"]) == 0
-        out = capsys.readouterr().out
-        assert "mobilenet" in out and "BP" in out
-
-    def test_fpga_table(self, capsys):
-        assert main(["fpga-table", "--precision", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "alexnet" in out and "1024" in out
-
     def test_compile_ok(self, capsys):
         assert main(["compile", "--network", "alexnet"]) == 0
         out = capsys.readouterr().out
@@ -78,11 +79,6 @@ class TestCommands:
     def test_demo(self, capsys):
         assert main(["demo"]) == 0
         assert "result correct: True" in capsys.readouterr().out
-
-    def test_traffic(self, capsys):
-        assert main(["traffic"]) == 0
-        out = capsys.readouterr().out
-        assert "dlrm" in out
 
 
 class TestSweep:
@@ -163,3 +159,33 @@ class TestPipeline:
         assert str(excinfo.value) == (
             f"error: checkpoint {path} was written by another build of "
             f"repro; delete it to start over")
+
+    def test_resume_refuses_another_computations_checkpoint(self, tmp_path):
+        """This build's envelope of another run (here an ``np`` pipeline
+        resumed as ``np,bp``) is refused with an actionable error, not a
+        ``CheckpointError`` traceback, and the file is left in place."""
+        import json
+
+        from repro.checkpoint import save_checkpoint
+        from repro.experiments.cache import code_fingerprint
+        from repro.experiments.executors import pipeline_rows
+
+        params = {"workload": "streaming", "nbytes": 1 << 12,
+                  "chunk_requests": 16, "schemes": ["np"]}
+        envelopes = []
+        pipeline_rows(dict(params), checkpoint_every=1,
+                      on_checkpoint=lambda state, *_: envelopes.append(state))
+        path = str(tmp_path / "run.ckpt")
+        save_checkpoint(path, {**envelopes[0],
+                               "meta": {"build": code_fingerprint()}})
+        argv = ["pipeline", "--workload", "streaming", "--schemes", "np,bp",
+                "--chunk-requests", "16", "--params",
+                json.dumps({"nbytes": 1 << 12}), "--checkpoint", path,
+                "--resume"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value)
+        assert message.startswith(f"error: checkpoint {path} does not match "
+                                  f"this run (")
+        assert message.endswith("rerun with its options or delete it")
+        assert os.path.exists(path)

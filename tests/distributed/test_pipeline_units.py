@@ -23,6 +23,8 @@ from repro.experiments.jobs import Job, canonical_json
 from repro.experiments.runner import _MEMORY_CACHE
 from repro.testing import faults
 
+from conftest import wait_for
+
 PARAMS = {"workload": "streaming", "nbytes": 1 << 14, "chunk_requests": 32,
           "schemes": ["np", "bp"]}
 
@@ -36,15 +38,6 @@ def clean_memory_cache():
 
 def pipeline_job(params=None):
     return Job("pipeline_run", canonical_json(params or PARAMS))
-
-
-def _wait(predicate, timeout=10.0, interval=0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
 
 
 def _start_worker(url, name, cache_dir=None):
@@ -279,8 +272,9 @@ class TestRunEnd:
         thread = threading.Thread(
             target=lambda: results.update(code=worker.run()), daemon=True)
         thread.start()
-        assert _wait(lambda: coordinator.state.counters
-                     ["lease_requests_total"] >= 2)  # napper got "wait"
+        assert wait_for(lambda: coordinator.state.counters
+                        ["lease_requests_total"] >= 2,
+                        timeout=10.0)  # napper got "wait"
         client.result(holder, lease["unit"], lease["key"], lease["lease"],
                       rows=[local])
         client.deregister(holder)
@@ -307,8 +301,8 @@ class TestGracefulDrain:
             thread = threading.Thread(
                 target=lambda: results.update(code=worker.run()), daemon=True)
             thread.start()
-            assert _wait(lambda: coordinator.state.counters
-                         ["lease_requests_total"] >= 2)
+            assert wait_for(lambda: coordinator.state.counters
+                            ["lease_requests_total"] >= 2, timeout=10.0)
             worker.drain()
             thread.join(timeout=10.0)
             assert results.get("code") == 0
@@ -345,8 +339,8 @@ class TestGracefulDrain:
         thread = threading.Thread(
             target=lambda: results.update(code=worker.run()), daemon=True)
         thread.start()
-        assert _wait(lambda: coordinator.state.counters
-                     ["checkpoints_migrated"] >= 1)
+        assert wait_for(lambda: coordinator.state.counters
+                        ["checkpoints_migrated"] >= 1, timeout=10.0)
         thread.join(timeout=10.0)
         assert results.get("code") == 0
         counters = coordinator.state.counters

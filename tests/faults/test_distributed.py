@@ -20,7 +20,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 
@@ -29,6 +28,8 @@ from repro.experiments.runner import Runner, _MEMORY_CACHE
 from repro.experiments.spec import SweepSpec
 from repro.experiments.table import ResultTable
 from repro.testing import faults
+
+from conftest import wait_for
 
 SPEC = SweepSpec(models=("alexnet", "mobilenet"), schemes=("np", "bp"))
 SRC = os.path.join(os.path.dirname(os.path.dirname(
@@ -76,15 +77,6 @@ def _start_worker(url, name, fault_delay=0.1):
     return thread, outcome
 
 
-def _wait(predicate, timeout=30.0, interval=0.05):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise AssertionError("condition not reached in time")
-
-
 def test_chaos_sigkill_and_partition_bit_identical(tmp_path):
     """The ISSUE's acceptance scenario, end to end over real HTTP."""
     jobs = SPEC.jobs()
@@ -123,13 +115,14 @@ def test_chaos_sigkill_and_partition_bit_identical(tmp_path):
             {"site": "dist.result@flaky", "at": 0, "action": "delay"}]})
         flaky_thread, flaky = _start_worker(coordinator.url, "flaky",
                                             fault_delay=3.0)
-        _wait(lambda: state.counters["leases_granted"] > leased_by_dead)
+        wait_for(lambda: state.counters["leases_granted"] > leased_by_dead,
+                 interval=0.05)
 
         # -- worker 3: healthy; sweeps up everything the others forfeit
         healthy_thread, healthy = _start_worker(coordinator.url, "healthy")
 
         # completion first, then the partitioned worker's late result
-        _wait(lambda: state.done, timeout=60.0)
+        wait_for(lambda: state.done, timeout=60.0, interval=0.05)
         flaky_thread.join(timeout=60.0)
         healthy_thread.join(timeout=60.0)
         assert not flaky_thread.is_alive() and not healthy_thread.is_alive()
@@ -168,7 +161,7 @@ def test_severed_result_ack_retries_to_duplicate():
         {"site": "dist.result@lossy", "at": 0, "action": "sever"}]})
     try:
         thread, outcome = _start_worker(coordinator.url, "lossy")
-        _wait(lambda: state.done, timeout=60.0)
+        wait_for(lambda: state.done, timeout=60.0, interval=0.05)
         thread.join(timeout=60.0)
         assert outcome.get("exit") == 0, outcome.get("error")
     finally:
@@ -210,7 +203,7 @@ def test_dropped_lease_requests_back_off_and_recover():
         {"site": "dist.lease@shaky", "at": 1, "action": "drop"}]})
     try:
         thread, outcome = _start_worker(coordinator.url, "shaky")
-        _wait(lambda: coordinator.state.done, timeout=60.0)
+        wait_for(lambda: coordinator.state.done, timeout=60.0, interval=0.05)
         thread.join(timeout=60.0)
         assert outcome.get("exit") == 0, outcome.get("error")
     finally:

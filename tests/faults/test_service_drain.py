@@ -15,7 +15,6 @@ uninterrupted run would have produced.
 import asyncio
 import os
 import threading
-import time
 
 import pytest
 
@@ -23,6 +22,8 @@ import repro.experiments.runner as runner_module
 from repro import perf
 from repro.experiments.executors import pipeline_rows
 from repro.service import ReproService, ServeConfig, ServiceClient
+
+from conftest import wait_for
 
 #: ~1M streaming requests in 64 chunks: long enough that a drain
 #: triggered after the first progress event always lands mid-flight,
@@ -58,15 +59,6 @@ def start_service(**overrides):
     assert ready.wait(15), "service failed to come up"
     client = ServiceClient("127.0.0.1", service.port, timeout=120)
     return service, client, thread
-
-
-def wait_for(predicate, timeout=30.0, interval=0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise TimeoutError("condition not reached")
 
 
 def trigger_drain(service):

@@ -136,6 +136,28 @@ def test_multischeme_shared_pass_equals_solo_runs():
             solo.result.cycles, solo.result.bursts), scheme
 
 
+@pytest.mark.slow
+def test_pipeline_memory_stays_bounded_by_chunk():
+    """Peak traced allocation of a streaming run is O(chunk), not
+    O(trace): a 32 MB stream (524 288 requests — tens of MB as request
+    objects before rewriting even starts) passes through a 4096-request
+    chunk pipeline within a few MB. (~37 s under tracemalloc, so it runs
+    with the slow tier; scripts/pipeline_memcheck.py holds the LLM-scale
+    ceiling without tracing.)"""
+    import tracemalloc
+
+    spec = StreamingSpec(1 << 25, write_fraction=0.3)
+    materialized_floor = spec.total_requests * 56  # >= one slotted object each
+    tracemalloc.start()
+    try:
+        TracePipeline(spec, schemes=("bp",), chunk_requests=1 << 12).run()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024 * 1024, f"pipeline peak {peak} bytes is not O(chunk)"
+    assert peak < materialized_floor / 3
+
+
 @settings(max_examples=20, deadline=None)
 @given(spec=spec_strategy, splits=st.lists(st.integers(0, 1 << 16),
                                            min_size=0, max_size=6))

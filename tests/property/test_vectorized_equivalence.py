@@ -15,8 +15,10 @@ from repro import perf
 from repro.crypto import aes_fast
 from repro.crypto.aes import AES128
 from repro.crypto.ctr import AesCtr, ctr_keystream
+from repro.crypto.ecdsa import EcdsaKeyPair, ecdsa_sign
 from repro.crypto.gf128 import Gf128Table, gf128_mul, ghash
 from repro.crypto.gmac import AesGmac
+from repro.crypto.rng import HmacDrbg
 from repro.crypto.sha256 import sha256
 from repro.crypto.sha256_fast import hmac_sha256_many, sha256_many
 from repro.mem.batch import RequestBatch
@@ -137,6 +139,16 @@ def test_lane_parallel_sha256_long_uniform_batch():
     maskless commit path; pin it against the scalar reference."""
     messages = [bytes((i + j) & 0xFF for j in range(96)) for i in range(300)]
     assert sha256_many(messages) == [sha256(m) for m in messages]
+
+
+def test_ecdsa_sign_matches_scalar():
+    """The fixed-base table and the memoized RFC 6979 nonce sign
+    exactly what the scalar reference signs."""
+    key = EcdsaKeyPair.generate(HmacDrbg(b"bench-kernels"))
+    message = b"attestation output hash, signed by SK_Accel"
+    with perf.scalar_mode():
+        reference = ecdsa_sign(key.private, message)
+    assert ecdsa_sign(key.private, message) == reference
 
 
 # -- trace pipeline --------------------------------------------------------
@@ -278,3 +290,15 @@ def test_accelerator_fast_path_matches_scalar():
         assert [l.total_cycles for l in fast.layers] == [
             l.total_cycles for l in reference.layers]
         assert fast.metadata_breakdown == reference.metadata_breakdown
+
+
+def test_fig3_sweep_rows_match_scalar():
+    """The registered Figure 3a grid, whole rows: the goldens pin cycles
+    and traffic, this also pins ``gmacs``, ``seconds`` and
+    ``normalized``."""
+    from repro.experiments import run_sweep
+
+    fast = run_sweep("fig3-inference", cache=False)
+    with perf.scalar_mode():
+        reference = run_sweep("fig3-inference", cache=False)
+    assert fast.rows == reference.rows

@@ -15,7 +15,6 @@ being resumed.
 import asyncio
 import os
 import threading
-import time
 
 import pytest
 
@@ -29,6 +28,8 @@ from repro.experiments.executors import pipeline_rows
 from repro.mem.pipeline import PipelineCheckpointed
 from repro.service import ReproService, ServeConfig, ServiceClient
 from repro.service.protocol import parse_job_request
+
+from conftest import wait_for
 
 #: 16384 requests in four chunks: a multi-chunk flight, so it streams
 #: from its flight thread and has seams to checkpoint at
@@ -65,15 +66,6 @@ def start_service(**overrides):
 def stop_service(service, thread):
     service.request_shutdown()
     thread.join(15)
-
-
-def wait_for(predicate, timeout=30.0, interval=0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise TimeoutError("condition not reached")
 
 
 def record_path(directory, suffix):

@@ -10,7 +10,6 @@ multi-chunk flight stays on its thread and streams every seam.
 
 import asyncio
 import threading
-import time
 
 import pytest
 
@@ -18,6 +17,8 @@ import repro.experiments.runner as runner_module
 from repro import perf
 from repro.experiments.executors import pipeline_rows
 from repro.service import ReproService, ServeConfig, ServiceClient
+
+from conftest import wait_for
 
 #: 2048 random requests: one chunk at the default chunk size
 RANDOM_JOB = {"kind": "pipeline", "workload": "random",
@@ -85,15 +86,6 @@ def run_collecting_progress(client, job):
     result = client.run(job, on_event=lambda event: progress.append(event)
                         if event["event"] == "progress" else None)
     return result, progress
-
-
-def wait_for(predicate, timeout=30.0, interval=0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise TimeoutError("condition not reached")
 
 
 @pytest.mark.parametrize("job", [RANDOM_JOB, STREAMING_JOB],

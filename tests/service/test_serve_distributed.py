@@ -22,7 +22,6 @@ import asyncio
 import os
 import socket
 import threading
-import time
 
 import pytest
 
@@ -35,6 +34,8 @@ from repro.experiments.cache import code_fingerprint
 from repro.experiments.executors import pipeline_rows
 from repro.service import ReproService, ServeConfig, ServiceClient
 from repro.service.protocol import parse_job_request
+
+from conftest import wait_for
 
 SWEEP_SPEC = {"models": ["alexnet", "mobilenet"], "schemes": ["np", "bp"]}
 SWEEP_JOB = {"kind": "sweep", "spec": SWEEP_SPEC}
@@ -70,15 +71,6 @@ def start_service(**overrides):
 def stop_service(service, thread):
     service.request_shutdown()
     thread.join(15)
-
-
-def wait_for(predicate, timeout=30.0, interval=0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise TimeoutError("condition not reached")
 
 
 def free_port():

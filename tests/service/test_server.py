@@ -14,7 +14,6 @@ import http.client
 import json
 import socket
 import threading
-import time
 
 import pytest
 
@@ -28,6 +27,8 @@ from repro.service import (
     ServiceClient,
     ServiceRejected,
 )
+
+from conftest import wait_for
 
 SWEEP_SPEC = {"models": ["alexnet", "mobilenet"], "schemes": ["np", "bp"]}
 SWEEP_JOB = {"kind": "sweep", "spec": SWEEP_SPEC}
@@ -71,15 +72,6 @@ def service_and_client(fresh_memory_cache):
     yield service, client
     service.request_shutdown()
     thread.join(15)
-
-
-def wait_for(predicate, timeout=20.0, interval=0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise TimeoutError("condition not reached")
 
 
 def drain(events):
@@ -195,7 +187,8 @@ class TestAdmissionControl:
             assert next(blocker)["event"] == "accepted"
             # the blocker must hold the slot (not just the queue) before
             # a zero-length queue can demonstrably shed load
-            wait_for(lambda: service.admission.gauges()["running"] == 1)
+            wait_for(lambda: service.admission.gauges()["running"] == 1,
+                     timeout=20.0)
             with pytest.raises(ServiceRejected) as rejected:
                 client.run(SWEEP_JOB)
             assert rejected.value.retry_after >= 1
@@ -204,7 +197,8 @@ class TestAdmissionControl:
             blocker.close()
             # capacity frees once the cancellation lands; the same job
             # is then admitted
-            wait_for(lambda: service.admission.gauges()["running"] == 0)
+            wait_for(lambda: service.admission.gauges()["running"] == 0,
+                     timeout=20.0)
             assert client.run(SWEEP_JOB)["event"] == "result"
         finally:
             service.request_shutdown()
@@ -215,7 +209,8 @@ class TestAdmissionControl:
         try:
             blocker = client.submit(BLOCKER_JOB)
             assert next(blocker)["event"] == "accepted"
-            wait_for(lambda: service.admission.gauges()["running"] == 1)
+            wait_for(lambda: service.admission.gauges()["running"] == 1,
+                     timeout=20.0)
             # identical to the running flight: joins it instead of
             # consuming (unavailable) capacity
             twin = client.submit(BLOCKER_JOB)
@@ -224,7 +219,8 @@ class TestAdmissionControl:
             blocker.close()
             # both subscribers gone: let the cancellation land before
             # the fixture tears the loop down under the worker thread
-            wait_for(lambda: service.metrics.get("cancelled_total") == 1)
+            wait_for(lambda: service.metrics.get("cancelled_total") == 1,
+                     timeout=20.0)
         finally:
             service.request_shutdown()
             thread.join(15)
@@ -235,10 +231,13 @@ class TestCancellation:
         service, client = service_and_client
         blocker = client.submit(BLOCKER_JOB)
         assert next(blocker)["event"] == "accepted"
-        wait_for(lambda: service.admission.gauges()["running"] == 1)
+        wait_for(lambda: service.admission.gauges()["running"] == 1,
+                 timeout=20.0)
         blocker.close()  # last subscriber gone -> cooperative cancel
-        wait_for(lambda: service.metrics.get("cancelled_total") == 1)
-        wait_for(lambda: service.admission.gauges()["running"] == 0)
+        wait_for(lambda: service.metrics.get("cancelled_total") == 1,
+                 timeout=20.0)
+        wait_for(lambda: service.admission.gauges()["running"] == 0,
+                 timeout=20.0)
         assert service.coalescer.inflight == 0
         # the slot is genuinely reusable
         assert client.run(SWEEP_JOB)["event"] == "result"
@@ -247,9 +246,11 @@ class TestCancellation:
         service, client = service_and_client
         blocker = client.submit(BLOCKER_JOB)
         assert next(blocker)["event"] == "accepted"
-        wait_for(lambda: service.admission.gauges()["running"] == 1)
+        wait_for(lambda: service.admission.gauges()["running"] == 1,
+                 timeout=20.0)
         blocker.close()
-        wait_for(lambda: service.metrics.get("cancelled_total") == 1)
+        wait_for(lambda: service.metrics.get("cancelled_total") == 1,
+                 timeout=20.0)
         assert service.metrics.get("failed_total") == 0
 
 
