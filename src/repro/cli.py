@@ -24,6 +24,7 @@ Gives downstream users the paper's experiments without writing code:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.accel.accelerator import AcceleratorModel, TPU_V1_CONFIG
@@ -133,6 +134,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _require_cache_dir(path: str) -> None:
+    """Exit with an ``error:`` line, before any job runs, unless
+    ``path`` is (or can be made) a writable directory."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as error:
+        raise SystemExit(f"error: --cache-dir {path}: {error.strerror}")
+    if not os.access(path, os.W_OK):
+        raise SystemExit(f"error: --cache-dir {path}: not writable")
+
+
+def _require_out_path(path: str) -> None:
+    """Exit with an ``error:`` line, before any job runs, unless a file
+    can be written at ``path``."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise SystemExit(f"error: --out {path}: no directory {parent}")
+    if os.path.isdir(path) or not os.access(parent, os.W_OK):
+        raise SystemExit(f"error: --out {path}: cannot write a file there")
+
+
 def cmd_sweep(args) -> int:
     import repro.experiments as experiments
 
@@ -178,9 +200,12 @@ def cmd_sweep(args) -> int:
         raise SystemExit("error: --journal records the distributed "
                          "coordinator's write-ahead state; it requires "
                          "--distributed")
+    if args.out:
+        _require_out_path(args.out)
     cache = None
     if not args.no_cache:
         cache = experiments.ResultCache(args.cache_dir)
+        _require_cache_dir(cache.directory)
     if args.distributed:
         definition = experiments.get_sweep(args.preset) if spec is None else None
         jobs = definition.jobs() if spec is None else spec.jobs()
@@ -212,8 +237,11 @@ def cmd_sweep(args) -> int:
     else:
         output = table.to_json()
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(output if output.endswith("\n") else output + "\n")
+        try:
+            with open(args.out, "w") as f:
+                f.write(output if output.endswith("\n") else output + "\n")
+        except OSError as error:
+            raise SystemExit(f"error: --out {args.out}: {error.strerror}")
         print(f"wrote {len(table)} rows to {args.out}", file=sys.stderr)
     else:
         print(output)
@@ -273,6 +301,7 @@ def cmd_work(args) -> int:
         from repro.experiments.cache import default_cache_dir
 
         cache_dir = args.cache_dir or default_cache_dir()
+        _require_cache_dir(cache_dir)
     config = WorkerConfig(
         url=args.url, name=args.name or "", workers=args.workers,
         reconnect_timeout=args.reconnect_timeout, cache_dir=cache_dir)
@@ -405,6 +434,7 @@ def _run_distributed_pipeline(params, args) -> int:
     cache = None
     if not args.no_cache:
         cache = experiments.ResultCache(args.cache_dir)
+        _require_cache_dir(cache.directory)
     host, port = args.listen
     job = Job("pipeline_run", canonical_json(params))
     try:
@@ -437,8 +467,11 @@ def _run_distributed_pipeline(params, args) -> int:
 def cmd_serve(args) -> int:
     """Long-lived simulation-as-a-service daemon (async job API with
     coalescing, admission control, streamed partials, /metrics)."""
+    from repro.experiments.cache import default_cache_dir
     from repro.service.server import ServeConfig, run_serve
 
+    if not args.no_cache:
+        _require_cache_dir(args.cache_dir or default_cache_dir())
     try:
         config = ServeConfig(
             host=args.host, port=args.port, workers=args.workers,

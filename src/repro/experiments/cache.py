@@ -1,9 +1,10 @@
 """Content-addressed on-disk cache for sweep results.
 
 A job's cache key is the SHA-256 of (executor name, canonical params,
-code fingerprint). The fingerprint hashes every ``.py`` source file of
-the :mod:`repro` package, so *any* change to the models, schemes, or
-analysis code invalidates all cached rows — the cache can serve stale
+code fingerprint). The fingerprint hashes every ``.py`` and ``.c``
+source file of the :mod:`repro` package (the compiled kernels'
+``native.c`` included), so *any* change to the models, schemes, kernels
+or analysis code invalidates all cached rows — the cache can serve stale
 numbers only if the code that produced them is byte-identical. Entries
 are JSON files sharded by key prefix.
 
@@ -41,7 +42,7 @@ def default_cache_dir() -> str:
 
 def code_fingerprint(package_root: Optional[str] = None) -> str:
     """SHA-256 over the sorted (relative path, content hash) pairs of
-    every Python source file under the repro package."""
+    every Python and C source file under the repro package."""
     if package_root is None:
         import repro
 
@@ -52,7 +53,7 @@ def code_fingerprint(package_root: Optional[str] = None) -> str:
     for dirpath, dirnames, filenames in os.walk(package_root):
         dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
         for fname in sorted(filenames):
-            if not fname.endswith(".py"):
+            if not fname.endswith((".py", ".c")):
                 continue
             path = os.path.join(dirpath, fname)
             with open(path, "rb") as f:

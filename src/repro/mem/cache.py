@@ -46,8 +46,9 @@ class SetAssociativeCache:
         if self.num_sets == 0:
             raise ValueError("cache too small for requested associativity")
         # each set: OrderedDict tag -> dirty flag; order = LRU (oldest
-        # first). MeeTraceRewriter's batch lane runs ``access`` inline on
-        # these dicts, so a change here or to ``access`` changes both
+        # first). MeeTraceRewriter's batch lane runs ``access`` compiled
+        # (``repro_mee_items`` in repro/native.c) on a copy of these
+        # dicts, so a change here or to ``access`` changes both
         # (tests/property/test_rewriter_equivalence.py holds them equal)
         self._sets = [OrderedDict() for _ in range(self.num_sets)]
         self.stats = CacheStats()

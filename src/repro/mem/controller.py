@@ -25,7 +25,7 @@ from typing import Iterable, List, Union
 
 import numpy as _np
 
-from repro import perf
+from repro import native, perf
 from repro.mem.batch import RequestBatch
 from repro.mem.dram import CMD_DATA_COUPLING, DramChip, DDR4_2400, DramTiming
 from repro.mem.layout import AddressLayout
@@ -54,6 +54,8 @@ class MemoryController:
 
     def __init__(self, timing: DramTiming = DDR4_2400, layout: AddressLayout = None,
                  queue_depth: int = 32):
+        if queue_depth < 1:
+            raise ValueError(f"queue_depth must be at least 1, got {queue_depth}")
         self.layout = layout or AddressLayout()
         self.dram = DramChip(timing, self.layout)
         self.queue_depth = queue_depth
@@ -129,10 +131,9 @@ class MemoryController:
     def run_batch(self, batch: RequestBatch) -> ControllerResult:
         """Time a :class:`RequestBatch` — same FR-FCFS schedule and
         cycle accounting as :meth:`run_trace`, but burst expansion and
-        address decomposition happen once, vectorized, and the schedule
-        loop walks the stream once, servicing whole (bank, row) runs of
-        row hits at a time (see :class:`ControllerSession`, which owns the
-        loop; this method is the one-shot feed + finish)."""
+        address decomposition happen once, vectorized, and in fast mode
+        the schedule loop runs compiled (see :class:`ControllerSession`,
+        which owns the loop; this method is the one-shot feed + finish)."""
         session = ControllerSession(self)
         session.feed(batch)
         return session.finish()
@@ -182,53 +183,14 @@ class ControllerSession:
     as burst descriptors replayed ahead of the next chunk's bursts.
     Every scheduling decision is thus taken with the same window
     contents as the monolithic run, so cycles, bursts, per-bank state
-    and DRAM stats match exactly, and the fast and reference loops
-    carry the same residue across every seam.
+    and DRAM stats match exactly across every seam.
 
-    The fast path is a scan-ordered FR-FCFS: it walks the burst stream
-    once, run by run, with a scan pointer ``j``, and rests on one
-    invariant:
-
-    * every unserviced burst behind ``j`` waits on a closed row. It was
-      scanned while its (bank, row) was closed, and that row opens again
-      only in two ways: a miss pick of its group's oldest waiting burst,
-      which services the group's waiting bursts right away, or a
-      refresh-path access of a hit, whose row was already open.
-
-    So the pick rule is local. A run at ``j`` on its bank's open row is
-    the window's first hit, and burst ``j`` is in the window iff
-    ``j - served < queue_depth``, because every serviced burst lies
-    before ``j``. Per feed, numpy cuts the stream into runs of one
-    (bank, row) and gives every burst its run end and the start of the
-    next run of its (bank, row) group. Each step of the loop is one of:
-
-    1. a just-opened group still has waiting bursts before ``j``:
-       service its next segment, up to ``j``, then follow its links;
-    2. fewer than ``queue_depth`` bursts wait: service the run at ``j``
-       if its row is open, else scan past it, by at most the free window
-       slots (a miss costs only the pointer);
-    3. otherwise no burst in the window hits: the oldest waiting burst
-       opens its row through the full DRAM model, inlined (refresh, miss
-       or conflict, then CAS), and its group's next waiting burst
-       starts step 1. A hit that finds a refresh due takes the same
-       model and counts as a miss, as ``DramChip.access_decomposed``
-       counts it.
-
-    Row hits take an exact bus-bound jump. Let ``bound = slot +
-    CMD_DATA_COUPLING``. When ``cycle == bus_free - bound`` and the
-    row's activation plus ``tRCD + max(tCL, tCWL)`` is at most
-    ``bus_free``, the next hit's CAS is ready by ``bus_free`` whichever
-    bounds its issue: issued at ``cycle``, it is ready by ``bus_free -
-    bound + max(tCL, tCWL) <= bus_free`` (DDR4-class timing has
-    ``max(tCL, tCWL) <= bound``; the loop checks it), and issued at
-    the activation's ``tRCD``, by the second condition. So its data
-    starts at ``bus_free``, the command pointer lands on the new
-    ``bus_free - bound``, and both conditions hold again: every further
-    hit adds exactly one bus slot. The loop takes them at once, up to
-    the refresh horizon of ``(next_refresh + bound - 1 - bus_free) //
-    slot + 1`` hits (the last one whose command issues before the
-    refresh). Under ``REPRO_SCALAR=1`` the plain windowed loop runs
-    instead: it is the oracle.
+    The windowed loop has two implementations. :meth:`_schedule_window`
+    is the Python oracle, which runs under ``REPRO_SCALAR=1``; fast mode
+    runs its line-for-line port in C (``repro_schedule_window`` in
+    ``repro/native.c``, see :mod:`repro.native`), handing it the session
+    and chip state on each feed and taking it back after. Without a
+    compiled kernel, fast mode runs the oracle too.
     """
 
     def __init__(self, controller: MemoryController):
@@ -290,16 +252,23 @@ class ControllerSession:
         leftovers-list loop also carry ``run_hits`` (row hits it had
         issued but not yet counted) and ``leftover_hit_possible`` (a
         scan cache): the hits are folded into the DRAM stats, the flag
-        is ignored."""
+        is ignored. A carried burst outside the chip's banks, or on a
+        negative row, is refused with a ``ValueError``."""
+        carry = (_np.array(state["carry_write"], dtype=_np.int8),
+                 _np.array(state["carry_bank"], dtype=_np.int64),
+                 _np.array(state["carry_row"], dtype=_np.int64))
+        banks = self.controller.layout.banks
+        if len(carry[1]) and (carry[1].min() < 0 or carry[1].max() >= banks
+                              or carry[2].min() < 0):
+            raise ValueError(f"carried bursts must lie in banks 0-{banks - 1} "
+                             "on rows >= 0")
         self._stats = TraceStats()
         self._stats.load_state(state["stats"])
         self._requests = int(state["requests"])
         self._bursts = int(state["bursts"])
         self._cycle = int(state["cycle"])
         self._last_data_end = int(state["last_data_end"])
-        self._carry = (_np.array(state["carry_write"], dtype=_np.int8),
-                       _np.array(state["carry_bank"], dtype=_np.int64),
-                       _np.array(state["carry_row"], dtype=_np.int64))
+        self._carry = carry
         self._result = None
         dram = self.controller.dram
         dram.load_state(state["dram"])
@@ -318,8 +287,9 @@ class ControllerSession:
         if not final and n < self.controller.queue_depth:
             self._carry = bursts  # the window cannot fill yet: carry everything
             return
-        if perf.fast_enabled():
-            residue = self._schedule_scan(*bursts, final=final)
+        kernels = native.kernels() if perf.fast_enabled() else None
+        if kernels is not None:
+            residue = self._schedule_compiled(kernels, *bursts, final=final)
         else:
             residue = self._schedule_window(*(column.tolist() for column in bursts),
                                             final=final)
@@ -360,189 +330,46 @@ class ControllerSession:
         self._last_data_end = last_data_end
         return list(window)
 
-    def _schedule_scan(self, write_arr, bank_arr, row_arr, final: bool):
-        """The scan-ordered fast loop (see the class docstring). Returns
-        the unserviced burst indices in age order."""
+    def _schedule_compiled(self, kernels, writes, banks, rows, final: bool):
+        """:meth:`_schedule_window` in C. The session and chip state go
+        in as one int64 array (the layout ``repro/native.c`` names:
+        scalars, then the open row, -1 while precharged, activation,
+        last data end and last direction of every bank) and come back
+        in it. Returns the unserviced burst indices in age order."""
         ctrl = self.controller
-        depth = ctrl.queue_depth
         dram = ctrl.dram
-        open_row = dram.open_row
-        activated_at = dram.activated_at
-        bank_end = dram.last_data_end
-        bank_write = dram.last_was_write
         t = dram.timing
-        tRCD, tCL, tCWL, tBL = t.tRCD, t.tCL, t.tCWL, t.tBL
-        tRP, tRAS, tRC, tWR, tRTP = t.tRP, t.tRAS, dram._tRC, t.tWR, t.tRTP
-        slot = dram._slot  # data-bus spacing between bursts
-        couple = CMD_DATA_COUPLING
-        bound = slot + couple  # bus-bound: cycle == bus_free - bound
-        cas = tCL if tCL > tCWL else tCWL
-        # the jump needs CAS to hide inside the coupling window (true for
-        # every DDR4-class timing)
-        jumpable = cas <= bound
-
-        n = len(write_arr)
-        run_end, next_run = _group_links(bank_arr, row_arr, len(open_row))
-        # small ints come from Python's cache, so these lists are cheap;
-        # large-int columns (rows, links) are read through memoryviews,
-        # which box on access: most bursts of a long run are jumped over
-        # and never read
-        writes = write_arr.tolist()
-        bank_of = bank_arr.tolist()
-        row_of = memoryview(row_arr)
-        done = bytearray(n)
-        # picks happen while the window is full, or all of them on a drain
-        picks = n if final else n - depth + 1
-        served = oldest = j = 0
-        g = n  # the just-opened group's next waiting burst before j (n: none)
-        misses = conflicts = 0
-        cycle = self._cycle
-        bus_free = dram._bus_free_at
-        next_refresh = dram._next_refresh
-        while served < picks:
-            if g < j or (j < n and j - served < depth):
-                if g < j:
-                    # the just-opened group's waiting bursts are the
-                    # window's oldest hits
-                    i = g
-                    stop = run_end[i]
-                    if stop > j:
-                        stop = j
-                else:
-                    i = j
-                    stop = run_end[i]
-                    if open_row[bank_of[i]] != row_of[i]:
-                        # a miss waits: scan past its run, within the window
-                        j = stop if stop < served + depth else served + depth
-                        continue
-                if stop > i + picks - served:
-                    stop = i + picks - served
-                seg = i
-                b = bank_of[i]
-                act_rcd = activated_at[b] + tRCD
-                ready_by = act_rcd + cas  # a CAS at tRCD is ready by then
-                while i < stop:
-                    if cycle >= next_refresh:
-                        break  # the full model below serves this burst
-                    if cycle == bus_free - bound and ready_by <= bus_free and jumpable:
-                        # bus-bound: every further hit adds one bus slot,
-                        # up to the refresh horizon
-                        m = (next_refresh + bound - 1 - bus_free) // slot + 1
-                        if m > stop - i:
-                            m = stop - i
-                        bus_free += m * slot
-                        cycle = bus_free - bound
-                        i += m
-                        continue
-                    col = cycle if cycle > act_rcd else act_rcd
-                    ready = col + (tCWL if writes[i] else tCL)
-                    if ready < bus_free:
-                        ready = bus_free
-                    bus_free = ready + slot
-                    ready -= couple
-                    cycle = cycle + 1 if cycle >= ready else ready
-                    i += 1
-                if i - seg == 1:
-                    done[seg] = 1  # a tenth of a slice assignment's cost
-                else:
-                    done[seg:i] = b"\x01" * (i - seg)
-                served += i - seg
-                if i == stop:
-                    bank_end[b] = bus_free - slot + tBL
-                    bank_write[b] = writes[i - 1]
-                    if seg < j:
-                        # follow the group's links to its next waiting run
-                        g = next_run[seg] if i == run_end[seg] else n
-                        if g >= j:
-                            g = n
-                    else:
-                        j = i
-                    continue
-                # a refresh is due before hit i: the full model closes
-                # every row and serves the hit as a miss; its access
-                # rewrites the bank's last data end and direction, so
-                # the segment needs no write-back
-                x = i
-            else:
-                # no hit in the window: the oldest burst opens its row
-                x = oldest = done.find(0, oldest)
-            # the full DRAM model: refresh if due, open the row (a miss,
-            # or a conflict with the bank's open row), then CAS
-            b = bank_of[x]
-            if cycle >= next_refresh:
-                dram._bus_free_at = bus_free
-                cycle = dram._refresh_if_due(cycle)
-                bus_free = dram._bus_free_at
-                next_refresh = dram._next_refresh
-            act = activated_at[b]
-            if open_row[b] is None:
-                misses += 1
-                col = cycle
-            else:
-                conflicts += 1
-                col = bank_end[b] + (tWR if bank_write[b] else tRTP) - tBL
-                if act + tRAS > col:
-                    col = act + tRAS
-                if cycle > col:
-                    col = cycle
-                col += tRP
-            if act + tRC > col:
-                col = act + tRC
-            activated_at[b] = col
-            open_row[b] = row_of[x]
-            write = writes[x]
-            ready = col + tRCD + (tCWL if write else tCL)
-            if ready < bus_free:
-                ready = bus_free
-            bus_free = ready + slot
-            bank_end[b] = ready + tBL
-            bank_write[b] = write
-            ready -= couple
-            cycle = cycle + 1 if cycle >= ready else ready
-            done[x] = 1
-            served += 1
-            if x < j:
-                # its group's waiting bursts are hits now
-                g = x + 1 if x + 1 < run_end[x] else next_run[x]
-                if g >= j:
-                    g = n
-            else:
-                j = x + 1
-        dram._bus_free_at = bus_free
         stats = dram.stats
-        stats["row_hits"] += served - misses - conflicts
-        stats["row_misses"] += misses
-        stats["row_conflicts"] += conflicts
-        self._cycle = cycle
-        if served:
-            # data starts strictly increase, so the last burst ends last
-            self._last_data_end = bus_free - slot + tBL
-        self._bursts += served
-        return _np.flatnonzero(_np.frombuffer(done, dtype=_np.uint8) == 0)
+        nbanks = len(dram.open_row)
+        timing = _np.array([t.tCL, t.tCWL, t.tRCD, t.tRP, t.tRAS, t.tBL, t.tWR,
+                            t.tRTP, t.tREFI, t.tRFC, dram._tRC, dram._slot,
+                            CMD_DATA_COUPLING], dtype=_np.int64)
+        state = _np.array(
+            [self._cycle, self._last_data_end, self._bursts, dram._bus_free_at,
+             dram._next_refresh, stats["row_hits"], stats["row_misses"],
+             stats["row_conflicts"], stats["refreshes"],
+             *(-1 if row is None else row for row in dram.open_row),
+             *dram.activated_at, *dram.last_data_end, *dram.last_was_write],
+            dtype=_np.int64)
+        window = _np.empty(ctrl.queue_depth, dtype=_np.int64)
+        left = kernels.repro_schedule_window(
+            writes, banks, rows, len(writes), ctrl.queue_depth, final, timing,
+            nbanks, state, window)
+        values = state.tolist()
+        (self._cycle, self._last_data_end, self._bursts, dram._bus_free_at,
+         dram._next_refresh, stats["row_hits"], stats["row_misses"],
+         stats["row_conflicts"], stats["refreshes"]) = values[:_SCALARS]
+        banks_state = values[_SCALARS:]
+        dram.open_row[:] = [None if row < 0 else row for row in banks_state[:nbanks]]
+        dram.activated_at[:] = banks_state[nbanks:2 * nbanks]
+        dram.last_data_end[:] = banks_state[2 * nbanks:3 * nbanks]
+        dram.last_was_write[:] = [bool(write) for write in banks_state[3 * nbanks:]]
+        return window[:left]
 
+
+#: scalars ahead of the bank columns in the compiled kernel's state array
+_SCALARS = 9
 
 #: an empty (is_write, bank, row) burst stream
 _NO_BURSTS = (_np.zeros(0, dtype=_np.int8), _np.zeros(0, dtype=_np.int64),
               _np.zeros(0, dtype=_np.int64))
-
-
-def _group_links(bank_arr, row_arr, nbanks: int):
-    """Per-burst links over one schedulable stream of ``n`` bursts:
-    ``run_end[i]`` ends the maximal stretch of consecutive bursts sharing
-    burst ``i``'s (bank, row); ``next_run[i]`` starts the next such
-    stretch of the same (bank, row) group (``n`` if none)."""
-    n = len(bank_arr)
-    change = _np.empty(n, dtype=bool)
-    change[0] = True
-    _np.not_equal(bank_arr[1:], bank_arr[:-1], out=change[1:])
-    change[1:] |= row_arr[1:] != row_arr[:-1]
-    starts = _np.flatnonzero(change)
-    ends = _np.append(starts[1:], n)
-    keys = row_arr[starts] * nbanks + bank_arr[starts]
-    order = _np.argsort(keys, kind="stable")  # groups, age order within
-    same = keys[order[1:]] == keys[order[:-1]]
-    next_start = _np.full(len(starts), n, dtype=_np.int64)
-    next_start[order[:-1][same]] = starts[order[1:][same]]
-    lengths = ends - starts
-    return (memoryview(_np.repeat(ends, lengths)),
-            memoryview(_np.repeat(next_start, lengths)))

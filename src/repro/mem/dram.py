@@ -53,8 +53,7 @@ class DramTiming:
 
 #: how far (in cycles) the command pointer may run ahead of the data bus
 #: before back-pressure couples them (see :meth:`DramChip.access_decomposed`);
-#: the batch controller's closed-form run servicing derives from the same
-#: constant, so the two stay cycle-exact by construction
+#: the compiled controller kernel receives the same constant
 CMD_DATA_COUPLING = 32
 
 #: DDR4-2400, 64-bit channel: the class of device the paper's 16 GB DDR4
@@ -88,9 +87,8 @@ class DramChip:
     Bank state is four per-bank lists: ``open_row`` (``None`` while the
     bank is precharged), ``activated_at``, ``last_data_end`` and
     ``last_was_write``. Every update, refresh included, mutates them in
-    place, so the batch controller's fast loop binds the lists once per
-    call and updates them directly (see
-    :class:`~repro.mem.controller.ControllerSession`).
+    place; the compiled controller kernel copies them in and back out
+    on each feed (see :class:`~repro.mem.controller.ControllerSession`).
     """
 
     def __init__(self, timing: DramTiming = DDR4_2400, layout: AddressLayout = None):
@@ -130,8 +128,8 @@ class DramChip:
         coordinates — the batch pipeline decomposes whole traces up
         front (vectorized) instead of per access. Identical timing to
         :meth:`access`. It is the windowed reference loop's step; the
-        batch controller's fast loop inlines the same model, and the
-        session equivalence tests hold the two equal."""
+        compiled kernel in ``repro/native.c`` inlines the same model, and
+        the session equivalence tests hold the two equal."""
         # the reference loops call this once per burst, so maxima are
         # spelled as comparisons
         t = self.timing

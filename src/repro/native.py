@@ -1,0 +1,148 @@
+"""Build-on-first-use loader for the compiled kernels in ``native.c``.
+
+Fast mode runs two sequential loops of the trace pipeline as C: the
+FR-FCFS window (:class:`~repro.mem.controller.ControllerSession`) and
+the MEE metadata-cache walk
+(:class:`~repro.protection.trace_rewriter.MeeTraceRewriter`). Nothing
+is installed: the first fast-mode call in a process compiles
+``native.c`` with the system ``cc`` into
+``$XDG_CACHE_HOME/repro/kernels/<key>/`` (default
+``~/.cache/repro/kernels/``), where ``<key>`` is the SHA-256 of the
+source and the compiler flags, and loads it with :mod:`ctypes`. Later
+processes load that build; deleting the directory forces a rebuild.
+
+* A build goes through a temporary file and ``os.replace``, so
+  processes that compile at the same time each load a whole library.
+* If the cache directory cannot be written, the build goes to a
+  per-process temporary directory instead.
+* If no library can be built (no ``cc``, or a compile error), fast mode
+  runs the Python oracles the kernels port, several times slower, and
+  one warning per process says so on stderr.
+
+Importing this module builds nothing; :func:`kernels` does, once.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import sys
+import threading
+from typing import Optional
+
+import numpy as _np
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "native.c")
+_FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
+_LIBRARY = "native.so"
+
+_lock = threading.Lock()
+_loaded = False
+_library: Optional[ctypes.CDLL] = None
+
+
+class KernelBuildError(Exception):
+    """``native.c`` could not be compiled."""
+
+
+def kernels() -> Optional[ctypes.CDLL]:
+    """The loaded kernel library, built on the first call in this
+    process, or ``None`` when none can be built (the callers then run
+    their Python oracles)."""
+    global _loaded, _library
+    if _loaded:
+        return _library
+    with _lock:
+        if not _loaded:
+            try:
+                _library = _load()
+            except (KernelBuildError, OSError) as error:
+                print(f"repro: cannot build the compiled kernels ({error}); "
+                      "fast mode runs the Python reference loops instead, "
+                      "several times slower", file=sys.stderr)
+            _loaded = True
+    return _library
+
+
+# the modules only a build needs are imported by the functions that use
+# them, so that importing the simulator (the benchmark's set-up probe)
+# does not pay for them
+
+
+def kernel_dir() -> str:
+    """Where this source's build lives (it may not exist yet)."""
+    import hashlib
+
+    with open(_SOURCE, "rb") as f:
+        source = f.read()
+    key = hashlib.sha256(source + "\0".join(_FLAGS).encode()).hexdigest()
+    home = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    return os.path.join(home, "repro", "kernels", key)
+
+
+def _compiler() -> Optional[str]:
+    import shutil
+
+    return shutil.which("cc")
+
+
+def _compile(destination: str) -> None:
+    import subprocess
+
+    compiler = _compiler()
+    if compiler is None:
+        raise KernelBuildError("no C compiler: cc is not on PATH")
+    try:
+        done = subprocess.run([compiler, *_FLAGS, "-o", destination, _SOURCE],
+                              capture_output=True, text=True)
+    except OSError as error:
+        raise KernelBuildError(f"{compiler}: {error}") from None
+    if done.returncode:
+        raise KernelBuildError(f"{compiler} exited {done.returncode}: "
+                               f"{done.stderr.strip()[-500:]}")
+
+
+def _load() -> ctypes.CDLL:
+    """Load this source's cached build, compiling it first if there is
+    none; build in a temporary directory if the cache is unwritable."""
+    import tempfile
+
+    directory = kernel_dir()
+    path = os.path.join(directory, _LIBRARY)
+    if not os.path.exists(path):
+        try:
+            os.makedirs(directory, exist_ok=True)
+            fd, scratch = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        except OSError:
+            with tempfile.TemporaryDirectory(prefix="repro-kernels-") as temp:
+                path = os.path.join(temp, _LIBRARY)
+                _compile(path)
+                # a loaded library outlives its file
+                return _declare(ctypes.CDLL(path))
+        os.close(fd)
+        try:
+            _compile(scratch)
+            os.replace(scratch, path)
+        finally:
+            if os.path.exists(scratch):
+                os.unlink(scratch)
+    return _declare(ctypes.CDLL(path))
+
+
+def _declare(library: ctypes.CDLL) -> ctypes.CDLL:
+    """Give each kernel its signature; ``ndpointer`` arguments check
+    dtype and contiguity on every call."""
+    def array(dtype):
+        return _np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+
+    i8, flags, i64 = array(_np.int8), array(_np.bool_), array(_np.int64)
+    library.repro_schedule_window.argtypes = [
+        i8, i64, i64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int32,
+        i64, ctypes.c_int64, i64, i64]
+    library.repro_schedule_window.restype = ctypes.c_int64
+    library.repro_mee_items.argtypes = [
+        ctypes.c_int64, i64, i8, flags, i64, i64, i64, i64,
+        i64, flags, i64, i64, i64]
+    library.repro_mee_items.restype = ctypes.c_int64
+    return library

@@ -12,9 +12,11 @@ rewritten traces can also be timed on the event-driven DDR4 controller.
 
 Each rewriter implements its state machine twice: ``rewrite``, the
 per-request reference over ``MemoryRequest`` objects, and one numpy
-lane behind ``rewrite_batch``. The :mod:`repro.perf` mode picks between
-them: fast mode takes the lane, scalar mode (``REPRO_SCALAR=1``) runs
-``rewrite`` itself, as does MEE for a tree too deep for its lane.
+lane behind ``rewrite_batch`` (MEE's lane walks its metadata cache in
+a compiled kernel, see :mod:`repro.native`). The :mod:`repro.perf` mode
+picks between them: fast mode takes the lane, scalar mode
+(``REPRO_SCALAR=1``) runs ``rewrite`` itself, as does MEE for a tree
+too deep for its lane or without a compiled kernel.
 
 Address map: metadata regions live above ``metadata_base`` —
 VN lines, then MAC lines, then tree levels — mirroring how MEE carves
@@ -29,7 +31,7 @@ from typing import Iterable, List
 
 import numpy as _np
 
-from repro import perf
+from repro import native, perf
 from repro.testing import faults
 from repro.mem.batch import MAC_CODE, TREE_CODE, VN_CODE, RequestBatch
 from repro.mem.cache import SetAssociativeCache
@@ -339,7 +341,7 @@ class MeeTraceRewriter:
         self.params = params
         # the metadata cache in both modes: the scalar path calls its
         # ``access``, the batch fast lane runs the same state machine
-        # inline over its per-set OrderedDicts
+        # compiled, on a copy of its per-set OrderedDicts
         self.cache = SetAssociativeCache(
             params.cache_bytes, params.line_bytes, ways=8)
         self.metadata_base = metadata_base
@@ -445,9 +447,10 @@ class MeeTraceRewriter:
         for the whole batch (SoA), runs of requests inside one 512-B
         unit collapse (the run's first request drives the cache state
         machine, the rest are provably hits and reduce to one dirty-OR /
-        LRU touch), and one sequential pass runs the state machine item
+        LRU touch), and one compiled pass runs the state machine item
         by item. In scalar mode this runs the :meth:`rewrite` oracle
-        itself, as does a tree too deep for the lane's event mask."""
+        itself, as does a tree too deep for the lane's event mask, or
+        fast mode without a compiled kernel (see :mod:`repro.native`)."""
         if faults.enabled():
             faults.fire("rewriter.rewrite", self._rewrite_calls)
         self._rewrite_calls += 1
@@ -455,22 +458,24 @@ class MeeTraceRewriter:
         # per tree level) into one int64 mask per item
         if (perf.fast_enabled() and len(batch)
                 and 2 * (len(self.regions.tree_bases) + 2) < 64):
-            return self._rewrite_batch_items(batch)
+            kernels = native.kernels()
+            if kernels is not None:
+                return self._rewrite_batch_items(batch, kernels)
         return RequestBatch.from_requests(self.rewrite(batch))
 
-    def _rewrite_batch_items(self, batch: RequestBatch) -> RequestBatch:
-        """Numpy pre-pass, one pass over the cache in stream order,
-        numpy assembly.
+    def _rewrite_batch_items(self, batch: RequestBatch, kernels) -> RequestBatch:
+        """Numpy pre-pass, one compiled pass over the cache in stream
+        order, numpy assembly.
 
         The pre-pass cuts the batch into *items*, one per (run, VN
-        unit). The loop applies each item's touches (VN, MAC, and after
-        a VN miss the tree walk) straight to the cache's per-set
-        ``OrderedDict``s, exactly as
+        unit). The kernel (``repro_mee_items`` in ``repro/native.c``)
+        applies each item's touches (VN, MAC, and after a VN miss the
+        tree walk) to the cache's sets, exactly as
         :meth:`~repro.mem.cache.SetAssociativeCache.access` would. Each
         item records one bitmask of its events (bit ``2k`` the
         writeback caused by touch ``k``, bit ``2k + 1`` its fill; touch
         0 is VN, 1 MAC, ``2 + l`` tree level ``l``) and each writeback
-        appends its line to a side list. Numpy expands the masks into
+        appends its line to a side array. Numpy expands the masks into
         the positioned event columns of :func:`_scatter_assemble` and
         derives the cache stats from them.
         """
@@ -505,89 +510,56 @@ class MeeTraceRewriter:
         run_first = first_unit[starts]
         item_run, item_unit = _items(run_first,
                                      last_unit[starts] - run_first + 1)
-        vn_tag, vn_set = _np.divmod(vn_base // line_bytes + item_unit, num_sets)
-        mac_tag, mac_set = _np.divmod(
-            mac_base // line_bytes + item_unit * unit // per_mac, num_sets)
-        # tree level l covers arity**(l + 1) VN units per line
-        tree = [(base // line_bytes, arity ** (level + 1))
-                for level, base in enumerate(tree_bases)]
+        n_items = len(item_unit)
 
-        # -- the state machine ---------------------------------------------
+        # -- the state machine, compiled -----------------------------------
         # A run's remaining requests re-touch VN and MAC (hits: one LRU
         # move each) and OR their writes into both dirty bits. No
         # eviction can observe those bits in between, so the item's own
         # VN/MAC touches store the whole run's write-OR (``run_write``);
-        # its tree touches store the first request's write.
+        # its tree touches store the first request's write. The kernel
+        # runs on a copy of the cache's sets, laid out as per-set LRU
+        # arrays (oldest first), which is copied back after.
         sets = cache._sets
-        resident = sum(map(len, sets))
-        masks = []
-        put_mask = masks.append
-        wb_line = []
-        put_wb = wb_line.append
-        run_write = writes_before[ends] > writes_before[starts]
-        for vs, vt, ms, mt, w, run_w, u, rest in zip(
-                vn_set.tolist(), vn_tag.tolist(), mac_set.tolist(),
-                mac_tag.tolist(), is_write[starts][item_run].tolist(),
-                run_write[item_run].tolist(), item_unit.tolist(),
-                (ends - starts - 1)[item_run].tolist()):
-            vn = sets[vs]
-            if vt in vn:
-                vn.move_to_end(vt)
-                if run_w:
-                    vn[vt] = True
-                mask = 0
-            else:
-                mask = 2
-                if len(vn) >= ways:
-                    tag, dirty = vn.popitem(False)
-                    if dirty:
-                        put_wb(tag * num_sets + vs)
-                        mask = 3
-                vn[vt] = run_w
-            mac = sets[ms]
-            if mt in mac:
-                mac.move_to_end(mt)
-                if run_w:
-                    mac[mt] = True
-            else:
-                mask |= 8
-                if len(mac) >= ways:
-                    tag, dirty = mac.popitem(False)
-                    if dirty:
-                        put_wb(tag * num_sets + ms)
-                        mask |= 4
-                mac[mt] = run_w
-            if mask & 2:
-                # authenticate the fetched VN line: walk the tree
-                # upward until a level hits in the cache
-                bit = 16  # touch 2 (tree level 0): bits 4 and 5
-                for base_line, span in tree:
-                    t, s = divmod(base_line + u // span, num_sets)
-                    lines = sets[s]
-                    if t in lines:
-                        lines.move_to_end(t)
-                        if w:
-                            lines[t] = True
-                        break
-                    if len(lines) >= ways:
-                        tag, dirty = lines.popitem(False)
-                        if dirty:
-                            put_wb(tag * num_sets + s)
-                            mask |= bit
-                    lines[t] = w
-                    mask |= bit << 1
-                    bit <<= 2
-            if rest:
-                vn.move_to_end(vt)
-                mac.move_to_end(mt)
-            put_mask(mask)
+        count = _np.fromiter(map(len, sets), dtype=_np.int64, count=num_sets)
+        resident = int(count.sum())
+        slot = (_np.arange(resident)
+                + _np.repeat(_np.arange(num_sets) * ways - (_np.cumsum(count) - count),
+                             count))
+        tags = _np.zeros(num_sets * ways, dtype=_np.int64)
+        dirty = _np.zeros(num_sets * ways, dtype=bool)
+        tags[slot] = [tag for lines in sets for tag in lines]
+        dirty[slot] = [bit for lines in sets for bit in lines.values()]
+        geometry = _np.array([vn_base // line_bytes, mac_base // line_bytes,
+                              unit, per_mac, num_sets, ways, levels],
+                             dtype=_np.int64)
+        tree_line = _np.array([base // line_bytes for base in tree_bases],
+                              dtype=_np.int64)
+        tree_span = arity ** _np.arange(1, levels + 1, dtype=_np.int64)
+        item_mask = _np.empty(n_items, dtype=_np.int64)
+        wb_line = _np.empty(n_items * (levels + 2), dtype=_np.int64)
+        writebacks = kernels.repro_mee_items(
+            n_items, item_unit,
+            is_write[starts][item_run],
+            (writes_before[ends] > writes_before[starts])[item_run],
+            (ends - starts - 1)[item_run], geometry, tree_line, tree_span,
+            tags, dirty, count, item_mask, wb_line)
+        if writebacks < 0:
+            raise RuntimeError("MEE kernel: a coalesced run's VN or MAC line "
+                               "left the cache")
+        wb_line = wb_line[:writebacks]
+        tag_rows = tags.reshape(num_sets, ways).tolist()
+        dirty_rows = dirty.reshape(num_sets, ways).tolist()
+        for lines, held, tag_row, dirty_row in zip(sets, count.tolist(),
+                                                   tag_rows, dirty_rows):
+            lines.clear()
+            lines.update(zip(tag_row[:held], dirty_row[:held]))
 
         # -- stats. Misses are the fills, dirty evictions the writebacks,
         # evictions the fills into full sets. Hits: every item and every
         # coalesced request touches VN and MAC; take away the MAC fills,
         # and count a VN fill as the hit that ended its walk, unless the
         # walk filled every level.
-        item_mask = _np.array(masks, dtype=_np.int64)
         width = 2 * (levels + 2)
         # row-major: items in order, touches in order, a writeback
         # before the fill of the touch that caused it
@@ -595,11 +567,11 @@ class MeeTraceRewriter:
         misses = len(event) - len(wb_line)
         full_walk = sum(2 << (2 * touch) for touch in (0, *range(2, levels + 2)))
         stats = cache.stats
-        stats.hits += (2 * (len(item_run) + n - len(starts))
+        stats.hits += (2 * (n_items + n - len(starts))
                        - int(_np.count_nonzero(item_mask & 8))
                        - int(_np.count_nonzero((item_mask & full_walk) == full_walk)))
         stats.misses += misses
-        stats.evictions += misses - (sum(map(len, sets)) - resident)
+        stats.evictions += misses - (int(count.sum()) - resident)
         stats.dirty_evictions += len(wb_line)
 
         # -- positioned events ---------------------------------------------
@@ -616,8 +588,8 @@ class MeeTraceRewriter:
         ev_addr = bases[touch] + _np.where(
             touch == 1, ev_unit * unit // per_mac, ev_unit) // span[touch] * line_bytes
         ev_kind = _np.minimum(touch, 2)
-        if wb_line:
-            wb_addr = _np.array(wb_line, dtype=_np.int64) * line_bytes
+        if writebacks:
+            wb_addr = wb_line * line_bytes
             ev_addr[is_wb] = wb_addr
             # a writeback's kind is the region of its address
             ev_kind[is_wb] = _np.searchsorted(bases[1:3], wb_addr, side="right")

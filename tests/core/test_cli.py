@@ -131,6 +131,34 @@ class TestSweep:
             main(["sweep", "--models", "alexnet", "--schemes", "rot13",
                   "--no-cache"])
 
+    def test_out_in_missing_directory_fails_before_any_job(self, tmp_path,
+                                                           monkeypatch):
+        import repro.experiments as experiments
+
+        ran = []
+        monkeypatch.setattr(experiments, "run_sweep",
+                            lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(SystemExit, match="^error: --out .*no directory"):
+            main(["sweep", "--preset", "asic-overhead", "--no-cache",
+                  "--out", str(tmp_path / "missing" / "t.json")])
+        assert not ran
+
+
+class TestCacheDir:
+    """A --cache-dir that cannot be a directory is an ``error:`` line,
+    before any job runs or any socket opens."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--preset", "asic-overhead"],
+        ["serve", "--port", "0"],
+        ["work", "http://127.0.0.1:9"],
+    ], ids=["sweep", "serve", "work"])
+    def test_path_under_a_file_is_an_error(self, tmp_path, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(SystemExit, match="^error: --cache-dir"):
+            main(argv + ["--cache-dir", str(blocker / "x")])
+
 
 class TestPipeline:
     def test_resume_refuses_another_builds_checkpoint(self, tmp_path):

@@ -1,0 +1,134 @@
+"""The compiled-kernel loader (:mod:`repro.native`): where it builds,
+when it loads, and what fast mode does without a library.
+
+Each test points ``XDG_CACHE_HOME`` at its own directory, so none of
+them touches the kernel cache the rest of the suite loads from."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro import native
+from repro.experiments.executors import pipeline_rows
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(native.__file__)))
+
+#: both kernels run: BP's metadata cache and every scheme's controller
+PARAMS = {"workload": "random", "n_requests": 4096, "span_bytes": 64 << 20,
+          "seed": 3, "chunk_requests": 1024, "schemes": ["np", "guardnn-ci", "bp"]}
+
+
+@pytest.fixture
+def cache_home(tmp_path, monkeypatch):
+    home = tmp_path / "xdg"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Count the compiler runs of :func:`repro.native._load`."""
+    calls = []
+    compile_ = native._compile
+
+    def counted(destination):
+        calls.append(destination)
+        compile_(destination)
+
+    monkeypatch.setattr(native, "_compile", counted)
+    return calls
+
+
+def child_env(cache_home, **env) -> dict:
+    """A child interpreter's environment: fast mode unless ``env`` says
+    otherwise."""
+    environment = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(cache_home))
+    environment.pop("REPRO_SCALAR", None)
+    environment.update(env)
+    return environment
+
+
+def run_python(code: str, cache_home, **env) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code],
+                          env=child_env(cache_home, **env),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cold_build_then_reuse_without_compiling(cache_home, compiles):
+    directory = native.kernel_dir()
+    assert directory.startswith(str(cache_home / "repro" / "kernels"))
+    assert native._load().repro_schedule_window is not None
+    assert len(compiles) == 1
+    assert os.listdir(directory) == [native._LIBRARY]  # no temp file left
+    native._load()
+    assert len(compiles) == 1
+
+
+def test_changed_source_gets_a_new_directory(cache_home, tmp_path, monkeypatch):
+    first = native.kernel_dir()
+    native._load()
+    edited = tmp_path / "native.c"
+    edited.write_text(open(native._SOURCE).read() + "/* edited */\n")
+    monkeypatch.setattr(native, "_SOURCE", str(edited))
+    second = native.kernel_dir()
+    assert second != first
+    native._load()
+    assert sorted(os.listdir(os.path.dirname(first))) == sorted(
+        os.path.basename(d) for d in (first, second))
+
+
+def test_two_processes_building_at_once_both_load(cache_home):
+    code = ("import sys; from repro import native; "
+            "sys.exit(native.kernels() is None)")
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=child_env(cache_home),
+                              stderr=subprocess.PIPE, text=True) for _ in range(2)]
+    results = [(proc.wait(timeout=120), proc.stderr.read()) for proc in procs]
+    for proc in procs:
+        proc.stderr.close()
+    assert results == [(0, ""), (0, "")]
+    assert os.listdir(native.kernel_dir()) == [native._LIBRARY]
+
+
+def test_unwritable_cache_directory_still_loads(tmp_path, monkeypatch, compiles):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "xdg"))
+    assert native._load().repro_mee_items is not None
+    assert len(compiles) == 1
+    assert not os.path.exists(native.kernel_dir())
+
+
+def test_loading_is_lazy_and_scalar_mode_never_builds(cache_home):
+    """Building a pipeline compiles nothing (the benchmark's set-up
+    probe does just that), and neither does running one in scalar
+    mode."""
+    code = ("import os\n"
+            "from repro import perf\n"
+            "from repro.experiments.executors import pipeline_rows\n"
+            "from repro.mem.pipeline import TracePipeline\n"
+            "from repro.workloads import build_trace_spec\n"
+            "spec = build_trace_spec('random', seed=3, n_requests=64, span_bytes=1 << 20)\n"
+            "TracePipeline(spec, schemes=('np', 'guardnn-ci', 'bp'))\n"
+            "assert not os.path.exists(os.environ['XDG_CACHE_HOME'])\n"
+            "with perf.scalar_mode():\n"
+            f"    pipeline_rows({PARAMS!r})\n")
+    done = run_python(code, cache_home)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert not cache_home.exists()
+
+
+def test_without_a_compiler_warns_once_and_rows_match(cache_home):
+    code = ("import json\n"
+            "from repro import native\n"
+            "native._compiler = lambda: None\n"
+            "from repro.experiments.executors import pipeline_rows\n"
+            f"print(json.dumps(pipeline_rows({PARAMS!r})))\n")
+    done = run_python(code, cache_home)
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and "no C compiler" in lines[0], done.stderr
+    assert json.loads(done.stdout) == json.loads(json.dumps(pipeline_rows(dict(PARAMS))))

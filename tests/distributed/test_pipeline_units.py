@@ -6,7 +6,6 @@ local-cache provenance, a worker refusing another build's lease, the
 end of a run reaching a napping worker, and graceful drain."""
 
 import threading
-import time
 
 import pytest
 
@@ -132,7 +131,9 @@ class TestEndToEnd:
         with pytest.raises(Died):
             pipeline_rows(dict(PARAMS), checkpoint_every=1,
                           on_checkpoint=upload)
-        time.sleep(1.2)  # past the 1s lease term
+        # past the 1 s lease term, on the coordinator's clock
+        clock = coordinator.state.clock
+        coordinator.state.clock = lambda: clock() + 1.2
 
         _MEMORY_CACHE.clear()
         worker, thread = _start_worker(coordinator.url, "survivor")

@@ -70,7 +70,16 @@ class TestContentAddressing:
         from repro.experiments import cache as cache_mod
 
         cache_mod._fingerprint_memo.pop(str(pkg))
-        assert code_fingerprint(str(pkg)) != before
+        after_py = code_fingerprint(str(pkg))
+        assert after_py != before
+        # a compiled kernel's source counts too
+        (pkg / "k.c").write_text("int x = 1;\n")
+        cache_mod._fingerprint_memo.pop(str(pkg))
+        with_c = code_fingerprint(str(pkg))
+        assert with_c != after_py
+        (pkg / "k.c").write_text("int x = 2;\n")
+        cache_mod._fingerprint_memo.pop(str(pkg))
+        assert code_fingerprint(str(pkg)) != with_c
 
 
 class TestRobustness:

@@ -80,6 +80,20 @@ class TestController:
         with pytest.raises(ValueError):
             MemoryController().effective_bandwidth_gbps(write_fraction=1.5)
 
+    def test_queue_depth_validated(self):
+        with pytest.raises(ValueError, match="queue_depth"):
+            MemoryController(queue_depth=0)
+
+    @pytest.mark.parametrize("bank, row", [(16, 0), (-1, 0), (0, -2)])
+    def test_checkpoint_carry_outside_the_chip_refused(self, bank, row):
+        """The compiled loop indexes bank state by a carried burst's
+        bank: a checkpoint's carry must name a real bank and row."""
+        session = MemoryController().session()
+        state = session.state_dict()
+        state.update(carry_write=[0], carry_bank=[bank], carry_row=[row])
+        with pytest.raises(ValueError, match="carried bursts"):
+            session.load_state(state)
+
     def test_empty_trace(self):
         result = MemoryController().run_trace([])
         assert result.cycles == 0
