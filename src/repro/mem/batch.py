@@ -132,6 +132,14 @@ class RequestBatch:
     def to_requests(self) -> List[MemoryRequest]:
         return list(self)
 
+    def columns(self):
+        """``(address, size, is_write, kind)`` as numpy views of the
+        arrays (no copy), the form the compiled kernels take."""
+        return (_np.frombuffer(self.address, dtype=_np.int64),
+                _np.frombuffer(self.size, dtype=_np.int64),
+                _np.frombuffer(self.is_write, dtype=_np.int8),
+                _np.frombuffer(self.kind, dtype=_np.int8))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, RequestBatch):
             return NotImplemented
@@ -146,19 +154,21 @@ class RequestBatch:
     def stats(self) -> TraceStats:
         """Per-kind byte counts, identical to feeding every request
         through :meth:`TraceStats.add`. One ``bincount`` over
-        (kind, direction) buckets instead of a per-request loop — the
-        streaming pipeline calls this once per chunk per scheme."""
-        size = _np.frombuffer(self.size, dtype=_np.int64)
-        is_write = _np.frombuffer(self.is_write, dtype=_np.int8)
-        kind = _np.frombuffer(self.kind, dtype=_np.int8)
+        (kind, direction) buckets instead of a per-request loop."""
+        _address, size, is_write, kind = self.columns()
         buckets = _np.bincount(kind + 4 * (is_write != 0),
                                weights=size, minlength=8)
-        read_totals = [int(b) for b in buckets[:4]]
-        write_totals = [int(b) for b in buckets[4:]]
-        stats = TraceStats()
-        for code, kind in enumerate(KINDS):
-            if read_totals[code]:
-                stats.read_bytes[kind] = read_totals[code]
-            if write_totals[code]:
-                stats.write_bytes[kind] = write_totals[code]
-        return stats
+        return stats_from_totals([int(b) for b in buckets])
+
+
+def stats_from_totals(totals) -> TraceStats:
+    """A :class:`TraceStats` from eight byte totals: reads of each kind
+    code, then writes (the buckets of :meth:`RequestBatch.stats`, and of
+    the compiled controller kernel, which sums them as it schedules)."""
+    stats = TraceStats()
+    for code, kind in enumerate(KINDS):
+        if totals[code]:
+            stats.read_bytes[kind] = totals[code]
+        if totals[code + 4]:
+            stats.write_bytes[kind] = totals[code + 4]
+    return stats

@@ -47,8 +47,9 @@ class SetAssociativeCache:
             raise ValueError("cache too small for requested associativity")
         # each set: OrderedDict tag -> dirty flag; order = LRU (oldest
         # first). MeeTraceRewriter's batch lane runs ``access`` compiled
-        # (``repro_mee_items`` in repro/native.c) on a copy of these
-        # dicts, so a change here or to ``access`` changes both
+        # (``repro_mee_rewrite`` in repro/native.c) on per-set arrays
+        # that it keeps between calls, with ``_sets`` None meanwhile;
+        # a change here or to ``access`` changes both
         # (tests/property/test_rewriter_equivalence.py holds them equal)
         self._sets = [OrderedDict() for _ in range(self.num_sets)]
         self.stats = CacheStats()

@@ -26,7 +26,7 @@ from typing import Iterable, List, Union
 import numpy as _np
 
 from repro import native, perf
-from repro.mem.batch import RequestBatch
+from repro.mem.batch import RequestBatch, stats_from_totals
 from repro.mem.dram import CMD_DATA_COUPLING, DramChip, DDR4_2400, DramTiming
 from repro.mem.layout import AddressLayout
 from repro.mem.trace import MemoryRequest, TraceStats
@@ -130,10 +130,10 @@ class MemoryController:
 
     def run_batch(self, batch: RequestBatch) -> ControllerResult:
         """Time a :class:`RequestBatch` — same FR-FCFS schedule and
-        cycle accounting as :meth:`run_trace`, but burst expansion and
-        address decomposition happen once, vectorized, and in fast mode
-        the schedule loop runs compiled (see :class:`ControllerSession`,
-        which owns the loop; this method is the one-shot feed + finish)."""
+        cycle accounting as :meth:`run_trace`, without request objects:
+        in fast mode burst expansion, traffic accounting and the
+        schedule loop run compiled (see :class:`ControllerSession`,
+        which owns them; this method is the one-shot feed + finish)."""
         session = ControllerSession(self)
         session.feed(batch)
         return session.finish()
@@ -185,12 +185,17 @@ class ControllerSession:
     contents as the monolithic run, so cycles, bursts, per-bank state
     and DRAM stats match exactly across every seam.
 
-    The windowed loop has two implementations. :meth:`_schedule_window`
-    is the Python oracle, which runs under ``REPRO_SCALAR=1``; fast mode
-    runs its line-for-line port in C (``repro_schedule_window`` in
-    ``repro/native.c``, see :mod:`repro.native`), handing it the session
-    and chip state on each feed and taking it back after. Without a
-    compiled kernel, fast mode runs the oracle too.
+    A feed has two implementations. The Python oracle, which runs under
+    ``REPRO_SCALAR=1``, adds :meth:`RequestBatch.stats` to the traffic
+    stats, expands the batch into bursts
+    (:meth:`MemoryController._expand_bursts_soa`) and runs
+    :meth:`_schedule_window`. Fast mode runs all three as one
+    line-for-line port in C (``repro_schedule`` in ``repro/native.c``,
+    see :mod:`repro.native`): it takes the carried residue and the
+    batch's raw request columns, expands bursts as it fills the window
+    and hands the residue back, and the session and chip state go in
+    and come back on each feed. Without a compiled kernel, fast mode
+    runs the oracle too.
     """
 
     def __init__(self, controller: MemoryController):
@@ -212,14 +217,13 @@ class ControllerSession:
             raise RuntimeError("session already finished")
         if not len(batch):
             return
-        self._stats.merge(batch.stats())
         self._requests += len(batch)
-        self._schedule(self.controller._expand_bursts_soa(batch), final=False)
+        self._schedule(batch, final=False)
 
     def finish(self) -> ControllerResult:
         """Drain the window and return the whole stream's result."""
         if self._result is None:
-            self._schedule(_NO_BURSTS, final=True)
+            self._schedule(_NO_REQUESTS, final=True)
             self._result = ControllerResult(
                 cycles=max(self._cycle, self._last_data_end),
                 requests=self._requests, bursts=self._bursts, stats=self._stats)
@@ -276,9 +280,16 @@ class ControllerSession:
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule(self, bursts, final: bool) -> None:
-        """Schedule the carried residue plus ``bursts`` (is_write, bank,
-        row columns) as far as the window allows; ``final`` drains it."""
+    def _schedule(self, batch: RequestBatch, final: bool) -> None:
+        """Count ``batch``'s traffic, then schedule the carried residue
+        plus its bursts as far as the window allows; ``final`` drains
+        it."""
+        kernels = native.kernels() if perf.fast_enabled() else None
+        if kernels is not None:
+            self._schedule_compiled(kernels, batch, final)
+            return
+        self._stats.merge(batch.stats())
+        bursts = self.controller._expand_bursts_soa(batch)
         if len(self._carry[0]):
             bursts = tuple(_np.concatenate(pair) for pair in zip(self._carry, bursts))
         n = len(bursts[0])
@@ -287,12 +298,8 @@ class ControllerSession:
         if not final and n < self.controller.queue_depth:
             self._carry = bursts  # the window cannot fill yet: carry everything
             return
-        kernels = native.kernels() if perf.fast_enabled() else None
-        if kernels is not None:
-            residue = self._schedule_compiled(kernels, *bursts, final=final)
-        else:
-            residue = self._schedule_window(*(column.tolist() for column in bursts),
-                                            final=final)
+        residue = self._schedule_window(*(column.tolist() for column in bursts),
+                                        final=final)
         self._carry = tuple(column[residue] for column in bursts)
 
     def _schedule_window(self, writes, bank_list, row_list, final: bool):
@@ -330,20 +337,27 @@ class ControllerSession:
         self._last_data_end = last_data_end
         return list(window)
 
-    def _schedule_compiled(self, kernels, writes, banks, rows, final: bool):
-        """:meth:`_schedule_window` in C. The session and chip state go
-        in as one int64 array (the layout ``repro/native.c`` names:
-        scalars, then the open row, -1 while precharged, activation,
-        last data end and last direction of every bank) and come back
-        in it. Returns the unserviced burst indices in age order."""
+    def _schedule_compiled(self, kernels, batch: RequestBatch, final: bool) -> None:
+        """:meth:`_schedule`'s oracle path in C. The session and chip
+        state go in as one int64 array (the layout ``repro/native.c``
+        names: scalars, then the open row, -1 while precharged,
+        activation, last data end and last direction of every bank) and
+        come back in it; the eight per-kind byte totals come back in
+        another, and the residue in the three window columns."""
         ctrl = self.controller
         dram = ctrl.dram
         t = dram.timing
+        layout = ctrl.layout
         stats = dram.stats
+        depth = ctrl.queue_depth
         nbanks = len(dram.open_row)
         timing = _np.array([t.tCL, t.tCWL, t.tRCD, t.tRP, t.tRAS, t.tBL, t.tWR,
                             t.tRTP, t.tREFI, t.tRFC, dram._tRC, dram._slot,
                             CMD_DATA_COUPLING], dtype=_np.int64)
+        # AddressLayout's fields are powers of two: the kernel shifts
+        shifts = _np.array([layout.burst_bytes.bit_length() - 1,
+                            layout.columns_per_row.bit_length() - 1,
+                            nbanks.bit_length() - 1], dtype=_np.int64)
         state = _np.array(
             [self._cycle, self._last_data_end, self._bursts, dram._bus_free_at,
              dram._next_refresh, stats["row_hits"], stats["row_misses"],
@@ -351,10 +365,16 @@ class ControllerSession:
              *(-1 if row is None else row for row in dram.open_row),
              *dram.activated_at, *dram.last_data_end, *dram.last_was_write],
             dtype=_np.int64)
-        window = _np.empty(ctrl.queue_depth, dtype=_np.int64)
-        left = kernels.repro_schedule_window(
-            writes, banks, rows, len(writes), ctrl.queue_depth, final, timing,
-            nbanks, state, window)
+        totals = _np.zeros(8, dtype=_np.int64)
+        window = (_np.empty(2 * depth, dtype=_np.int8),
+                  _np.empty(2 * depth, dtype=_np.int64),
+                  _np.empty(2 * depth, dtype=_np.int64))
+        left = kernels.repro_schedule(
+            *self._carry, len(self._carry[0]), *batch.columns(), len(batch),
+            depth, final, timing, shifts, nbanks, state, totals, *window,
+            2 * depth)
+        self._stats.merge(stats_from_totals(totals.tolist()))
+        self._carry = tuple(column[:left] for column in window)
         values = state.tolist()
         (self._cycle, self._last_data_end, self._bursts, dram._bus_free_at,
          dram._next_refresh, stats["row_hits"], stats["row_misses"],
@@ -364,7 +384,6 @@ class ControllerSession:
         dram.activated_at[:] = banks_state[nbanks:2 * nbanks]
         dram.last_data_end[:] = banks_state[2 * nbanks:3 * nbanks]
         dram.last_was_write[:] = [bool(write) for write in banks_state[3 * nbanks:]]
-        return window[:left]
 
 
 #: scalars ahead of the bank columns in the compiled kernel's state array
@@ -373,3 +392,6 @@ _SCALARS = 9
 #: an empty (is_write, bank, row) burst stream
 _NO_BURSTS = (_np.zeros(0, dtype=_np.int8), _np.zeros(0, dtype=_np.int64),
               _np.zeros(0, dtype=_np.int64))
+
+#: what :meth:`ControllerSession.finish` drains the window with
+_NO_REQUESTS = RequestBatch()

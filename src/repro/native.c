@@ -1,26 +1,60 @@
-/* Compiled kernels for the trace pipeline's two sequential loops.
+/* Compiled kernels for the trace pipeline's sequential loops.
  *
  * Each kernel is a line-for-line port of a Python oracle that stays in
  * the tree and defines what the kernel computes; the equivalence suites
  * hold the two equal, so a change to one changes the other:
  *
- *   repro_schedule_window  ControllerSession._schedule_window, with
+ *   repro_schedule         ControllerSession.feed's oracle path:
+ *                          RequestBatch.stats, _expand_bursts_soa and
+ *                          _schedule_window, with
  *                          DramChip.access_decomposed and
  *                          DramChip._refresh_if_due inlined
- *                          (repro/mem/controller.py, repro/mem/dram.py)
- *   repro_mee_items        MeeTraceRewriter.rewrite's metadata touches
- *                          over SetAssociativeCache.access, one item
- *                          at a time (repro/protection/trace_rewriter.py,
+ *                          (repro/mem/controller.py, repro/mem/batch.py,
+ *                          repro/mem/dram.py)
+ *   repro_guardnn_rewrite  GuardNNTraceRewriter.rewrite
+ *                          (repro/protection/trace_rewriter.py)
+ *   repro_mee_rewrite      MeeTraceRewriter.rewrite and _touch over
+ *                          SetAssociativeCache.access, stats included
+ *                          (repro/protection/trace_rewriter.py,
  *                          repro/mem/cache.py)
  *
- * The state each loop carries lives in Python objects; the callers copy
- * it into the arrays below before a call and back out after it.
+ * Every output array comes with its length. A kernel that would write
+ * past it returns OVERFLOW, and one handed an input it cannot index
+ * returns BAD_INPUT; repro/native.py turns both into a RuntimeError.
  * repro/native.py compiles this file on first use and loads it with
  * ctypes.
  */
 
 #include <stdint.h>
 #include <string.h>
+
+enum { OVERFLOW = -1, BAD_INPUT = -2 };
+
+/* request kinds, as repro/mem/batch.py numbers them */
+enum { DATA, VN, MAC, TREE, N_KINDS };
+
+/* -- request streams ----------------------------------------------------- */
+
+/* A RequestBatch's four parallel columns, `length` of `capacity` used. */
+typedef struct {
+    int64_t *address, *size;
+    int8_t *is_write, *kind;
+    int64_t length, capacity;
+} Stream;
+
+/* RequestBatch.append, less the validation: 0 when the stream is full */
+static int emit(Stream *out, int64_t address, int64_t size, int is_write,
+                int kind)
+{
+    if (out->length >= out->capacity)
+        return 0;
+    out->address[out->length] = address;
+    out->size[out->length] = size;
+    out->is_write[out->length] = (int8_t)is_write;
+    out->kind[out->length] = (int8_t)kind;
+    out->length++;
+    return 1;
+}
 
 /* -- FR-FCFS over the DDR4 bank model ------------------------------------ */
 
@@ -33,6 +67,9 @@ enum {
     N_TIMING
 };
 
+/* layout[]: AddressLayout's fields as shifts (each is a power of two) */
+enum { L_BURST, L_COLUMNS, L_BANKS, N_LAYOUT };
+
 /* state[]: the session and chip scalars, then four per-bank columns
  * (open row, -1 while precharged; activation; last data end; last
  * burst was a write) */
@@ -42,15 +79,33 @@ enum {
     N_SCALARS
 };
 
-/* Schedule bursts 0..n-1 (age order) through a window of the first
- * `depth` unserviced ones: pick the first row hit in age order, else
- * the oldest. Unless `final`, stop once fewer than `depth` bursts are
- * left. Returns how many bursts remain unserviced; their indices, in
- * age order, are the first entries of `window` (`depth` slots). */
-int64_t repro_schedule_window(const int8_t *writes, const int64_t *bank_of,
-                              const int64_t *row_of, int64_t n, int64_t depth,
-                              int32_t final, const int64_t *t, int64_t nbanks,
-                              int64_t *state, int64_t *window)
+/* Move the window's len bursts from slot start to slot 0. */
+static void slide(int8_t *write, int64_t *bank, int64_t *row, int64_t start,
+                  int64_t len)
+{
+    memmove(write, write + start, (size_t)len * sizeof *write);
+    memmove(bank, bank + start, (size_t)len * sizeof *bank);
+    memmove(row, row + start, (size_t)len * sizeof *row);
+}
+
+/* Schedule the carried bursts (ncarry descriptors, age order) and then
+ * the bursts of n requests through a window of the first `depth`
+ * unserviced ones: pick the first row hit in age order, else the
+ * oldest. Unless `final`, stop once fewer than `depth` bursts are left.
+ * Each request's bytes are added to kind_bytes[kind + 4 * is_write].
+ * The window lives in the three window_* arrays (window_len slots, at
+ * least 2 * depth), where it slides forward as its oldest bursts go;
+ * on return their first entries are the unserviced bursts in age
+ * order, and their number is returned. */
+int64_t repro_schedule(const int8_t *carry_write, const int64_t *carry_bank,
+                       const int64_t *carry_row, int64_t ncarry,
+                       const int64_t *address, const int64_t *size,
+                       const int8_t *is_write, const int8_t *kind, int64_t n,
+                       int64_t depth, int32_t final, const int64_t *t,
+                       const int64_t *layout, int64_t nbanks, int64_t *state,
+                       int64_t *kind_bytes, int8_t *window_write,
+                       int64_t *window_bank, int64_t *window_row,
+                       int64_t window_len)
 {
     int64_t *open_row = state + N_SCALARS;
     int64_t *activated_at = open_row + nbanks;
@@ -60,29 +115,72 @@ int64_t repro_schedule_window(const int8_t *writes, const int64_t *bank_of,
     int64_t session_data_end = state[S_LAST_DATA_END];
     int64_t bus_free = state[S_BUS_FREE];
     int64_t next_refresh = state[S_NEXT_REFRESH];
-    int64_t head = 0, len = 0;
+    int64_t carried = 0, next = 0;
+    int64_t start = 0, len = 0; /* the window: slots start to start + len */
+    int64_t burst = 0, last = -1; /* the request being expanded */
+    int8_t write = 0;
 
-    while (head < n || len) {
-        while (head < n && len < depth)
-            window[len++] = head++;
-        if (!final && len < depth)
-            break; /* refill exhausted: pause until the next chunk */
-        int64_t chosen = 0;
-        for (int64_t pos = 0; pos < len; pos++) {
-            int64_t j = window[pos];
-            if (open_row[bank_of[j]] == row_of[j]) {
-                chosen = pos;
+    if (depth < 1 || window_len < 2 * depth)
+        return OVERFLOW;
+    for (int64_t c = 0; c < ncarry; c++)
+        if (carry_bank[c] < 0 || carry_bank[c] >= nbanks)
+            return BAD_INPUT;
+    /* RequestBatch.stats */
+    for (int64_t i = 0; i < n; i++) {
+        if (kind[i] < 0 || kind[i] >= N_KINDS)
+            return BAD_INPUT;
+        kind_bytes[kind[i] + N_KINDS * (is_write[i] != 0)] += size[i];
+    }
+
+    for (;;) {
+        if (start > depth) { /* slide back to make room to refill */
+            slide(window_write, window_bank, window_row, start, len);
+            start = 0;
+        }
+        /* refill from the carried bursts, then each request's bursts
+         * (_expand_bursts_soa) */
+        while (len < depth) {
+            int64_t slot = start + len;
+            if (carried < ncarry) {
+                window_write[slot] = carry_write[carried];
+                window_bank[slot] = carry_bank[carried];
+                window_row[slot] = carry_row[carried++];
+                len++;
+            } else if (burst <= last) {
+                int64_t rest = burst++ >> layout[L_COLUMNS];
+                window_write[slot] = write;
+                window_bank[slot] = rest & (nbanks - 1);
+                window_row[slot] = rest >> layout[L_BANKS];
+                len++;
+            } else if (next < n) {
+                burst = address[next] >> layout[L_BURST];
+                last = (address[next] + size[next] - 1) >> layout[L_BURST];
+                write = is_write[next++];
+            } else {
                 break;
             }
         }
-        int64_t j = window[chosen];
-        memmove(window + chosen, window + chosen + 1,
-                (size_t)(len - chosen - 1) * sizeof *window);
+        if (!len || (!final && len < depth))
+            break; /* refill exhausted: pause until the next chunk */
+        int64_t chosen = start;
+        for (int64_t slot = start; slot < start + len; slot++) {
+            if (open_row[window_bank[slot]] == window_row[slot]) {
+                chosen = slot;
+                break;
+            }
+        }
+        int64_t bank = window_bank[chosen], row = window_row[chosen];
+        int64_t is_wr = window_write[chosen] != 0;
+        /* close the gap: the older entries move up one slot */
+        for (int64_t slot = chosen; slot > start; slot--) {
+            window_write[slot] = window_write[slot - 1];
+            window_bank[slot] = window_bank[slot - 1];
+            window_row[slot] = window_row[slot - 1];
+        }
+        start++;
         len--;
 
         /* DramChip.access_decomposed(bank, row, is_write, cycle) */
-        int64_t bank = bank_of[j], row = row_of[j];
-        int64_t is_write = writes[j] != 0;
         while (cycle >= next_refresh) { /* _refresh_if_due */
             int64_t end = next_refresh + t[T_RFC];
             for (int64_t b = 0; b < nbanks; b++) {
@@ -124,13 +222,13 @@ int64_t repro_schedule_window(const int8_t *writes, const int64_t *bank_of,
             open_row[bank] = row;
             col_issue = activate_at + t[T_RCD];
         }
-        int64_t data_start = col_issue + (is_write ? t[T_CWL] : t[T_CL]);
+        int64_t data_start = col_issue + (is_wr ? t[T_CWL] : t[T_CL]);
         if (bus_free > data_start)
             data_start = bus_free;
         int64_t data_end = data_start + t[T_BL];
         bus_free = data_start + t[T_SLOT];
         last_data_end[bank] = data_end;
-        last_was_write[bank] = is_write;
+        last_was_write[bank] = is_wr;
         int64_t next_command = data_start - t[T_COUPLE];
         if (cycle + 1 > next_command)
             next_command = cycle + 1;
@@ -140,6 +238,7 @@ int64_t repro_schedule_window(const int8_t *writes, const int64_t *bank_of,
             session_data_end = data_end;
         state[S_BURSTS]++;
     }
+    slide(window_write, window_bank, window_row, start, len);
     state[S_CYCLE] = cycle;
     state[S_LAST_DATA_END] = session_data_end;
     state[S_BUS_FREE] = bus_free;
@@ -147,145 +246,201 @@ int64_t repro_schedule_window(const int8_t *writes, const int64_t *bank_of,
     return len;
 }
 
+/* -- GuardNN_CI's active MAC line ---------------------------------------- */
+
+/* geometry[] */
+enum { GN_INTEGRITY, GN_CHUNK, GN_TAG, GN_LINE, GN_BASE, N_GN_GEOMETRY };
+
+/* Rewrite n requests into `out` (out_len slots per column); returns the
+ * output length. active[0] is the active MAC line (-1 for none),
+ * active[1] its dirty bit; both carry across calls. */
+int64_t repro_guardnn_rewrite(const int64_t *address, const int64_t *size,
+                              const int8_t *is_write, const int8_t *kind,
+                              int64_t n, const int64_t *geometry,
+                              int64_t *active, int64_t *out_address,
+                              int64_t *out_size, int8_t *out_write,
+                              int8_t *out_kind, int64_t out_len)
+{
+    Stream out = {out_address, out_size, out_write, out_kind, 0, out_len};
+    int64_t chunk_bytes = geometry[GN_CHUNK], line_bytes = geometry[GN_LINE];
+    int64_t active_line = active[0];
+    int dirty = active[1] != 0;
+    for (int64_t i = 0; i < n; i++) {
+        int write = is_write[i] != 0;
+        if (!emit(&out, address[i], size[i], write, kind[i]))
+            return OVERFLOW;
+        if (!geometry[GN_INTEGRITY])
+            continue;
+        int64_t first = address[i] / chunk_bytes;
+        int64_t last = (address[i] + size[i] - 1) / chunk_bytes;
+        for (int64_t chunk = first; chunk <= last; chunk++) {
+            /* _mac_line(chunk) */
+            int64_t line = geometry[GN_BASE]
+                           + chunk * geometry[GN_TAG] / line_bytes * line_bytes;
+            if (line != active_line) {
+                /* _retire_active */
+                if (active_line >= 0 && dirty
+                    && !emit(&out, active_line, line_bytes, 1, MAC))
+                    return OVERFLOW;
+                dirty = 0;
+                /* reads fetch the stored tags; writes allocate */
+                if (!write && !emit(&out, line, line_bytes, 0, MAC))
+                    return OVERFLOW;
+                active_line = line;
+            }
+            if (write)
+                dirty = 1;
+        }
+    }
+    active[0] = active_line;
+    active[1] = dirty;
+    return out.length;
+}
+
 /* -- the MEE metadata cache ---------------------------------------------- */
 
 /* geometry[] */
 enum {
-    G_VN_LINE, G_MAC_LINE, /* first line of each region */
+    G_VN_BASE, G_MAC_BASE, /* first byte of each region */
+    G_LINE,                /* metadata line bytes, also the cache's */
     G_UNIT, G_PER_MAC,     /* data bytes per VN line and per MAC line */
     G_SETS, G_WAYS, G_LEVELS,
     N_GEOMETRY
 };
 
-/* One set-associative LRU cache: set s holds count[s] lines in
- * tags/dirty[s * ways ...], oldest first, as SetAssociativeCache keeps
- * each set's OrderedDict. */
+/* stats[]: CacheStats */
+enum { C_HITS, C_MISSES, C_EVICTIONS, C_DIRTY_EVICTIONS, N_CACHE_STATS };
+
+/* SetAssociativeCache: set s holds count[s] lines in tags/dirty[s * ways
+ * ...], oldest first, as the cache keeps each set's OrderedDict. */
 typedef struct {
     int64_t *tags;
     uint8_t *dirty;
-    int64_t *count;
-    int64_t sets, ways;
+    int64_t *count, *stats;
+    int64_t line_bytes, sets, ways;
 } Cache;
 
-static int64_t find(const Cache *c, int64_t s, int64_t tag)
+/* SetAssociativeCache.access: 1 on a hit; on a miss, 0, and a dirty
+ * victim's byte address goes to *writeback (else -1). */
+static int cache_access(Cache *c, int64_t address, int is_write,
+                  int64_t *writeback)
 {
-    const int64_t *tags = c->tags + s * c->ways;
-    for (int64_t k = 0; k < c->count[s]; k++)
-        if (tags[k] == tag)
-            return k;
-    return -1;
-}
-
-/* OrderedDict.move_to_end */
-static void move_to_end(Cache *c, int64_t s, int64_t k)
-{
-    int64_t *tags = c->tags + s * c->ways;
-    uint8_t *dirty = c->dirty + s * c->ways;
-    int64_t last = c->count[s] - 1, tag = tags[k];
-    uint8_t bit = dirty[k];
-    memmove(tags + k, tags + k + 1, (size_t)(last - k) * sizeof *tags);
-    memmove(dirty + k, dirty + k + 1, (size_t)(last - k));
-    tags[last] = tag;
-    dirty[last] = bit;
-}
-
-/* Touch `line` (SetAssociativeCache.access, less the stats): returns 1
- * on a hit; on a miss, a dirty victim's line goes to *writeback (else
- * -1) and the line is filled with dirty bit `write`. */
-static int touch(Cache *c, int64_t line, int write, int64_t *writeback)
-{
+    int64_t line = address / c->line_bytes;
     int64_t s = line % c->sets, tag = line / c->sets;
-    int64_t k = find(c, s, tag);
     int64_t *tags = c->tags + s * c->ways;
     uint8_t *dirty = c->dirty + s * c->ways;
+    int64_t held = c->count[s];
     *writeback = -1;
-    if (k >= 0) {
-        move_to_end(c, s, k);
-        if (write)
-            dirty[c->count[s] - 1] = 1;
-        return 1;
+    for (int64_t k = 0; k < held; k++) {
+        if (tags[k] == tag) { /* move_to_end; a write sets the dirty bit */
+            uint8_t bit = dirty[k] || is_write;
+            c->stats[C_HITS]++;
+            size_t newer = (size_t)(held - 1 - k);
+            memmove(tags + k, tags + k + 1, newer * sizeof *tags);
+            memmove(dirty + k, dirty + k + 1, newer);
+            tags[held - 1] = tag;
+            dirty[held - 1] = bit;
+            return 1;
+        }
     }
-    if (c->count[s] >= c->ways) { /* popitem(last=False) */
-        if (dirty[0])
-            *writeback = tags[0] * c->sets + s;
-        c->count[s]--;
-        memmove(tags, tags + 1, (size_t)c->count[s] * sizeof *tags);
-        memmove(dirty, dirty + 1, (size_t)c->count[s]);
+    c->stats[C_MISSES]++;
+    if (held >= c->ways) { /* popitem(last=False) */
+        c->stats[C_EVICTIONS]++;
+        if (dirty[0]) {
+            c->stats[C_DIRTY_EVICTIONS]++;
+            *writeback = (tags[0] * c->sets + s) * c->line_bytes;
+        }
+        held--;
+        memmove(tags, tags + 1, (size_t)held * sizeof *tags);
+        memmove(dirty, dirty + 1, (size_t)held);
     }
-    tags[c->count[s]] = tag;
-    dirty[c->count[s]] = (uint8_t)(write != 0);
-    c->count[s]++;
+    tags[held] = tag;
+    dirty[held] = (uint8_t)(is_write != 0);
+    c->count[s] = held + 1;
     return 0;
 }
 
-/* Run n items through the cache in stream order. Item i covers VN unit
- * unit_of[i]: it touches the unit's VN line and MAC line with dirty bit
- * run_write[i], and after a VN miss walks the tree upward with dirty
- * bit first_write[i] until a level hits (tree level l holds line
- * tree_line[l] + unit / tree_span[l]). When rest[i] is nonzero, that
- * many more requests of the item's run re-touch VN and MAC: hits, so
- * one move to the end each. masks[i] gets bit 2k for the writeback
- * caused by touch k and bit 2k + 1 for its fill (touch 0 is VN, 1 MAC,
- * 2 + l tree level l); each writeback's line is appended to
- * wb_lines. Returns the number of writebacks, or -1 if a coalesced
- * run's VN or MAC line left the cache, which the caller's coalescing
- * rule excludes. */
-int64_t repro_mee_items(int64_t n, const int64_t *unit_of,
-                        const int8_t *first_write, const uint8_t *run_write,
-                        const int64_t *rest, const int64_t *geometry,
-                        const int64_t *tree_line, const int64_t *tree_span,
-                        int64_t *tags, uint8_t *dirty, int64_t *count,
-                        int64_t *masks, int64_t *wb_lines)
+typedef struct {
+    Cache cache;
+    Stream out;
+    const int64_t *geometry, *tree_base;
+} Mee;
+
+/* MeeTraceRewriter._kind_of */
+static int kind_of(const Mee *m, int64_t meta_address)
 {
-    Cache c = {tags, dirty, count, geometry[G_SETS], geometry[G_WAYS]};
-    int64_t levels = geometry[G_LEVELS], writebacks = 0, wb;
+    if (meta_address < m->geometry[G_MAC_BASE])
+        return VN;
+    if (!m->geometry[G_LEVELS] || meta_address < m->tree_base[0])
+        return MAC;
+    return TREE;
+}
+
+/* MeeTraceRewriter._touch: 1 on a hit, 0 on a miss, OVERFLOW when the
+ * output is full */
+static int touch(Mee *m, int64_t meta_address, int is_write, int kind)
+{
+    int64_t writeback, line_bytes = m->geometry[G_LINE];
+    int hit = cache_access(&m->cache, meta_address, is_write, &writeback);
+    if (writeback >= 0
+        && !emit(&m->out, writeback, line_bytes, 1, kind_of(m, writeback)))
+        return OVERFLOW;
+    if (!hit && !emit(&m->out, meta_address, line_bytes, 0, kind))
+        return OVERFLOW;
+    return hit;
+}
+
+/* Rewrite n requests into `out` (out_len slots per column); returns the
+ * output length. Tree level l holds the line of data address a at
+ * tree_base[l] + a / tree_cover[l] * line bytes. The cache's sets
+ * (tags, dirty, count) and its stats carry across calls. */
+int64_t repro_mee_rewrite(const int64_t *address, const int64_t *size,
+                          const int8_t *is_write, const int8_t *kind,
+                          int64_t n, const int64_t *geometry,
+                          const int64_t *tree_base, const int64_t *tree_cover,
+                          int64_t *tags, uint8_t *dirty, int64_t *count,
+                          int64_t *stats, int64_t *out_address,
+                          int64_t *out_size, int8_t *out_write,
+                          int8_t *out_kind, int64_t out_len)
+{
+    Mee m = {{tags, dirty, count, stats, geometry[G_LINE], geometry[G_SETS],
+              geometry[G_WAYS]},
+             {out_address, out_size, out_write, out_kind, 0, out_len},
+             geometry, tree_base};
+    int64_t unit = geometry[G_UNIT], line_bytes = geometry[G_LINE];
+    for (int64_t s = 0; s < geometry[G_SETS]; s++)
+        if (count[s] < 0 || count[s] > geometry[G_WAYS])
+            return BAD_INPUT;
     for (int64_t i = 0; i < n; i++) {
-        int64_t unit = unit_of[i], mask = 0;
-        int run_w = run_write[i] != 0;
-        int64_t vn_line = geometry[G_VN_LINE] + unit;
-        int64_t mac_line = geometry[G_MAC_LINE]
-                           + unit * geometry[G_UNIT] / geometry[G_PER_MAC];
-        if (!touch(&c, vn_line, run_w, &wb)) {
-            mask = 2;
-            if (wb >= 0) {
-                wb_lines[writebacks++] = wb;
-                mask = 3;
-            }
-        }
-        if (!touch(&c, mac_line, run_w, &wb)) {
-            mask |= 8;
-            if (wb >= 0) {
-                wb_lines[writebacks++] = wb;
-                mask |= 4;
-            }
-        }
-        if (mask & 2) {
+        int write = is_write[i] != 0;
+        if (!emit(&m.out, address[i], size[i], write, kind[i]))
+            return OVERFLOW;
+        int64_t first = address[i] / unit;
+        int64_t last = (address[i] + size[i] - 1) / unit;
+        for (int64_t u = first; u <= last; u++) {
+            int64_t addr = u * unit;
+            int64_t vn_line = geometry[G_VN_BASE] + addr / unit * line_bytes;
+            int64_t mac_line = geometry[G_MAC_BASE]
+                               + addr / geometry[G_PER_MAC] * line_bytes;
+            /* VN line (decrypt pad / increment on write) */
+            int vn_hit = touch(&m, vn_line, write, VN);
+            /* MAC line (verify on read, update on write) */
+            if (vn_hit < 0 || touch(&m, mac_line, write, MAC) < 0)
+                return OVERFLOW;
+            if (vn_hit)
+                continue;
             /* authenticate the fetched VN line: walk the tree upward
              * until a level hits in the cache */
-            int64_t bit = 16; /* touch 2 (tree level 0): bits 4 and 5 */
-            for (int64_t level = 0; level < levels; level++) {
-                int64_t line = tree_line[level] + unit / tree_span[level];
-                if (touch(&c, line, first_write[i], &wb))
+            for (int64_t level = 0; level < geometry[G_LEVELS]; level++) {
+                int64_t line = tree_base[level]
+                               + addr / tree_cover[level] * line_bytes;
+                int hit = touch(&m, line, write, TREE);
+                if (hit < 0)
+                    return OVERFLOW;
+                if (hit)
                     break;
-                if (wb >= 0) {
-                    wb_lines[writebacks++] = wb;
-                    mask |= bit;
-                }
-                mask |= bit << 1;
-                bit <<= 2;
             }
         }
-        if (rest[i]) {
-            int64_t k;
-            int64_t lines[2] = {vn_line, mac_line};
-            for (int m = 0; m < 2; m++) {
-                int64_t s = lines[m] % c.sets;
-                if ((k = find(&c, s, lines[m] / c.sets)) < 0)
-                    return -1;
-                move_to_end(&c, s, k);
-            }
-        }
-        masks[i] = mask;
     }
-    return writebacks;
+    return m.out.length;
 }

@@ -1,11 +1,12 @@
 """Build-on-first-use loader for the compiled kernels in ``native.c``.
 
-Fast mode runs two sequential loops of the trace pipeline as C: the
-FR-FCFS window (:class:`~repro.mem.controller.ControllerSession`) and
-the MEE metadata-cache walk
-(:class:`~repro.protection.trace_rewriter.MeeTraceRewriter`). Nothing
-is installed: the first fast-mode call in a process compiles
-``native.c`` with the system ``cc`` into
+Fast mode runs the trace pipeline's per-request loops as C: the
+FR-FCFS controller, burst expansion and per-kind byte totals included
+(:class:`~repro.mem.controller.ControllerSession`), and both trace
+rewriters (:class:`~repro.protection.trace_rewriter.GuardNNTraceRewriter`
+and :class:`~repro.protection.trace_rewriter.MeeTraceRewriter` with its
+metadata cache). Nothing is installed: the first fast-mode call in a
+process compiles ``native.c`` with the system ``cc`` into
 ``$XDG_CACHE_HOME/repro/kernels/<key>/`` (default
 ``~/.cache/repro/kernels/``), where ``<key>`` is the SHA-256 of the
 source and the compiler flags, and loads it with :mod:`ctypes`. Later
@@ -132,17 +133,35 @@ def _load() -> ctypes.CDLL:
 
 def _declare(library: ctypes.CDLL) -> ctypes.CDLL:
     """Give each kernel its signature; ``ndpointer`` arguments check
-    dtype and contiguity on every call."""
+    dtype and contiguity on every call, and a negative return (an
+    output array too short, or an input a kernel cannot index) raises
+    ``RuntimeError``."""
     def array(dtype):
         return _np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
 
     i8, flags, i64 = array(_np.int8), array(_np.bool_), array(_np.int64)
-    library.repro_schedule_window.argtypes = [
-        i8, i64, i64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int32,
-        i64, ctypes.c_int64, i64, i64]
-    library.repro_schedule_window.restype = ctypes.c_int64
-    library.repro_mee_items.argtypes = [
-        ctypes.c_int64, i64, i8, flags, i64, i64, i64, i64,
-        i64, flags, i64, i64, i64]
-    library.repro_mee_items.restype = ctypes.c_int64
+    n = ctypes.c_int64
+    batch = [i64, i64, i8, i8, n]  # a RequestBatch's columns, its length
+    out = [i64, i64, i8, i8, n]  # output columns, their length
+    signatures = {
+        "repro_schedule": [i8, i64, i64, n, *batch, n, ctypes.c_int32, i64,
+                           i64, n, i64, i64, i8, i64, i64, n],
+        "repro_guardnn_rewrite": [*batch, i64, i64, *out],
+        "repro_mee_rewrite": [*batch, i64, i64, i64, i64, flags, i64, i64,
+                              *out],
+    }
+    for name, argtypes in signatures.items():
+        kernel = getattr(library, name)
+        kernel.argtypes = argtypes
+        kernel.restype = ctypes.c_int64
+        kernel.errcheck = _check
     return library
+
+
+def _check(result, kernel, args):
+    """``errcheck`` of every kernel: its negative codes as errors."""
+    if result < 0:
+        raise RuntimeError(f"{kernel.__name__}: "
+                           + ("an output array is too short" if result == -1
+                              else "an input is out of range"))
+    return result

@@ -11,12 +11,12 @@ on the bus. The integration tests cross-validate the two models; the
 rewritten traces can also be timed on the event-driven DDR4 controller.
 
 Each rewriter implements its state machine twice: ``rewrite``, the
-per-request reference over ``MemoryRequest`` objects, and one numpy
-lane behind ``rewrite_batch`` (MEE's lane walks its metadata cache in
-a compiled kernel, see :mod:`repro.native`). The :mod:`repro.perf` mode
-picks between them: fast mode takes the lane, scalar mode
-(``REPRO_SCALAR=1``) runs ``rewrite`` itself, as does MEE for a tree
-too deep for its lane or without a compiled kernel.
+per-request reference over ``MemoryRequest`` objects, and its
+line-for-line port in C (``repro_guardnn_rewrite`` and
+``repro_mee_rewrite`` in ``repro/native.c``, see :mod:`repro.native`),
+which ``rewrite_batch`` runs in fast mode on the batch's columns. In
+scalar mode (``REPRO_SCALAR=1``), or without a compiled kernel,
+``rewrite_batch`` runs ``rewrite`` itself.
 
 Address map: metadata regions live above ``metadata_base`` —
 VN lines, then MAC lines, then tree levels — mirroring how MEE carves
@@ -26,6 +26,7 @@ out a protected-metadata range.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, List
 
@@ -33,7 +34,7 @@ import numpy as _np
 
 from repro import native, perf
 from repro.testing import faults
-from repro.mem.batch import MAC_CODE, TREE_CODE, VN_CODE, RequestBatch
+from repro.mem.batch import RequestBatch
 from repro.mem.cache import SetAssociativeCache
 from repro.mem.trace import MemoryRequest, RequestKind
 from repro.protection.guardnn import GuardNNParams
@@ -90,66 +91,60 @@ def build_trace_rewriter(name: str, end_address: int = 0, **params):
                             protected_bytes=protected_bytes)
 
 
-def _run_starts(key, coalescable):
-    """Start indices of maximal runs of entries that share a metadata
-    key and may be coalesced; entries with ``coalescable`` False become
-    singleton runs. The SoA pre-pass of both rewriters: one vectorized
-    sweep replaces the per-request Python span/line arithmetic. Returns
-    an ``(n_runs,)`` int index array (callers gather per-run attributes
-    from it, so nothing per-request ever crosses back into Python)."""
-    n = len(key)
-    change = _np.empty(n, dtype=bool)
-    change[0] = True
-    _np.not_equal(key[1:], key[:-1], out=change[1:])
-    change[1:] |= ~coalescable[1:] | ~coalescable[:-1]
-    return _np.flatnonzero(change)
+class _KernelOutput:
+    """Where a rewriter's kernel writes its interleaved stream: the four
+    columns of a :class:`RequestBatch`, kept for the next call.
 
+    A kernel call takes at most :attr:`SLICE` requests, and its output
+    is sized for their worst case: every request, plus ``touches``
+    requests for each ``unit``-byte block it covers (a request of ``s``
+    bytes covers at most ``(s - 1) // unit + 2``). That bound is many
+    times the usual output, so the columns share one anonymous memory
+    mapping, where only the pages the kernel writes become resident.
+    (numpy would advise arrays of 4 MB and up onto 2 MB huge pages, and
+    each column's unwritten tail would count towards the process's
+    memory.)"""
 
-def _items(first, count):
-    """Expand entry ``i`` into ``count[i]`` items, one per unit from
-    ``first[i]`` on, in stream order. Returns ``(owner, unit)``: the
-    entry each item came from and its unit number."""
-    owner = _np.repeat(_np.arange(len(first)), count)
-    unit = first[owner] + (
-        _np.arange(len(owner)) - (_np.cumsum(count) - count)[owner])
-    return owner, unit
+    #: requests per kernel call, which caps the address space a call
+    #: reserves whatever the chunk size (~48 MB for BP over 64-B
+    #: requests and an 8-level tree)
+    SLICE = 1 << 16
 
+    def __init__(self, unit: int, touches: int):
+        self.unit = unit
+        self.touches = touches
+        self.capacity = 0
+        self.columns = ()
 
-def _scatter_assemble(out: RequestBatch, batch: RequestBatch, address, size,
-                      is_write, ev_pos, ev_addr, ev_write, ev_kind,
-                      line_bytes: int) -> None:
-    """Interleave the verbatim input stream with positioned metadata
-    events (event j rides directly after input request ``ev_pos[j]``)
-    in one vectorized scatter instead of per-run array flushes. Event
-    columns are numpy arrays: ``ev_write``/``ev_kind`` int8."""
-    n = len(address)
-    m = len(ev_pos)
-    if not m:
-        out.extend(batch)
-        return
-    total = n + m
-    # event j lands after input ev_pos[j] and the j events before it;
-    # the inputs fill the remaining slots in order
-    dest_event = ev_pos + _np.arange(1, m + 1)
-    is_event = _np.zeros(total, dtype=bool)
-    is_event[dest_event] = True
-    dest_input = _np.flatnonzero(~is_event)
-    merged_address = _np.empty(total, dtype=_np.int64)
-    merged_address[dest_input] = address
-    merged_address[dest_event] = ev_addr
-    merged_size = _np.full(total, line_bytes, dtype=_np.int64)
-    merged_size[dest_input] = size
-    merged_write = _np.empty(total, dtype=_np.int8)
-    merged_write[dest_input] = is_write
-    merged_write[dest_event] = ev_write
-    merged_kind = _np.empty(total, dtype=_np.int8)
-    merged_kind[dest_input] = _np.frombuffer(batch.kind, dtype=_np.int8)
-    merged_kind[dest_event] = ev_kind
-    # uint8 views: array.frombytes takes any byte buffer, no copy
-    out.address.frombytes(merged_address.view(_np.uint8))
-    out.size.frombytes(merged_size.view(_np.uint8))
-    out.is_write.frombytes(merged_write.view(_np.uint8))
-    out.kind.frombytes(merged_kind.view(_np.uint8))
+    def slices(self, batch: RequestBatch):
+        """``batch``'s columns in slices of at most :attr:`SLICE`
+        requests; when each is yielded, :attr:`columns` has room for
+        its worst case."""
+        columns = batch.columns()
+        for start in range(0, len(batch), self.SLICE):
+            piece = tuple(column[start:start + self.SLICE] for column in columns)
+            n, size = len(piece[1]), piece[1]
+            self._reserve(n + self.touches * (
+                (int(size.sum()) - n) // self.unit + 2 * n))
+            yield piece
+
+    def _reserve(self, capacity: int) -> None:
+        if capacity > self.capacity:
+            import mmap  # fast mode only: kept out of the package import
+
+            memory = mmap.mmap(-1, 18 * capacity)
+            self.columns = tuple(
+                _np.frombuffer(memory, dtype, capacity, offset * capacity)
+                for dtype, offset in ((_np.int64, 0), (_np.int64, 8),
+                                      (_np.int8, 16), (_np.int8, 17)))
+            self.capacity = capacity
+
+    def append_to(self, out: RequestBatch, length: int) -> None:
+        """Copy the first ``length`` requests written onto ``out``."""
+        for column, values in zip((out.address, out.size, out.is_write, out.kind),
+                                  self.columns):
+            # a uint8 view: array.frombytes takes byte buffers only
+            column.frombytes(values[:length].view(_np.uint8))
 
 
 class GuardNNTraceRewriter:
@@ -175,6 +170,12 @@ class GuardNNTraceRewriter:
         self._active_line = None
         self._active_dirty = False
         self._rewrite_calls = 0
+        # the kernel's geometry (``GN_*`` in repro/native.c)
+        self._geometry = _np.array(
+            [integrity, params.chunk_bytes, params.mac_bytes, self.LINE_BYTES,
+             metadata_base], dtype=_np.int64)
+        # per 512-B chunk, the MAC line's retire and fetch at most
+        self._output = _KernelOutput(params.chunk_bytes, 2)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -228,91 +229,31 @@ class GuardNNTraceRewriter:
         self._active_line = None
         return out
 
-    # -- structure-of-arrays fast lane ------------------------------------
+    # -- the compiled lane ---------------------------------------------------
 
     def rewrite_batch(self, batch: RequestBatch) -> RequestBatch:
         """Batch counterpart of :meth:`rewrite`: the same stream, emitted
         as a :class:`RequestBatch`, sharing the active-MAC-line state
-        with it. In fast mode every non-empty batch takes the numpy lane
-        (:meth:`_rewrite_batch_vec`); in scalar mode this runs the
-        :meth:`rewrite` oracle itself."""
+        with it. Fast mode runs the kernel ``repro_guardnn_rewrite``
+        (:meth:`rewrite` in C); scalar mode, or fast mode without a
+        compiled kernel, runs :meth:`rewrite` itself."""
         if faults.enabled():
             faults.fire("rewriter.rewrite", self._rewrite_calls)
         self._rewrite_calls += 1
-        if perf.fast_enabled() and len(batch):
-            return self._rewrite_batch_vec(batch)
-        return RequestBatch.from_requests(self.rewrite(batch))
-
-    def _rewrite_batch_vec(self, batch: RequestBatch) -> RequestBatch:
-        """The numpy lane. A request that spans several 512-B chunks
-        becomes one item per chunk (the scalar machine's inner loop), so
-        every item touches one MAC line. Same-line item runs collapse to
-        a MAC-line-change event stream computed entirely in numpy, with
-        each item's events right after its own request, and one scatter
-        assembles the interleaved output."""
+        kernels = native.kernels() if perf.fast_enabled() and len(batch) else None
+        if kernels is None:
+            return RequestBatch.from_requests(self.rewrite(batch))
         out = RequestBatch()
-        if not self.integrity:
-            out.extend(batch)
-            return out
-        address = _np.frombuffer(batch.address, dtype=_np.int64)
-        size = _np.frombuffer(batch.size, dtype=_np.int64)
-        is_write = _np.frombuffer(batch.is_write, dtype=_np.int8)
-        chunk_bytes = self.params.chunk_bytes
-        chunk = address // chunk_bytes
-        chunks = (address + size - 1) // chunk_bytes - chunk + 1
-        owner = None  # item i is request i unless a request spans chunks
-        item_write = is_write
-        if chunks.max() > 1:
-            owner, chunk = _items(chunk, chunks)
-            item_write = is_write[owner]
-        line_bytes = self.LINE_BYTES
-        line = (self.metadata_base
-                + chunk * self.params.mac_bytes // line_bytes * line_bytes)
-        n = len(line)
-        starts = _run_starts(line, _np.ones(n, dtype=bool))
-        ends = _np.concatenate((starts[1:], [n]))
-        m = len(starts)
-        writes_before = _np.concatenate(([0], _np.cumsum(item_write != 0)))
-        run_any_write = writes_before[ends] > writes_before[starts]
-        run_line = line[starts]
-        run_read_first = item_write[starts] == 0
-
-        first = 0  # run 0 may just extend the carried active line
-        if self._active_line is not None and run_line[0] == self._active_line:
-            if run_any_write[0]:
-                self._active_dirty = True
-            first = 1
-        if first >= m:
-            out.extend(batch)
-            return out
-        # per line change: retire the previous line if dirty, then
-        # fetch the new one when the run leads with a read
-        span = m - first
-        prev_dirty = _np.empty(span, dtype=bool)
-        prev_line = _np.empty(span, dtype=_np.int64)
-        prev_dirty[1:] = run_any_write[first:m - 1]
-        prev_line[1:] = run_line[first:m - 1]
-        prev_dirty[0] = self._active_line is not None and self._active_dirty
-        prev_line[0] = self._active_line if self._active_line is not None else 0
-        has_fill = run_read_first[first:]
-        slot_mask = _np.empty(2 * span, dtype=bool)
-        slot_mask[0::2] = prev_dirty  # the retire precedes the fetch
-        slot_mask[1::2] = has_fill
-        ev_slot = _np.flatnonzero(slot_mask)
-        ev_run = ev_slot >> 1
-        ev_is_wb = (ev_slot & 1) == 0
-        pos = starts[first:]
-        if owner is not None:
-            pos = owner[pos]
-        ev_pos = pos[ev_run]
-        ev_addr = _np.where(ev_is_wb, prev_line[ev_run],
-                            run_line[first:][ev_run])
-        ev_write = ev_is_wb.astype(_np.int8)
-        ev_kind = _np.full(len(ev_slot), MAC_CODE, dtype=_np.int8)
-        self._active_line = int(run_line[-1])
-        self._active_dirty = bool(run_any_write[-1])
-        _scatter_assemble(out, batch, address, size, is_write,
-                          ev_pos, ev_addr, ev_write, ev_kind, line_bytes)
+        active = _np.array([-1 if self._active_line is None else self._active_line,
+                            self._active_dirty], dtype=_np.int64)
+        for columns in self._output.slices(batch):
+            length = kernels.repro_guardnn_rewrite(
+                *columns, len(columns[0]), self._geometry, active,
+                *self._output.columns, self._output.capacity)
+            self._output.append_to(out, length)
+        line, dirty = active.tolist()
+        self._active_line = None if line < 0 else line
+        self._active_dirty = bool(dirty)
         return out
 
     def flush_batch(self) -> RequestBatch:
@@ -339,14 +280,72 @@ class MeeTraceRewriter:
                  protected_bytes: int = 1 << 30,
                  metadata_base: int = METADATA_BASE):
         self.params = params
-        # the metadata cache in both modes: the scalar path calls its
-        # ``access``, the batch fast lane runs the same state machine
-        # compiled, on a copy of its per-set OrderedDicts
-        self.cache = SetAssociativeCache(
+        # the metadata cache in both modes. Its sets have two forms, of
+        # which exactly one is current: the cache's per-set OrderedDicts
+        # (``_cache._sets``), which the scalar path's ``access`` calls
+        # use, and the compiled kernel's arrays (``_lines``), which stay
+        # current between fast-mode calls; while they are, ``_sets`` is
+        # None. See :attr:`cache`.
+        self._cache = SetAssociativeCache(
             params.cache_bytes, params.line_bytes, ways=8)
+        self._lines = None
         self.metadata_base = metadata_base
         self.regions = self._lay_out(protected_bytes)
         self._rewrite_calls = 0
+        # the kernel's geometry (``G_*`` in repro/native.c) and, per tree
+        # level, its first line and the data bytes one line covers
+        tree_bases = self.regions.tree_bases
+        self._geometry = _np.array(
+            [self.regions.vn_base, self.regions.mac_base, params.line_bytes,
+             params.data_per_vn_line, params.data_per_mac_line,
+             self._cache.num_sets, self._cache.ways, len(tree_bases)],
+            dtype=_np.int64)
+        self._tree_base = _np.array(tree_bases, dtype=_np.int64)
+        self._tree_cover = _np.array(
+            [params.data_per_vn_line * params.tree_arity ** (level + 1)
+             for level in range(len(tree_bases))], dtype=_np.int64)
+        # per 512-B VN unit, a writeback and a fill for VN, MAC and each
+        # tree level at most
+        self._output = _KernelOutput(params.data_per_vn_line,
+                                     2 * (len(tree_bases) + 2))
+
+    @property
+    def cache(self) -> SetAssociativeCache:
+        """The metadata cache, with its sets in their Python form (moved
+        back from the kernel's arrays if those are current)."""
+        self._use_sets()
+        return self._cache
+
+    def _use_sets(self) -> None:
+        """Make the cache's OrderedDicts the current form of its sets."""
+        if self._lines is None:
+            return
+        tags, dirty, count = (column.tolist() for column in self._lines)
+        ways = self._cache.ways
+        self._cache._sets = [
+            OrderedDict(zip(tags[s * ways:s * ways + held],
+                            dirty[s * ways:s * ways + held]))
+            for s, held in enumerate(count)]
+        self._lines = None
+
+    def _use_lines(self) -> None:
+        """Make the kernel's arrays the current form of the cache's
+        sets: per set, its lines' tags and dirty bits, oldest first,
+        in ``ways`` slots, and how many lines it holds."""
+        if self._lines is not None:
+            return
+        cache = self._cache
+        ways = cache.ways
+        tags = [0] * (cache.num_sets * ways)
+        dirty = [False] * (cache.num_sets * ways)
+        for s, lines in enumerate(cache._sets):
+            tags[s * ways:s * ways + len(lines)] = lines
+            dirty[s * ways:s * ways + len(lines)] = lines.values()
+        self._lines = (_np.array(tags, dtype=_np.int64),
+                       _np.array(dirty, dtype=bool),
+                       _np.array([len(lines) for lines in cache._sets],
+                                 dtype=_np.int64))
+        cache._sets = None
 
     # -- checkpointing -----------------------------------------------------
 
@@ -397,7 +396,7 @@ class MeeTraceRewriter:
                kind: RequestKind) -> bool:
         """Access one metadata line through the cache; emit fill +
         writeback requests. Returns True on hit."""
-        hit, writeback = self.cache.access(meta_address, is_write)
+        hit, writeback = self._cache.access(meta_address, is_write)
         if writeback is not None:
             out.append(MemoryRequest(writeback, self.params.line_bytes, True,
                                      self._kind_of(writeback)))
@@ -407,6 +406,7 @@ class MeeTraceRewriter:
 
     def rewrite(self, trace: Iterable[MemoryRequest]) -> List[MemoryRequest]:
         out: List[MemoryRequest] = []
+        self._use_sets()
         unit = self.params.data_per_vn_line  # one metadata line per unit
         for req in trace:
             out.append(req)
@@ -435,169 +435,37 @@ class MeeTraceRewriter:
                                      self._kind_of(address)))
         return out
 
-    # -- structure-of-arrays fast lane ------------------------------------
+    # -- the compiled lane ---------------------------------------------------
 
     def rewrite_batch(self, batch: RequestBatch) -> RequestBatch:
         """Batch counterpart of :meth:`rewrite`: identical request
         sequence (same metadata-cache state machine), emitted straight
-        into parallel arrays.
-
-        In fast mode every non-empty batch takes the numpy lane
-        (:meth:`_rewrite_batch_items`): VN-unit spans are precomputed
-        for the whole batch (SoA), runs of requests inside one 512-B
-        unit collapse (the run's first request drives the cache state
-        machine, the rest are provably hits and reduce to one dirty-OR /
-        LRU touch), and one compiled pass runs the state machine item
-        by item. In scalar mode this runs the :meth:`rewrite` oracle
-        itself, as does a tree too deep for the lane's event mask, or
-        fast mode without a compiled kernel (see :mod:`repro.native`)."""
+        into parallel arrays. Fast mode runs the kernel
+        ``repro_mee_rewrite`` (:meth:`rewrite`, :meth:`_touch` and
+        :meth:`SetAssociativeCache.access` in C) on the kernel's form of
+        the cache's sets; scalar mode, or fast mode without a compiled
+        kernel, runs :meth:`rewrite` itself."""
         if faults.enabled():
             faults.fire("rewriter.rewrite", self._rewrite_calls)
         self._rewrite_calls += 1
-        # the numpy lane packs two event bits per touch (VN, MAC, one
-        # per tree level) into one int64 mask per item
-        if (perf.fast_enabled() and len(batch)
-                and 2 * (len(self.regions.tree_bases) + 2) < 64):
-            kernels = native.kernels()
-            if kernels is not None:
-                return self._rewrite_batch_items(batch, kernels)
-        return RequestBatch.from_requests(self.rewrite(batch))
-
-    def _rewrite_batch_items(self, batch: RequestBatch, kernels) -> RequestBatch:
-        """Numpy pre-pass, one compiled pass over the cache in stream
-        order, numpy assembly.
-
-        The pre-pass cuts the batch into *items*, one per (run, VN
-        unit). The kernel (``repro_mee_items`` in ``repro/native.c``)
-        applies each item's touches (VN, MAC, and after a VN miss the
-        tree walk) to the cache's sets, exactly as
-        :meth:`~repro.mem.cache.SetAssociativeCache.access` would. Each
-        item records one bitmask of its events (bit ``2k`` the
-        writeback caused by touch ``k``, bit ``2k + 1`` its fill; touch
-        0 is VN, 1 MAC, ``2 + l`` tree level ``l``) and each writeback
-        appends its line to a side array. Numpy expands the masks into
-        the positioned event columns of :func:`_scatter_assemble` and
-        derives the cache stats from them.
-        """
-        n = len(batch)
-        address = _np.frombuffer(batch.address, dtype=_np.int64)
-        size = _np.frombuffer(batch.size, dtype=_np.int64)
-        is_write = _np.frombuffer(batch.is_write, dtype=_np.int8)
-        cache = self.cache
-        num_sets = cache.num_sets
-        ways = cache.ways
-        line_bytes = self.params.line_bytes
-        unit = self.params.data_per_vn_line
-        per_mac = self.params.data_per_mac_line
-        arity = self.params.tree_arity
-        vn_base = self.regions.vn_base
-        mac_base = self.regions.mac_base
-        tree_bases = self.regions.tree_bases
-        levels = len(tree_bases)
-
-        # -- items: one per (run, VN unit) ---------------------------------
-        first_unit = address // unit
-        last_unit = (address + size - 1) // unit
-        # after its VN touch an item touches at most levels + 1 other
-        # lines; while that is fewer than ``ways``, neither VN nor MAC
-        # can reach the LRU end of its set and be evicted, so a run's
-        # remaining requests can only hit. Otherwise every request is
-        # its own run.
-        coalesce = levels + 1 < ways
-        starts = _run_starts(first_unit, (first_unit == last_unit) & coalesce)
-        ends = _np.append(starts[1:], n)
-        writes_before = _np.concatenate(([0], _np.cumsum(is_write != 0)))
-        run_first = first_unit[starts]
-        item_run, item_unit = _items(run_first,
-                                     last_unit[starts] - run_first + 1)
-        n_items = len(item_unit)
-
-        # -- the state machine, compiled -----------------------------------
-        # A run's remaining requests re-touch VN and MAC (hits: one LRU
-        # move each) and OR their writes into both dirty bits. No
-        # eviction can observe those bits in between, so the item's own
-        # VN/MAC touches store the whole run's write-OR (``run_write``);
-        # its tree touches store the first request's write. The kernel
-        # runs on a copy of the cache's sets, laid out as per-set LRU
-        # arrays (oldest first), which is copied back after.
-        sets = cache._sets
-        count = _np.fromiter(map(len, sets), dtype=_np.int64, count=num_sets)
-        resident = int(count.sum())
-        slot = (_np.arange(resident)
-                + _np.repeat(_np.arange(num_sets) * ways - (_np.cumsum(count) - count),
-                             count))
-        tags = _np.zeros(num_sets * ways, dtype=_np.int64)
-        dirty = _np.zeros(num_sets * ways, dtype=bool)
-        tags[slot] = [tag for lines in sets for tag in lines]
-        dirty[slot] = [bit for lines in sets for bit in lines.values()]
-        geometry = _np.array([vn_base // line_bytes, mac_base // line_bytes,
-                              unit, per_mac, num_sets, ways, levels],
-                             dtype=_np.int64)
-        tree_line = _np.array([base // line_bytes for base in tree_bases],
-                              dtype=_np.int64)
-        tree_span = arity ** _np.arange(1, levels + 1, dtype=_np.int64)
-        item_mask = _np.empty(n_items, dtype=_np.int64)
-        wb_line = _np.empty(n_items * (levels + 2), dtype=_np.int64)
-        writebacks = kernels.repro_mee_items(
-            n_items, item_unit,
-            is_write[starts][item_run],
-            (writes_before[ends] > writes_before[starts])[item_run],
-            (ends - starts - 1)[item_run], geometry, tree_line, tree_span,
-            tags, dirty, count, item_mask, wb_line)
-        if writebacks < 0:
-            raise RuntimeError("MEE kernel: a coalesced run's VN or MAC line "
-                               "left the cache")
-        wb_line = wb_line[:writebacks]
-        tag_rows = tags.reshape(num_sets, ways).tolist()
-        dirty_rows = dirty.reshape(num_sets, ways).tolist()
-        for lines, held, tag_row, dirty_row in zip(sets, count.tolist(),
-                                                   tag_rows, dirty_rows):
-            lines.clear()
-            lines.update(zip(tag_row[:held], dirty_row[:held]))
-
-        # -- stats. Misses are the fills, dirty evictions the writebacks,
-        # evictions the fills into full sets. Hits: every item and every
-        # coalesced request touches VN and MAC; take away the MAC fills,
-        # and count a VN fill as the hit that ended its walk, unless the
-        # walk filled every level.
-        width = 2 * (levels + 2)
-        # row-major: items in order, touches in order, a writeback
-        # before the fill of the touch that caused it
-        event = _np.flatnonzero(item_mask[:, None] & (1 << _np.arange(width)))
-        misses = len(event) - len(wb_line)
-        full_walk = sum(2 << (2 * touch) for touch in (0, *range(2, levels + 2)))
-        stats = cache.stats
-        stats.hits += (2 * (n_items + n - len(starts))
-                       - int(_np.count_nonzero(item_mask & 8))
-                       - int(_np.count_nonzero((item_mask & full_walk) == full_walk)))
-        stats.misses += misses
-        stats.evictions += misses - (int(count.sum()) - resident)
-        stats.dirty_evictions += len(wb_line)
-
-        # -- positioned events ---------------------------------------------
+        if not len(batch):
+            return RequestBatch()
+        kernels = native.kernels() if perf.fast_enabled() else None
+        if kernels is None:
+            return RequestBatch.from_requests(self.rewrite(batch))
+        self._use_lines()
         out = RequestBatch()
-        if not misses:
-            out.extend(batch)
-            return out
-        item, bit = _np.divmod(event, width)
-        touch = bit >> 1
-        is_wb = (bit & 1) == 0
-        ev_unit = item_unit[item]
-        span = _np.concatenate(([1, 1], arity ** _np.arange(1, levels + 1)))
-        bases = _np.array([vn_base, mac_base, *tree_bases], dtype=_np.int64)
-        ev_addr = bases[touch] + _np.where(
-            touch == 1, ev_unit * unit // per_mac, ev_unit) // span[touch] * line_bytes
-        ev_kind = _np.minimum(touch, 2)
-        if writebacks:
-            wb_addr = wb_line * line_bytes
-            ev_addr[is_wb] = wb_addr
-            # a writeback's kind is the region of its address
-            ev_kind[is_wb] = _np.searchsorted(bases[1:3], wb_addr, side="right")
-        _scatter_assemble(out, batch, address, size, is_write,
-                          starts[item_run[item]], ev_addr,
-                          is_wb.astype(_np.int8),
-                          _np.array([VN_CODE, MAC_CODE, TREE_CODE],
-                                    dtype=_np.int8)[ev_kind], line_bytes)
+        stats = self._cache.stats
+        counters = _np.array([stats.hits, stats.misses, stats.evictions,
+                              stats.dirty_evictions], dtype=_np.int64)
+        for columns in self._output.slices(batch):
+            length = kernels.repro_mee_rewrite(
+                *columns, len(columns[0]), self._geometry, self._tree_base,
+                self._tree_cover, *self._lines, counters,
+                *self._output.columns, self._output.capacity)
+            self._output.append_to(out, length)
+        (stats.hits, stats.misses, stats.evictions,
+         stats.dirty_evictions) = counters.tolist()
         return out
 
     def flush_batch(self) -> RequestBatch:

@@ -306,6 +306,8 @@ class RandomSpec(TraceSpec):
     sequentially), the spec derives randomness per fixed-size *block*
     from ``(seed, block_index)``, so ``batch(start, stop)`` is random
     access and the stream never depends on how the pipeline chunks it.
+    The last block drawn is kept, so a pipeline that reads it chunk by
+    chunk draws it once; it is not part of :meth:`state_dict`.
     """
 
     BLOCK = 1 << 16
@@ -320,12 +322,16 @@ class RandomSpec(TraceSpec):
         self.write_fraction = write_fraction
         self.stride = stride
         self.total_requests = n_requests
+        self._drawn = (None, None, None)  # block index, slots, writes
 
     def _block_columns(self, block: int):
-        length = min((block + 1) * self.BLOCK, self.total_requests) - block * self.BLOCK
-        rng = np.random.default_rng((self.seed, block))
-        slots = rng.integers(0, self.span_bytes // self.stride, size=length)
-        writes = rng.random(length) < self.write_fraction
+        drawn, slots, writes = self._drawn
+        if drawn != block:
+            length = min((block + 1) * self.BLOCK, self.total_requests) - block * self.BLOCK
+            rng = np.random.default_rng((self.seed, block))
+            slots = rng.integers(0, self.span_bytes // self.stride, size=length)
+            writes = rng.random(length) < self.write_fraction
+            self._drawn = (block, slots, writes)
         return slots, writes
 
     def batch(self, start: int = 0, stop: Optional[int] = None) -> RequestBatch:

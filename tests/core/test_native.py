@@ -9,9 +9,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from repro import native
+from repro import native, perf
 from repro.experiments.executors import pipeline_rows
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(native.__file__)))
@@ -60,7 +61,7 @@ def run_python(code: str, cache_home, **env) -> subprocess.CompletedProcess:
 def test_cold_build_then_reuse_without_compiling(cache_home, compiles):
     directory = native.kernel_dir()
     assert directory.startswith(str(cache_home / "repro" / "kernels"))
-    assert native._load().repro_schedule_window is not None
+    assert native._load().repro_schedule is not None
     assert len(compiles) == 1
     assert os.listdir(directory) == [native._LIBRARY]  # no temp file left
     native._load()
@@ -96,7 +97,7 @@ def test_unwritable_cache_directory_still_loads(tmp_path, monkeypatch, compiles)
     blocker = tmp_path / "file"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "xdg"))
-    assert native._load().repro_mee_items is not None
+    assert native._load().repro_mee_rewrite is not None
     assert len(compiles) == 1
     assert not os.path.exists(native.kernel_dir())
 
@@ -132,3 +133,66 @@ def test_without_a_compiler_warns_once_and_rows_match(cache_home):
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and "no C compiler" in lines[0], done.stderr
     assert json.loads(done.stdout) == json.loads(json.dumps(pipeline_rows(dict(PARAMS))))
+
+
+def test_kernels_refuse_to_write_past_their_outputs(cache_home):
+    """Each kernel checks every write against the length passed with its
+    output array: handed one too short, it writes nothing past the end
+    and the call raises ``RuntimeError``."""
+    kernels = native._load()
+    i8, i64 = np.int8, np.int64
+    address = np.array([0, 4096, 8192], dtype=i64)
+    size = np.full(3, 64, dtype=i64)
+    is_write = np.zeros(3, dtype=i8)
+    kind = np.zeros(3, dtype=i8)
+
+    def out(slots):
+        return (np.zeros(slots, dtype=i64), np.zeros(slots, dtype=i64),
+                np.zeros(slots, dtype=i8), np.zeros(slots, dtype=i8), slots)
+
+    # the window columns: 4 slots for a 32-burst window
+    state = np.zeros(9 + 4 * 16, dtype=i64)
+    state[4] = 9360  # the first refresh
+    with pytest.raises(RuntimeError, match="repro_schedule"):
+        kernels.repro_schedule(
+            np.zeros(0, dtype=i8), np.zeros(0, dtype=i64), np.zeros(0, dtype=i64), 0,
+            address, size, is_write, kind, 3, 32, 1,
+            np.array([17, 12, 17, 17, 39, 4, 18, 9, 9360, 420, 56, 4, 32], dtype=i64),
+            np.array([6, 7, 4], dtype=i64), 16, state, np.zeros(8, dtype=i64),
+            np.zeros(4, dtype=i8), np.zeros(4, dtype=i64), np.zeros(4, dtype=i64), 4)
+    # three reads of three MAC lines: six requests into five slots
+    with pytest.raises(RuntimeError, match="repro_guardnn_rewrite"):
+        kernels.repro_guardnn_rewrite(
+            address, size, is_write, kind, 3,
+            np.array([1, 512, 512, 64, 1 << 34], dtype=i64),
+            np.array([-1, 0], dtype=i64), *out(5))
+    # a cold cache: the first request and its VN and MAC fills overflow 2
+    with pytest.raises(RuntimeError, match="repro_mee_rewrite"):
+        kernels.repro_mee_rewrite(
+            address, size, is_write, kind, 3,
+            np.array([1 << 34, 1 << 35, 64, 512, 4096, 128, 8, 0], dtype=i64),
+            np.zeros(0, dtype=i64), np.zeros(0, dtype=i64),
+            np.zeros(128 * 8, dtype=i64), np.zeros(128 * 8, dtype=bool),
+            np.zeros(128, dtype=i64), np.zeros(4, dtype=i64), *out(2))
+
+
+@pytest.mark.slow
+def test_kernels_under_the_undefined_behaviour_sanitizer(cache_home):
+    """A build with ``-fsanitize=undefined -fno-sanitize-recover=all``
+    (its own cache directory: the flags are part of the key) runs small
+    ``random`` and ``gpt2`` slices through every kernel; any undefined
+    behaviour aborts the child. Its rows equal scalar mode's."""
+    jobs = [PARAMS, {"workload": "gpt2", "layers": 1, "context": 16, "seed": 3,
+                     "chunk_requests": 8192, "schemes": ["np", "guardnn-ci", "bp"]}]
+    code = ("import json\n"
+            "from repro import native\n"
+            "native._FLAGS += ('-fsanitize=undefined', '-fno-sanitize-recover=all')\n"
+            "from repro.experiments.executors import pipeline_rows\n"
+            "assert native.kernels() is not None\n"
+            f"print(json.dumps([pipeline_rows(dict(job)) for job in {jobs!r}]))\n")
+    done = run_python(code, cache_home)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    with perf.scalar_mode():
+        scalar = [pipeline_rows(dict(job)) for job in jobs]
+    assert json.loads(done.stdout) == json.loads(json.dumps(scalar))

@@ -158,6 +158,24 @@ def test_pipeline_memory_stays_bounded_by_chunk():
     assert peak < materialized_floor / 3
 
 
+def test_random_spec_draws_each_block_once(monkeypatch):
+    """A pipeline reads a spec chunk by chunk: 32 k requests in
+    2048-request chunks all lie in one 65,536-request block, which is
+    drawn once, not once per chunk."""
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counted(seed):
+        calls.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    spec = RandomSpec(32768, 256 << 20, seed=5)
+    chunks = list(spec.chunks(2048))
+    assert len(chunks) == 16
+    assert calls == [(5, 0)]
+
+
 @settings(max_examples=20, deadline=None)
 @given(spec=spec_strategy, splits=st.lists(st.integers(0, 1 << 16),
                                            min_size=0, max_size=6))
@@ -251,11 +269,27 @@ def hot_rows_trace(draw):
             for _ in range(n)]
 
 
+@st.composite
+def unaligned_trace(draw):
+    """Requests of 1 B to 4 KB at any byte address of a few rows in
+    every bank: most start or end mid-burst and span several bursts (a
+    4 KB request up to 65), so a chunk seam can leave a request with
+    its first bursts issued and its last ones carried in the window."""
+    layout = AddressLayout()
+    n = draw(st.integers(1, 300))
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    span = 4 * layout.banks * layout.row_bytes
+    return [MemoryRequest(rng.randrange(span), rng.randint(1, 4096),
+                          is_write=rng.random() < 0.3)
+            for _ in range(n)]
+
+
 session_trace_strategy = st.one_of(
     spec_strategy.map(lambda spec: spec.batch().to_requests()),
     bp_interleave_trace(),
     metadata_pingpong_trace(),
     hot_rows_trace(),
+    unaligned_trace(),
     # 160-320 KB streams run 2560-5120 row-hit bursts: long enough to
     # cross one or two refreshes (tREFI = 9360 cycles) mid-run
     st.builds(StreamingSpec,
@@ -301,6 +335,43 @@ def test_controller_session_matches_scalar_run_trace(trace, depth, splits):
         assert (counted["row_hits"] + counted["row_misses"]
                 + counted["row_conflicts"]) == seam["bursts"]
     assert chunked(scalar=True)[2] == part_seams
+
+
+@contextlib.contextmanager
+def fast_mode():
+    """The compiled lane, even on the scalar CI leg."""
+    previous = perf.fast_enabled()
+    perf.set_fast(True)
+    try:
+        yield
+    finally:
+        perf.set_fast(previous)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 32])
+@settings(max_examples=10, deadline=None)
+@given(trace=unaligned_trace())
+def test_session_pauses_partway_through_a_request(depth, trace):
+    """Unaligned multi-burst requests fed one per chunk: each seam
+    pauses the window with fewer than ``depth`` bursts carried, often
+    the last bursts of a request whose first ones are already issued.
+    A fast session (forced on) and the scalar windowed session hold
+    the same state after every feed and finish with the same result."""
+    def run(mode):
+        with mode():
+            session = MemoryController(queue_depth=depth).session()
+            seams = []
+            for request in trace:
+                session.feed(RequestBatch.from_requests([request]))
+                seams.append(session.state_dict())
+            result = session.finish()
+        return seams, (result.cycles, result.requests, result.bursts,
+                       result.stats.state_dict())
+
+    fast = run(fast_mode)
+    assert fast == run(perf.scalar_mode)
+    for seam in fast[0]:
+        assert len(seam["carry_bank"]) < depth
 
 
 @pytest.mark.slow

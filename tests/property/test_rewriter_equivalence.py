@@ -1,22 +1,22 @@
-"""Randomized equivalence: each trace rewriter's numpy lane is
+"""Randomized equivalence: each trace rewriter's compiled lane is
 bit-identical to its per-request scalar reference.
 
+In fast mode
 :meth:`~repro.protection.trace_rewriter.MeeTraceRewriter.rewrite_batch`
-cuts a batch into items (one per run of requests inside one VN unit)
-and replays each item's metadata-cache touches straight on the cache's
-per-set ``OrderedDict``s, coalescing a run's remaining requests into one
-LRU re-touch when the tree is shallow enough. These tests hold it to
-the scalar :meth:`~repro.protection.trace_rewriter.MeeTraceRewriter.rewrite`
-on the whole observable contract: the interleaved output stream, the
-cache stats, and the cache state (LRU order and dirty bits, via
-``state_dict()``), across chunk boundaries and the final flush.
+runs ``repro_mee_rewrite``, a C port of
+:meth:`~repro.protection.trace_rewriter.MeeTraceRewriter.rewrite` that
+walks the metadata cache request by request on the kernel's per-set
+arrays, which stay current between calls. These tests hold it to the
+scalar ``rewrite`` on the whole observable contract: the interleaved
+output stream, the cache stats, and the cache state (LRU order and
+dirty bits, via ``state_dict()``), across chunk boundaries, switches
+between the two modes and the final flush.
 
 :meth:`~repro.protection.trace_rewriter.GuardNNTraceRewriter.rewrite_batch`
-turns each request into one item per 512-B chunk it touches and
-collapses same-MAC-line item runs into line-change events. It is held
-to :meth:`~repro.protection.trace_rewriter.GuardNNTraceRewriter.rewrite`
-the same way: the stream, the active-MAC-line state (``state_dict()``)
-and the flush output.
+runs ``repro_guardnn_rewrite``, a C port of
+:meth:`~repro.protection.trace_rewriter.GuardNNTraceRewriter.rewrite`.
+It is held to ``rewrite`` the same way: the stream, the
+active-MAC-line state (``state_dict()``) and the flush output.
 """
 
 from contextlib import contextmanager
@@ -29,6 +29,7 @@ from repro.mem.batch import RequestBatch
 from repro.mem.trace import MemoryRequest
 from repro.protection.guardnn import GuardNNParams
 from repro.protection.mee import MeeParams
+from repro.protection import trace_rewriter
 from repro.protection.trace_rewriter import GuardNNTraceRewriter, MeeTraceRewriter
 
 
@@ -115,9 +116,9 @@ def test_batch_fast_lane_matches_scalar_in_random_chunks(geometry, drawn, data):
 
 def test_deep_tree_replays_each_request_of_a_run():
     """``levels + 1 >= ways``: the walk after a VN miss may evict the
-    VN/MAC lines it just filled, so every request of a run is its own
-    item. Streaming runs of 64-B requests with mixed writes, through
-    the default cache and a 4-set one."""
+    VN/MAC lines it just filled, so a later request of the same VN unit
+    can miss again. Streaming runs of 64-B requests with mixed writes,
+    through the default cache and a 4-set one."""
     for params in (MeeParams(), MeeParams(cache_bytes=2048)):
         rewriter = MeeTraceRewriter(params, protected_bytes=1 << 36)
         assert len(rewriter.regions.tree_bases) + 1 >= rewriter.cache.ways
@@ -131,9 +132,9 @@ def test_deep_tree_replays_each_request_of_a_run():
 
 @pytest.mark.parametrize("protected, levels", [(1 << 39, 29), (1 << 40, 30)])
 def test_tree_depth_at_the_event_mask_limit(protected, levels):
-    """A binary tree over a huge region: 29 levels still fit the fast
-    lane's int64 event mask (two bits per touch), 30 take the scalar
-    reference itself; both match it."""
+    """A binary tree over a huge region, 29 and 30 levels deep (where
+    an earlier lane's int64 event mask ran out): the compiled lane
+    takes trees of any depth, and both match the scalar reference."""
     params = MeeParams(tree_arity=2, cache_bytes=2048)
     assert len(MeeTraceRewriter(params, protected_bytes=protected)
                .regions.tree_bases) == levels
@@ -149,7 +150,7 @@ def test_tree_depth_at_the_event_mask_limit(protected, levels):
                                GuardNNParams(chunk_bytes=64, mac_bytes=16)]),
        drawn=bursts, data=st.data())
 def test_guardnn_fast_lane_matches_scalar_in_random_chunks(params, drawn, data):
-    """GuardNN_CI's numpy lane, forced on, against its ``rewrite``
+    """GuardNN_CI's compiled lane, forced on, against its ``rewrite``
     oracle. ``bursts`` doubles as a 512-B chunk pattern: requests that
     stay inside a chunk, straddle one, or span several MAC lines (4096 B
     is 8 chunks, 96 B of tags; 64 chunks under the 64-B geometry),
@@ -169,6 +170,62 @@ def test_guardnn_fast_lane_matches_scalar_in_random_chunks(params, drawn, data):
     assert fast.state_dict() == scalar.state_dict()
     assert fast.flush_batch().to_requests() == scalar.flush()
     assert fast.state_dict() == scalar.state_dict()
+
+
+def test_batches_longer_than_a_kernel_slice(monkeypatch):
+    """A batch longer than one kernel call's slice of requests runs as
+    several calls that carry the rewriter's state between them. With
+    7-request slices, both rewriters still match their oracles."""
+    monkeypatch.setattr(trace_rewriter._KernelOutput, "SLICE", 7)
+    trace = [MemoryRequest((i * 7919 % 4096) * 64 + (i % 3) * 8,
+                           64 + (i % 5) * 300, i % 3 == 0) for i in range(1000)]
+    assert_batches_match_scalar(
+        lambda: MeeTraceRewriter(MeeParams(cache_bytes=2048)),
+        [trace[:600], trace[600:]])
+    fast = GuardNNTraceRewriter(integrity=True)
+    scalar = GuardNNTraceRewriter(integrity=True)
+    with fast_mode():
+        got = (fast.rewrite_batch(RequestBatch.from_requests(trace[:600])).to_requests()
+               + fast.rewrite_batch(RequestBatch.from_requests(trace[600:])).to_requests())
+    assert got == scalar.rewrite(trace)
+    assert fast.state_dict() == scalar.state_dict()
+
+
+def test_one_rewriter_across_modes_and_checkpoints():
+    """One MEE rewriter moves its cache between the kernel's arrays and
+    the Python form: fast ``rewrite_batch``, then ``state_dict()`` and
+    ``cache.contains``/``cache.stats``, a scalar ``rewrite_batch``,
+    ``load_state`` of the first state and fast again. Its stream, stats
+    and state equal the scalar oracle's at every step."""
+    params = MeeParams(cache_bytes=2048)
+    trace = [MemoryRequest((i * 7919 % 4096) * 64 + (i % 3) * 8,
+                           64 + (i % 5) * 100, i % 3 == 0) for i in range(3000)]
+    first, second, third = trace[:1000], trace[1000:2000], trace[2000:]
+    rewriter, oracle = MeeTraceRewriter(params), MeeTraceRewriter(params)
+
+    with fast_mode():
+        got = rewriter.rewrite_batch(RequestBatch.from_requests(first)).to_requests()
+    assert got == oracle.rewrite(first)
+    saved = rewriter.state_dict()
+    assert saved == oracle.state_dict()
+    for address in {request.address for request in got}:
+        assert rewriter.cache.contains(address) == oracle.cache.contains(address)
+    assert stats_tuple(rewriter) == stats_tuple(oracle)
+
+    with perf.scalar_mode():
+        got = rewriter.rewrite_batch(RequestBatch.from_requests(second)).to_requests()
+    assert got == oracle.rewrite(second)
+    assert stats_tuple(rewriter) == stats_tuple(oracle)
+    assert rewriter.state_dict() == oracle.state_dict()
+
+    rewriter.load_state(saved)
+    oracle.load_state(saved)
+    with fast_mode():
+        got = rewriter.rewrite_batch(RequestBatch.from_requests(third)).to_requests()
+    assert got == oracle.rewrite(third)
+    assert stats_tuple(rewriter) == stats_tuple(oracle)
+    assert rewriter.state_dict() == oracle.state_dict()
+    assert rewriter.flush_batch().to_requests() == oracle.flush()
 
 
 class TestMeeStreams:
