@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""CI crash/resume smoke test: SIGKILL a checkpointing pipeline run
-mid-flight, resume it from the on-disk checkpoint, and assert the
-resumed output is bit-identical to an uninterrupted reference run.
+"""CI crash/resume smoke test: SIGKILL a journaled pipeline run
+mid-flight, resume it from its journal, and assert the resumed output
+is bit-identical to an uninterrupted reference run.
 
 The crash is injected with the deterministic fault harness
 (``REPRO_FAULT_PLAN``): the worker process SIGKILLs *itself* at a
@@ -9,19 +9,22 @@ chosen chunk index, so the interruption lands at exactly the same
 request cursor on every run — no timing, no flakes. What this pins
 down end to end:
 
-1. ``python -m repro pipeline --checkpoint --checkpoint-every`` writes
-   periodic checkpoints a hard kill cannot corrupt (atomic publish);
-2. ``--resume`` restarts from the last envelope and the final rows
-   equal the uninterrupted run byte for byte (the equivalence suites
-   prove this in-process; this script proves it across a real process
-   death);
-3. a completed resume retires its checkpoint file.
+1. ``python -m repro pipeline --journal --checkpoint-every`` journals
+   periodic chunk-seam checkpoints a hard kill cannot corrupt (each
+   record is fsync'd before the run goes on);
+2. a rerun with the same ``--journal`` resumes from the last envelope
+   (its summary line reads ``# units=1 resumed=1 ...``) and the final
+   rows equal the uninterrupted run byte for byte (the equivalence
+   suites prove this in-process; this script proves it across a real
+   process death);
+3. a completed resume deletes its journal.
 
 Run: ``python scripts/crash_resume_smoke.py`` (exit 0 on success).
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -58,7 +61,7 @@ def run_pipeline(extra, fault_plan=None) -> subprocess.CompletedProcess:
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="crash-resume-") as tmp:
-        checkpoint = os.path.join(tmp, "run.ckpt")
+        journal = os.path.join(tmp, "run.journal")
 
         # 1. uninterrupted reference
         reference = run_pipeline([])
@@ -67,29 +70,33 @@ def main() -> int:
         reference_rows = json.loads(reference.stdout)
         print(f"# reference: {len(reference_rows)} rows")
 
-        # 2. checkpointing run, SIGKILLed at chunk {KILL_AT_CHUNK}
+        # 2. journaled run, SIGKILLed at chunk {KILL_AT_CHUNK}
         crashed = run_pipeline(
-            ["--checkpoint", checkpoint, "--checkpoint-every", "2"],
+            ["--journal", journal, "--checkpoint-every", "2"],
             fault_plan=KILL_PLAN)
         if crashed.returncode == 0:
             fail("faulted run exited 0 — the kill fault never fired")
-        if not os.path.exists(checkpoint):
-            fail("no checkpoint survived the crash")
+        if not os.path.exists(journal):
+            fail("no journal survived the crash")
         print(f"# crashed as planned (rc={crashed.returncode}), "
-              f"checkpoint on disk ({os.path.getsize(checkpoint)} bytes)")
+              f"journal on disk ({os.path.getsize(journal)} bytes)")
 
         # 3. resume from the last envelope; rows must match the
         #    uninterrupted run exactly
-        resumed = run_pipeline(["--checkpoint", checkpoint, "--resume"])
+        resumed = run_pipeline(["--journal", journal])
         if resumed.returncode != 0:
             fail(f"resume failed: {resumed.stderr}")
+        if not re.search(r"^# units=1 resumed=1 ", resumed.stderr, re.M):
+            fail(f"the rerun did not resume from the journal: "
+                 f"{resumed.stderr}")
         if json.loads(resumed.stdout) != reference_rows:
             fail("resumed rows differ from the uninterrupted reference")
-        print("# resumed rows bit-identical to the uninterrupted run")
+        print("# resumed from the journal; rows bit-identical to the "
+              "uninterrupted run")
 
-        # 4. a completed run retires its checkpoint
-        if os.path.exists(checkpoint):
-            fail("checkpoint not removed after a successful resume")
+        # 4. a completed run deletes its journal
+        if os.path.exists(journal):
+            fail("journal not removed after a successful resume")
         print("crash/resume smoke: OK")
         return 0
 

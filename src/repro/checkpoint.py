@@ -1,11 +1,12 @@
 """Versioned, atomic on-disk checkpoints.
 
-A checkpoint is one JSON file with a fixed envelope::
+A checkpoint is one JSON envelope, kept as a file here or as a record
+of a coordinator journal (:mod:`repro.distributed.journal`)::
 
     {"version": 1,                 # format version (this module bumps it)
      "kind": "trace-pipeline",     # what produced it
      "fingerprint": {...},         # identity of the computation
-     "meta": {...},                # caller payload (e.g. a service job)
+     "meta": {...},                # optional caller payload
      "cursor": 1310720,            # resume position (request index)
      ...}                          # producer-specific state
 

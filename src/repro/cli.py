@@ -9,9 +9,9 @@ Gives downstream users the paper's experiments without writing code:
   ablations) is one preset: ``repro sweep --list`` names them;
 * ``compile`` — compile a network's DFG to GuardNN instructions and
   verify the read-counter schedule;
-* ``pipeline`` — one streaming trace-pipeline run with optional
-  crash-safe checkpointing (``--checkpoint``/``--checkpoint-every``)
-  and resume (``--resume``);
+* ``pipeline`` — one streaming trace-pipeline run; with ``--journal``
+  its chunk seams are journaled, and a rerun with the same journal
+  resumes from the last one;
 * ``serve`` — the long-lived simulation-as-a-service daemon (async
   HTTP/NDJSON job API: coalescing, admission control, streamed partial
   results, ``/metrics``; drains gracefully on SIGTERM, checkpointing
@@ -338,17 +338,23 @@ def cmd_compile(args) -> int:
 
 def cmd_pipeline(args) -> int:
     """One streaming TracePipeline run: the `pipeline_run` executor's
-    rows, printed as JSON, with the checkpoint/resume surface exposed
-    (this is the crash_resume_smoke harness's entry point). With
-    ``--distributed`` the run becomes a leased work unit served to
-    `repro work` machines, with chunk-seam checkpoint migration as the
-    failover mechanism and the shared result cache answering repeats."""
+    rows, printed as JSON. The run is one unit of a coordinator: its
+    local fallback runs it here, and with ``--distributed`` it is
+    leased to `repro work` machines too, with chunk-seam checkpoint
+    migration as the failover mechanism and the shared result cache
+    answering repeats. ``--journal`` (the crash_resume_smoke harness's
+    entry point) makes commits and seams durable in either mode, and a
+    rerun with the same journal resumes from the latest seam."""
     import json
-    import os
 
-    from repro.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-    from repro.experiments.cache import code_fingerprint
-    from repro.experiments.executors import pipeline_rows
+    import repro.experiments as experiments
+    from repro.distributed import (
+        DEFAULT_CHECKPOINT_EVERY,
+        JournalError,
+        SweepCoordinator,
+    )
+    from repro.experiments.jobs import Job, canonical_json
+    from repro.experiments.runner import JobExecutionError
 
     params = {"workload": args.workload}
     if args.schemes:
@@ -365,90 +371,26 @@ def cmd_pipeline(args) -> int:
             raise SystemExit(f"error: invalid --params: {error}")
         params.update(extra)
 
-    if args.distributed:
-        if args.checkpoint or args.resume:
-            raise SystemExit("error: --distributed migrates checkpoints to "
-                             "the coordinator; --checkpoint/--resume apply "
-                             "to local runs only")
-        return _run_distributed_pipeline(params, args)
-    if args.journal:
-        raise SystemExit("error: --journal records the distributed "
-                         "coordinator's write-ahead state; it requires "
-                         "--distributed")
-
-    if (args.checkpoint_every or args.resume) and not args.checkpoint:
-        raise SystemExit("error: --checkpoint-every/--resume need "
-                         "--checkpoint PATH")
-    # the pipeline fingerprint pins the computation, not the code: the
-    # build rides in the envelope's meta, and --resume refuses another's
-    meta = {"build": code_fingerprint()}
-    resume_from = None
-    if args.resume and os.path.exists(args.checkpoint):
-        try:
-            resume_from = load_checkpoint(args.checkpoint,
-                                          kind="trace-pipeline")
-        except CheckpointError as error:
-            raise SystemExit(f"error: {error}")
-        if resume_from.get("meta") != meta:
-            raise SystemExit(f"error: checkpoint {args.checkpoint} was "
-                             f"written by another build of repro; delete "
-                             f"it to start over")
-    kwargs = {}
-    if args.checkpoint:
-        def on_checkpoint(envelope, chunks, requests_done):
-            save_checkpoint(args.checkpoint, {**envelope, "meta": meta})
-
-        kwargs = dict(checkpoint_every=args.checkpoint_every,
-                      resume_from=resume_from, on_checkpoint=on_checkpoint)
-    try:
-        rows = pipeline_rows(params, **kwargs)
-    except (KeyError, ValueError) as error:
-        raise SystemExit(f"error: {error}")
-    except CheckpointError as error:
-        # this build's envelope of another computation (spec, schemes,
-        # chunk size) or an off-grid cursor: the file stays for its run
-        raise SystemExit(f"error: checkpoint {args.checkpoint} does not "
-                         f"match this run ({error}); rerun with its "
-                         f"options or delete it")
-    if args.checkpoint and os.path.exists(args.checkpoint):
-        os.unlink(args.checkpoint)  # completed: the checkpoint is spent
-    print(json.dumps(rows, indent=2, sort_keys=True))
-    return 0
-
-
-def _run_distributed_pipeline(params, args) -> int:
-    """Serve one ``pipeline_run`` job as a leased, checkpoint-migratable
-    unit: workers upload chunk-seam envelopes, a SIGKILLed worker's
-    successor resumes mid-unit, and a warm coordinator answers the whole
-    unit from the shared result cache without dispatching it."""
-    import json
-
-    import repro.experiments as experiments
-    from repro.distributed import (
-        DEFAULT_CHECKPOINT_EVERY,
-        JournalError,
-        SweepCoordinator,
-    )
-    from repro.experiments.jobs import Job, canonical_json
-
+    if args.checkpoint_every and not (args.distributed or args.journal):
+        raise SystemExit("error: --checkpoint-every needs --journal PATH "
+                         "or --distributed")
     cache = None
-    if not args.no_cache:
+    if args.distributed and not args.no_cache:
         cache = experiments.ResultCache(args.cache_dir)
         _require_cache_dir(cache.directory)
     host, port = args.listen
-    job = Job("pipeline_run", canonical_json(params))
     try:
         coordinator = SweepCoordinator(
-            [job], cache=cache, host=host, port=port,
+            [Job("pipeline_run", canonical_json(params))], cache=cache,
+            host=host, port=port if args.distributed else None,
             lease_seconds=args.lease_seconds,
             wait_workers=args.wait_workers,
             checkpoint_every=args.checkpoint_every or DEFAULT_CHECKPOINT_EVERY,
             journal_path=args.journal)
-    except JournalError as error:
+    except (KeyError, ValueError, JournalError) as error:
+        # a journal of another build or computation stays for its run
         raise SystemExit(f"error: {error}")
     _announce_coordinator(coordinator, args)
-    from repro.experiments.runner import JobExecutionError
-
     try:
         rows_per_job = coordinator.run()
     except JobExecutionError as error:
@@ -585,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("pipeline", help="one streaming trace-pipeline run "
-                                        "(checkpointable + resumable)")
+                                        "(journaled + resumable)")
     p.add_argument("--workload", required=True,
                    help="trace-spec name (streaming, random, bp-metadata, "
                         "llm geometries, ...)")
@@ -597,18 +539,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None,
                    help="extra trace-spec params as a JSON object, e.g. "
                         "'{\"nbytes\": 1048576, \"tokens\": 2}'")
-    p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="checkpoint file; written atomically, deleted on "
-                        "successful completion")
     p.add_argument("--checkpoint-every", type=_nonneg_int, default=0,
                    metavar="N",
-                   help="write a checkpoint every N chunks (requires "
-                        "--checkpoint; with --distributed: chunk-seam "
-                        "migration cadence, default 4)")
-    p.add_argument("--resume", action="store_true",
-                   help="resume from --checkpoint if it exists (bit-"
-                        "identical to an uninterrupted run); a checkpoint "
-                        "another build of repro wrote is refused")
+                   help="journal (with --distributed: also migrate) a "
+                        "chunk-seam checkpoint every N chunks (default 4; "
+                        "needs --journal or --distributed)")
     p.add_argument("--distributed", action="store_true",
                    help="serve the run as a leased work unit to `repro "
                         "work` machines, with chunk-seam checkpoint "
@@ -633,12 +568,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: ~/.cache/repro/sweeps)")
     p.add_argument("--journal", type=_journal_path, default=None,
                    metavar="PATH",
-                   help="write-ahead journal for --distributed: commits "
-                        "and migrated checkpoint envelopes are fsync'd "
-                        "before acknowledgement, so a killed coordinator "
-                        "restarted with the same --journal re-offers the "
-                        "unit with its latest envelope riding the "
-                        "re-grant (deleted on successful completion)")
+                   help="write-ahead journal: the commit and every "
+                        "chunk-seam checkpoint envelope are fsync'd "
+                        "before acknowledgement, so a killed run "
+                        "restarted with the same --journal resumes from "
+                        "its latest seam, bit-identical (deleted on "
+                        "successful completion; a journal another build "
+                        "or another run wrote is refused and left in "
+                        "place)")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("serve", help="simulation-as-a-service daemon "
@@ -661,12 +598,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None,
                    help="result-cache directory (default: ~/.cache/repro/sweeps)")
     p.add_argument("--checkpoint-dir", default=None,
-                   help="directory for pipeline flight checkpoints; enables "
+                   help="directory for flight journals; enables "
                         "drain-time checkpointing and restart resume")
     p.add_argument("--checkpoint-every", type=_nonneg_int, default=0,
                    metavar="N",
-                   help="checkpoint pipeline flights every N chunks "
-                        "(0 = only when draining); needs --checkpoint-dir")
+                   help="journal pipeline flights every N chunks (0 = "
+                        "only when draining; with --distributed, 0 means "
+                        "every 4 chunks); needs --checkpoint-dir")
     p.add_argument("--drain-grace", type=_nonneg_float, default=10.0,
                    metavar="SECS",
                    help="grace period for in-flight work after SIGTERM/"

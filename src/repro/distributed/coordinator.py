@@ -11,17 +11,19 @@ Three layers, separable for testing:
 * :class:`CoordinatorServer` — a ThreadingHTTPServer skin mapping the
   ``/v1/*`` endpoints onto the state machine with the service tier's
   NDJSON framing.
-* :class:`SweepCoordinator` — the driver ``repro sweep --distributed``
-  and ``repro pipeline --distributed`` use: shards the job list into
-  content-addressed units (pipeline jobs become singleton units so a
-  checkpoint envelope maps 1:1 to a unit), serves them to workers, and
-  **falls back to the local pool** through the identical lease/commit
-  path when no live remote worker exists — a coordinator with zero
-  workers degrades to exactly `Runner.run`, it never strands the sweep.
-  Once every unit is committed it keeps answering for at most one lease
-  term, until each remote worker seen in that term has heard ``done``
-  (or deregistered), so no worker napping between lease requests finds
-  the port closed instead.
+* :class:`SweepCoordinator` — the driver ``repro sweep --distributed``,
+  ``repro pipeline`` and every ``repro serve`` pipeline flight use:
+  shards the job list into content-addressed units (pipeline jobs
+  become singleton units so a checkpoint envelope maps 1:1 to a unit),
+  serves them to workers, and **falls back to the local pool** through
+  the identical lease/commit path when no live remote worker exists — a
+  coordinator with zero workers degrades to exactly `Runner.run`, it
+  never strands the sweep. Built with ``port=None`` it opens no
+  listener and the fallback runs every unit, so a local run keeps the
+  same journal a distributed one does. Once every unit is committed it
+  keeps answering for at most one lease term, until each remote worker
+  seen in that term has heard ``done`` (or deregistered), so no worker
+  napping between lease requests finds the port closed instead.
 
 Three robustness layers ride on the lease machinery:
 
@@ -84,6 +86,7 @@ from repro.experiments.runner import (
     recall_unit,
     remember_rows,
 )
+from repro.mem.pipeline import PipelineCancelled, PipelineCheckpointed
 from repro.service.metrics import StreamingHistogram
 
 from . import protocol
@@ -787,20 +790,41 @@ def default_unit_jobs(n_jobs: int) -> int:
     return max(1, min(16, -(-n_jobs // 32)))
 
 
-def _resume_pipeline(job: Job, envelope: dict) -> List[dict]:
-    """A pipeline unit's rows, resumed from a migrated ``envelope`` as a
-    worker's successor would; an envelope this build cannot validate
-    restarts the unit from request zero."""
+def run_pipeline_unit(grant: dict, job: Job,
+                      upload: Callable[[dict], None],
+                      park: Optional[Callable[[], bool]] = None,
+                      on_chunk=None,
+                      on_resume: Optional[Callable[[dict], None]] = None
+                      ) -> List[dict]:
+    """Run a leased pipeline unit as its holder — the one path
+    ``repro work`` and the coordinator's local fallback share.
+
+    The unit resumes from the envelope its ``grant`` carries
+    (``on_resume(envelope)`` hears of it first; an envelope this build
+    cannot validate restarts the unit from request zero), hands every
+    ``checkpoint_every``-th chunk-seam envelope to ``upload(envelope)``,
+    reports each chunk to ``on_chunk``, and parks at the next seam once
+    ``park()`` is true: the final envelope is uploaded, then
+    :class:`PipelineCheckpointed` raised."""
     from repro.experiments.executors import pipeline_rows
 
-    try:
+    envelope = grant.get("checkpoint")
+
+    def attempt(resume_from):
+        return pipeline_rows(
+            job.params, on_chunk=on_chunk,
+            checkpoint_every=int(grant.get("checkpoint_every", 0)),
+            checkpoint_request=park, resume_from=resume_from,
+            on_checkpoint=lambda state, chunks, requests_done: upload(state))
+
+    if envelope is not None:
+        if on_resume is not None:
+            on_resume(envelope)
         try:
-            return pipeline_rows(job.params, resume_from=dict(envelope))
+            return attempt(dict(envelope))
         except CheckpointError:
-            return pipeline_rows(job.params)
-    except Exception as exc:  # deterministic executor failure
-        raise JobExecutionError(job.executor, job.params_json,
-                                f"{type(exc).__name__}: {exc}") from None
+            pass  # another build's or computation's envelope
+    return attempt(None)
 
 
 class SweepCoordinator:
@@ -820,7 +844,7 @@ class SweepCoordinator:
     def __init__(self, jobs: Sequence[Job],
                  cache: Optional[ResultCache] = None,
                  local_workers: Optional[int] = None,
-                 host: str = "127.0.0.1", port: int = 0,
+                 host: str = "127.0.0.1", port: Optional[int] = 0,
                  unit_jobs: Optional[int] = None,
                  lease_seconds: float = 10.0,
                  wait_workers: float = 0.0,
@@ -873,7 +897,7 @@ class SweepCoordinator:
             journal_path=journal_path,
             journal_meta=journal_meta)
         self.server: Optional[CoordinatorServer] = None
-        if units:
+        if units and port is not None:
             self.server = CoordinatorServer(self.state, host=host, port=port)
 
     @staticmethod
@@ -893,14 +917,19 @@ class SweepCoordinator:
     def url(self) -> Optional[str]:
         return self.server.url if self.server is not None else None
 
-    def run(self) -> List[List[dict]]:
+    def run(self, on_chunk=None, on_resume=None,
+            park=None) -> List[List[dict]]:
         """Block until every unit is committed and the remote workers
         have heard ``done`` (see :meth:`_linger`); returns rows per job
         in job order. Raises :class:`JobExecutionError` if any job
-        failed deterministically (mirroring the local runner)."""
+        failed deterministically (mirroring the local runner). The
+        hooks reach every pipeline unit the local fallback runs (see
+        :func:`run_pipeline_unit`); a :class:`PipelineCancelled` raised
+        by ``on_chunk``, or the :class:`PipelineCheckpointed` of a unit
+        ``park`` parked, propagates with the journal left in place."""
         try:
             if self._unit_indices:
-                self._drive()
+                self._drive(on_chunk=on_chunk, on_resume=on_resume, park=park)
                 self._linger()
         finally:
             self.close()
@@ -916,19 +945,23 @@ class SweepCoordinator:
                     self._hit_rows[job_index] = rows
         return [self._hit_rows[i] for i in range(len(self.jobs))]
 
-    def _drive(self) -> None:
+    def _drive(self, **hooks) -> None:
         """The degradation loop: while remote workers are live, just
         wait for commits; when none are (and the ``wait_workers`` grace
         has passed), lease units to the local pool through the very
         same state machine — first valid result wins either way, so a
-        worker that reappears mid-fallback is harmless. A grant that
-        carries a migrated envelope resumes from it on this thread."""
+        worker that reappears mid-fallback is harmless. Without a
+        listener no worker can appear, so every unit is leased at once.
+        A multi-chunk pipeline unit runs on this thread through
+        :func:`run_pipeline_unit`, journaling its seams through
+        ``state.checkpoint`` like a remote holder's uploads."""
         start = time.monotonic()
         runner: Optional[Runner] = None
         try:
             while not self.state.done:
-                grace_over = time.monotonic() - start >= self.wait_workers
-                if self.state.live_remote_workers() > 0 or not grace_over:
+                if self.server is not None and (
+                        self.state.live_remote_workers() > 0
+                        or time.monotonic() - start < self.wait_workers):
                     time.sleep(POLL_SECONDS)
                     continue
                 reply = self.state.lease(LOCAL_WORKER)
@@ -937,15 +970,15 @@ class SweepCoordinator:
                 if reply["event"] != "lease":
                     time.sleep(POLL_SECONDS)
                     continue
+                if runner is None:
+                    runner = Runner(workers=self.local_workers,
+                                    pool_manager=self.pool_manager)
                 unit_jobs = protocol.jobs_from_wire(reply["jobs"])
                 try:
-                    if "checkpoint" in reply:
-                        rows = [_resume_pipeline(unit_jobs[0],
-                                                 reply["checkpoint"])]
+                    if reply.get("pipeline"):
+                        rows = [self._run_pipeline(reply, unit_jobs[0],
+                                                   runner, **hooks)]
                     else:
-                        if runner is None:
-                            runner = Runner(workers=self.local_workers,
-                                            pool_manager=self.pool_manager)
                         rows = runner.compute_rows(unit_jobs)
                 except JobExecutionError as exc:
                     self.state.fail(LOCAL_WORKER, reply["unit"], reply["key"],
@@ -958,6 +991,39 @@ class SweepCoordinator:
         finally:
             if runner is not None:
                 runner.close()
+
+    def _run_pipeline(self, grant: dict, job: Job, runner: Runner,
+                      on_chunk=None, on_resume=None,
+                      park=None) -> List[dict]:
+        from repro.experiments.executors import pipeline_extent
+
+        total, chunk_requests = pipeline_extent(job.params)
+        if ("checkpoint" not in grant and 0 < total <= chunk_requests
+                and not (park and park())):
+            # one chunk has no seam to journal, park or stream at, so
+            # this thread gains nothing: compute it on the pool, off the
+            # interpreter lock the caller shares
+            rows = runner.compute_rows([job])[0]
+            if on_chunk is not None:
+                on_chunk(1, total, total)
+            return rows
+        if self.journal_path is None:
+            # no successor can take over this thread's unit, and no
+            # journal outlives it: a periodic seam would keep nothing
+            grant = dict(grant, checkpoint_every=0)
+
+        def upload(envelope: dict) -> None:
+            self.state.checkpoint(LOCAL_WORKER, grant["unit"], grant["key"],
+                                  grant["lease"], envelope)
+
+        try:
+            return run_pipeline_unit(grant, job, upload, park=park,
+                                     on_chunk=on_chunk, on_resume=on_resume)
+        except (PipelineCancelled, PipelineCheckpointed):
+            raise
+        except Exception as exc:  # deterministic executor failure
+            raise JobExecutionError(job.executor, job.params_json,
+                                    f"{type(exc).__name__}: {exc}") from None
 
     def _linger(self) -> None:
         """Keep the server up after the last commit until every remote

@@ -105,11 +105,12 @@ def jobs_from_wire(payload: object) -> List[Job]:
 
 
 def rows_to_wire(rows_per_job: Sequence[List[dict]]) -> List[list]:
-    """Order-preserving row encoding. The NDJSON framing canonicalizes
-    JSON objects (sorted keys), which would silently reorder row dicts
-    and break the bit-identical contract — ResultTable infers column
-    order from row insertion order. So rows cross the wire as the same
-    schema-table encoding the runner's chunk payloads use: per job,
+    """Order-preserving row encoding, for the wire and the journal alike
+    (a process pool ships row dicts, whose key order pickle keeps). The
+    NDJSON framing canonicalizes JSON objects (sorted keys), which would
+    silently reorder row dicts and break the bit-identical contract —
+    ResultTable infers column order from row insertion order. So rows
+    cross the wire as a schema table: per job,
     ``[schemas, [[schema_index, [values...]], ...]]`` where each schema
     is the ordered key list. Lists survive canonicalization intact."""
     wire = []

@@ -11,13 +11,14 @@ Loop shape::
   each unit, so a worker surviving its own child's death is invisible
   to the coordinator;
 * a **pipeline unit** (``"pipeline": true`` on the lease) runs inline
-  through :func:`repro.experiments.executors.pipeline_rows` with
-  ``checkpoint_every=`` wired to an upload hook: every chunk-seam
-  envelope migrates to the coordinator (``/v1/checkpoint``,
-  best-effort — an upload failure costs recovery granularity, never
-  correctness). A lease that arrives carrying an envelope resumes
-  from it (``resume_from=``); an envelope this build cannot validate
-  falls back to unit start — wrong rows are impossible either way;
+  through :func:`repro.distributed.coordinator.run_pipeline_unit`, the
+  path the coordinator's own local fallback takes, with an upload
+  hook: every ``checkpoint_every``-th chunk-seam envelope migrates to
+  the coordinator (``/v1/checkpoint``, best-effort — an upload failure
+  costs recovery granularity, never correctness). A lease that
+  arrives carrying an envelope resumes from it; an envelope this build
+  cannot validate falls back to unit start — wrong rows are impossible
+  either way;
 * a unit key hashes the coordinator's code fingerprint, so a lease
   whose key this build does not reproduce was minted by another build
   of repro: the worker computes nothing, deregisters and exits 1 (with
@@ -78,7 +79,6 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.checkpoint import CheckpointError
 from repro.experiments.cache import ResultCache, code_fingerprint
 from repro.experiments.jobs import Job
 from repro.experiments.runner import (
@@ -92,6 +92,7 @@ from repro.service.client import retry_delay
 from repro.testing import faults
 
 from .client import CoordinatorClient, CoordinatorUnreachable, WorkerRejected
+from .coordinator import run_pipeline_unit
 from .protocol import ProtocolError, jobs_from_wire, unit_key
 
 
@@ -240,17 +241,14 @@ class Worker:
         return True
 
     def _run_pipeline(self, lease: dict, jobs: List[Job]):
-        """Execute a singleton pipeline unit inline, migrating every
-        chunk-seam envelope to the coordinator and resuming from the
-        envelope the lease carried (if any). Returns
+        """Execute a singleton pipeline unit inline through
+        :func:`~repro.distributed.coordinator.run_pipeline_unit`,
+        migrating every chunk-seam envelope to the coordinator and
+        resuming from the envelope the lease carried (if any). Returns
         ``(rows, error, drained)``."""
-        from repro.experiments.executors import pipeline_rows
-
         job = jobs[0]
-        checkpoint_every = int(lease.get("checkpoint_every", 0))
-        resume_state = lease.get("checkpoint")
 
-        def upload(state: dict, chunks: int, requests_done: int) -> None:
+        def upload(state: dict) -> None:
             # best-effort: a lost/rejected upload only means a successor
             # resumes from an older seam (or unit start), never bad rows
             try:
@@ -275,30 +273,15 @@ class Worker:
             except (CoordinatorUnreachable, ProtocolError) as exc:
                 self._log(f"checkpoint upload failed ({exc}); continuing")
 
-        def attempt(resume_from):
-            return pipeline_rows(
-                job.params,
-                checkpoint_every=checkpoint_every,
-                resume_from=resume_from,
-                on_checkpoint=upload,
-                checkpoint_request=self._drain.is_set)
+        def on_resume(envelope: dict) -> None:
+            self._log(f"unit {lease['unit']}: resuming from migrated "
+                      f"checkpoint (cursor {envelope.get('cursor')})")
+            self.units_resumed += 1
 
         try:
-            try:
-                if resume_state is not None:
-                    self._log(f"unit {lease['unit']}: resuming from "
-                              f"migrated checkpoint "
-                              f"(cursor {resume_state.get('cursor')})")
-                    rows = attempt(dict(resume_state))
-                    self.units_resumed += 1
-                else:
-                    rows = attempt(None)
-            except CheckpointError as exc:
-                # the migrated envelope does not validate against this
-                # build/unit — recompute from unit start instead
-                self._log(f"migrated checkpoint rejected ({exc}); "
-                          f"restarting unit {lease['unit']} from scratch")
-                rows = attempt(None)
+            rows = run_pipeline_unit(lease, job, upload,
+                                     park=self._drain.is_set,
+                                     on_resume=on_resume)
         except PipelineCheckpointed as exc:
             self._log(f"unit {lease['unit']}: drained at chunk seam "
                       f"({exc.requests_done} requests done)")

@@ -392,9 +392,9 @@ def pipeline_fingerprint(params: Dict[str, object]) -> Dict[str, object]:
 
 def pipeline_extent(params: Dict[str, object]) -> Tuple[int, int]:
     """``(total_requests, chunk_requests)`` of a ``pipeline_run`` job,
-    without building rewriters or controllers: ``repro serve`` sends a
-    flight that fits one chunk (no seam to stream, cancel or checkpoint
-    at) to the worker pool."""
+    without building rewriters or controllers: the coordinator's local
+    fallback sends a unit that fits one chunk (no seam to stream,
+    cancel or checkpoint at) to the worker pool."""
     _, _, chunk_requests, spec = _pipeline_config(params)
     return spec.total_requests, chunk_requests
 
@@ -402,16 +402,17 @@ def pipeline_extent(params: Dict[str, object]) -> Tuple[int, int]:
 def pipeline_rows(params: Dict[str, object],
                   **hooks) -> List[Dict[str, object]]:
     """The :func:`pipeline_run` body, with the pipeline's streaming
-    hooks exposed: ``repro serve`` calls this directly so one code path
+    hooks exposed: a pipeline unit's holder (``repro work``, or the
+    coordinator's local fallback that runs ``repro pipeline`` and every
+    ``repro serve`` pipeline flight) calls this directly so one code path
     produces both the cached executor rows and the per-chunk progress
     events (and honours cooperative cancellation), guaranteeing the
     streamed result is bit-identical to the ``pipeline_run`` job. The
-    ``hooks`` (``on_chunk``, ``should_stop``, the ``checkpoint_*``
-    keywords, ``resume_from``, ``on_checkpoint``) pass straight through
-    to :meth:`~repro.mem.pipeline.TracePipeline.run`, so a service
-    flight, a distributed worker or the CLI checkpoints and resumes
-    without a second code path — the checkpoint fingerprint is derived
-    from the same params dict that keys the result cache."""
+    ``hooks`` (``on_chunk``, the ``checkpoint_*`` keywords,
+    ``resume_from``, ``on_checkpoint``) pass straight through to
+    :meth:`~repro.mem.pipeline.TracePipeline.run` — the checkpoint
+    fingerprint is derived from the same params dict that keys the
+    result cache."""
     from repro.mem.pipeline import TracePipeline
 
     workload, schemes, chunk_requests, spec = _pipeline_config(params)

@@ -19,9 +19,8 @@ Execution contract:
   the platform allows, so the executor registry and the loaded model
   zoo are inherited rather than re-imported per job;
 * jobs cross the process boundary as chunked SoA payloads (executor
-  names + params strings in parallel tuples) and rows come back as
-  (schema, value-row) pairs instead of per-row dicts, so a chunk is a
-  handful of pickles rather than one per row;
+  names + params strings in parallel tuples), and rows come back as
+  plain dicts, whose key order pickle keeps;
 * a job raising inside a batch surfaces as :class:`JobExecutionError`
   naming the failing executor and params; rows of jobs that *did*
   complete in the batch are persisted to both cache levels before the
@@ -214,35 +213,6 @@ def remember_rows(job: Job, rows: List[dict],
         cache.put(job, rows)
 
 
-# -- SoA chunk payloads ----------------------------------------------------
-
-
-def _encode_rows(rows_per_job: List[List[dict]]):
-    """Pack a chunk's row dicts as (schemas, per-row (schema, values))
-    so repeated keys are pickled once per schema instead of once per
-    row; key order per row is preserved exactly."""
-    schemas: List[Tuple[str, ...]] = []
-    schema_index: Dict[Tuple[str, ...], int] = {}
-    encoded = []
-    for rows in rows_per_job:
-        packed = []
-        for row in rows:
-            keys = tuple(row)
-            index = schema_index.get(keys)
-            if index is None:
-                index = schema_index[keys] = len(schemas)
-                schemas.append(keys)
-            packed.append((index, tuple(row.values())))
-        encoded.append(packed)
-    return schemas, encoded
-
-
-def _decode_rows(payload) -> List[List[dict]]:
-    schemas, encoded = payload
-    return [[dict(zip(schemas[index], values)) for index, values in packed]
-            for packed in encoded]
-
-
 def _describe_error(error: BaseException) -> str:
     return f"{type(error).__name__}: {error}"
 
@@ -252,8 +222,8 @@ def _run_chunk(chunk):
     tuples; the fast/scalar mode travels with the chunk so a pool forked
     in one mode honours the caller's current mode.
 
-    Returns ``(payload, error)`` — payload encodes the rows of every
-    job that completed (in order, stopping at the first failure) and
+    Returns ``(rows_per_job, error)`` — the rows of every job that
+    completed (in order, stopping at the first failure) and
     ``error`` is ``None`` or ``(offset, executor, params_json, cause)``
     identifying the job that raised. Exceptions are caught per job so a
     failure surfaces as data instead of poisoning ``pool.map`` and
@@ -276,7 +246,7 @@ def _run_chunk(chunk):
         except Exception as exc:
             error = (offset, executor, params_json, _describe_error(exc))
             break
-    return _encode_rows(rows_per_job), error
+    return rows_per_job, error
 
 
 class Runner:
@@ -409,9 +379,9 @@ class Runner:
         for chunk_index, result in enumerate(mapped):
             if result is None:
                 continue
-            payload, error = result
+            rows_per_job, error = result
             base = chunk_index * chunksize
-            for offset, rows in enumerate(_decode_rows(payload)):
+            for offset, rows in enumerate(rows_per_job):
                 completed.append((base + offset, rows))
             if error is not None and failure is None:
                 offset, executor, params_json, cause = error

@@ -39,7 +39,6 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.checkpoint import (
     CheckpointError,
     load_checkpoint,
-    save_checkpoint,
     seal_envelope,
     validate_envelope,
 )
@@ -48,25 +47,20 @@ from repro.testing import faults
 
 
 class PipelineCancelled(RuntimeError):
-    """A streaming run was cooperatively cancelled at a chunk boundary
-    (see :meth:`TracePipeline.run`'s ``should_stop``). The pipeline's
+    """Raised by an ``on_chunk`` hook to stop a streaming run at a chunk
+    boundary (the service's cooperative cancellation). The pipeline's
     rewriter/DRAM state is consumed — build a fresh one to retry."""
 
 
 class PipelineCheckpointed(RuntimeError):
     """A streaming run parked itself at a chunk seam because
     ``checkpoint_request()`` asked it to (the graceful-drain path). Its
-    final envelope went to the ``on_checkpoint`` hook, and when the run
-    had a ``checkpoint_path`` it is also on disk at :attr:`path` (else
-    :attr:`path` is None); either form resumes bit-exactly through a
-    fresh pipeline's ``resume_from``."""
+    final envelope went to the ``on_checkpoint`` hook, and resumes
+    bit-exactly through a fresh pipeline's ``resume_from``."""
 
-    def __init__(self, path: Optional[str], chunks: int, requests_done: int):
-        where = f" to {path}" if path is not None else ""
+    def __init__(self, chunks: int, requests_done: int):
         super().__init__(
-            f"checkpointed{where} after {chunks} chunks "
-            f"({requests_done} requests)")
-        self.path = path
+            f"checkpointed after {chunks} chunks ({requests_done} requests)")
         self.chunks = chunks
         self.requests_done = requests_done
 
@@ -205,9 +199,8 @@ class TracePipeline:
             sessions[self.controllers[name]].load_state(scheme_state["session"])
         return int(state["chunks"]), cursor
 
-    def run(self, on_chunk=None, should_stop=None, checkpoint_path=None,
-            checkpoint_every: int = 0, checkpoint_request=None,
-            resume_from=None,
+    def run(self, on_chunk=None, checkpoint_every: int = 0,
+            checkpoint_request=None, resume_from=None,
             on_checkpoint=None) -> Dict[str, PipelineResult]:
         """Stream the whole source through every scheme; one generation
         pass, per-scheme results keyed by scheme name (input order).
@@ -215,24 +208,21 @@ class TracePipeline:
         ``on_chunk(chunk_index, requests_done, total_requests)`` is
         called after each chunk has been rewritten and fed through every
         scheme (1-based chunk index) — the progress hook the service
-        streams to clients. ``should_stop()`` is polled at every chunk
-        boundary *before* the chunk is generated; returning true raises
-        :class:`PipelineCancelled`, the cooperative-cancellation seam (a
-        chunk is the unit of work, so cancellation latency is one chunk).
+        streams to clients. A hook that raises stops the run there; the
+        service cancels a flight by raising :class:`PipelineCancelled`
+        (a chunk is the unit of work, so cancellation latency is one
+        chunk).
 
         **Checkpointing** (all off by default, zero overhead when off):
         the full mid-stream state is sealed into an envelope every
-        ``checkpoint_every`` chunks (0 = only on request);
+        ``checkpoint_every`` chunks (0 = only on request) and handed to
+        ``on_checkpoint(envelope, chunks, requests_done)``, which
+        checkpointing needs: a distributed worker uploads it to its
+        coordinator, the coordinator's local fallback journals it.
         ``checkpoint_request()`` polled truthy at a seam seals a final
         one and raises :class:`PipelineCheckpointed` (the graceful-drain
-        path). Each envelope is written atomically to
-        ``checkpoint_path`` when one is given, then handed to
-        ``on_checkpoint(envelope, chunks, requests_done)`` — the one
-        sink for callers that keep it elsewhere: a distributed worker
-        uploads it to its coordinator, ``repro serve`` writes it with
-        the originating request in its ``meta``. Checkpointing needs at
-        least one of the two. ``resume_from`` (a path or an envelope
-        dict) restores a checkpoint into this pipeline's
+        path). ``resume_from`` (an envelope dict, or the path of a file
+        holding one) restores a checkpoint into this pipeline's
         rewriters/sessions and continues from its cursor — the resumed
         run is bit-identical to the uninterrupted one (cycles, bursts,
         stats, cache state; pinned by
@@ -247,10 +237,9 @@ class TracePipeline:
                                "state are consumed — build a new TracePipeline")
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
-        if ((checkpoint_every or checkpoint_request)
-                and checkpoint_path is None and on_checkpoint is None):
-            raise ValueError("checkpointing requested without a "
-                             "checkpoint_path or on_checkpoint hook")
+        if (checkpoint_every or checkpoint_request) and on_checkpoint is None:
+            raise ValueError("checkpointing requested without an "
+                             "on_checkpoint hook")
         self._ran = True
         # one session per distinct stream: controller -> its rewriter
         streams = {self.controllers[name]: self.rewriters[name]
@@ -263,21 +252,13 @@ class TracePipeline:
             chunks, requests_done = self._restore(sessions, resume_from)
 
         def write_checkpoint() -> None:
-            envelope = self._capture(sessions, chunks, requests_done)
-            if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, envelope)
-            if on_checkpoint is not None:
-                on_checkpoint(envelope, chunks, requests_done)
+            on_checkpoint(self._capture(sessions, chunks, requests_done),
+                          chunks, requests_done)
 
         for start in range(requests_done, total, self.chunk_requests):
-            if should_stop is not None and should_stop():
-                raise PipelineCancelled(
-                    f"cancelled after {chunks} of "
-                    f"{-(-total // self.chunk_requests)} chunks")
             if checkpoint_request is not None and checkpoint_request():
                 write_checkpoint()
-                raise PipelineCheckpointed(checkpoint_path, chunks,
-                                           requests_done)
+                raise PipelineCheckpointed(chunks, requests_done)
             if faults.enabled():
                 faults.fire("pipeline.chunk", chunks)
             batch = self.source.batch(
@@ -293,8 +274,6 @@ class TracePipeline:
             if (checkpoint_every and chunks % checkpoint_every == 0
                     and requests_done < total):
                 write_checkpoint()
-        if should_stop is not None and should_stop():
-            raise PipelineCancelled(f"cancelled after {chunks} chunks")
         for controller, rewriter in streams.items():
             if rewriter is not None:
                 sessions[controller].feed(rewriter.flush_batch())

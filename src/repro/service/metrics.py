@@ -101,9 +101,9 @@ COUNTERS = (
     "cache_corrupt_total",     # corrupt cache entries quarantined
     "worker_restarts_total",   # pool rebuilds after a lost worker
     "chunk_retries_total",     # sweep chunks re-dispatched after a loss
-    "checkpoints_written_total",  # pipeline checkpoints persisted
+    "checkpoints_written_total",  # pipeline seams journaled
     "flights_resumed_total",   # flights the startup scan re-admitted
-                               # from a .ckpt or .journal record
+                               # from their .journal records
     "distributed_flights_total",     # flights fanned through a coordinator
     "journal_units_replayed_total",  # units recovered from a journal replay
     "journals_quarantined_total",    # unusable journals set aside (.corrupt)

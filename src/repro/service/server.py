@@ -10,12 +10,16 @@ Architecture (all stdlib):
   executed on a small ``ThreadPoolExecutor`` (``max_running`` threads —
   the occupancy half of the admission model); the thread drives the
   ordinary blocking engine (:class:`~repro.experiments.runner.Runner`
-  for sweeps, :func:`~repro.experiments.executors.pipeline_rows` for
-  pipelines) and publishes events back via ``call_soon_threadsafe``.
-  A pipeline that fits one chunk has no seam to stream at, so its
-  thread hands it to the worker pool like a sweep job: the pipeline's
-  Python loops then hold a worker's interpreter lock, not the one the
-  event loop and the sweep hand-offs share;
+  for sweeps, a :class:`~repro.distributed.SweepCoordinator` for
+  pipelines and for every ``--distributed`` flight) and publishes
+  events back via ``call_soon_threadsafe``. A pipeline flight's
+  coordinator opens no listener unless ``--distributed``; its local
+  fallback streams the pipeline on the flight thread, journaling
+  chunk seams into the flight's ``<key>.journal`` under
+  ``--checkpoint-dir``. A pipeline that fits one chunk has no seam to
+  stream at, so the fallback hands it to the worker pool like a sweep
+  job: the pipeline's Python loops then hold a worker's interpreter
+  lock, not the one the event loop and the sweep hand-offs share;
 * every flight's runner borrows the one shared
   :class:`~repro.experiments.pool.WorkerPoolManager` — process-pool
   ownership is the service's, not any single request's — and the shared
@@ -37,6 +41,7 @@ streaming — same executors, same caches, same content-addressed keys.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import multiprocessing
 import os
@@ -48,18 +53,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from repro.experiments import ResultCache, ResultTable, get_sweep
 from repro.experiments.cache import code_fingerprint
-from repro.experiments.executors import pipeline_extent, pipeline_rows
 from repro.experiments.pool import WorkerPoolManager
-from repro.experiments.runner import (
-    JobExecutionError,
-    Runner,
-    default_workers,
-    recall_rows,
-    remember_rows,
-)
+from repro.experiments.runner import JobExecutionError, Runner, default_workers
 from repro.mem.pipeline import PipelineCancelled, PipelineCheckpointed
 from repro.service.admission import AdmissionController, AdmissionDecision
 from repro.service.coalescer import END_OF_STREAM, Flight, JobCoalescer
@@ -80,11 +77,10 @@ from repro.testing import faults
 
 _MAX_BODY_BYTES = 1 << 20  # a job request is a description, not data
 
-#: the durable records a flight leaves under ``checkpoint_dir`` as
-#: ``<key><suffix>``: a local flight's chunk-seam checkpoint envelope,
-#: and a distributed flight's coordinator journal. Each carries the
-#: resubmittable request in its meta.
-_RECORD_SUFFIXES = (".ckpt", ".journal")
+#: the durable record a flight leaves under ``checkpoint_dir`` as
+#: ``<key><suffix>``: its coordinator's journal, whose header carries
+#: the resubmittable request in its meta
+_RECORD_SUFFIX = ".journal"
 
 
 class FlightCancelled(RuntimeError):
@@ -121,10 +117,11 @@ class ServeConfig:
     max_queued: int = 8         # admitted flights waiting for a thread
     cache: bool = True          # shared on-disk ResultCache
     cache_dir: Optional[str] = None
-    #: directory for pipeline flight checkpoints; None disables both
-    #: periodic checkpointing and drain-time checkpoint/resume
+    #: directory for flight journals; None disables both periodic
+    #: checkpointing and drain-time checkpoint/resume
     checkpoint_dir: Optional[str] = None
-    #: write a checkpoint every N pipeline chunks (0 = only on drain);
+    #: journal a pipeline flight every N chunks (0 = only on drain, or
+    #: every DEFAULT_CHECKPOINT_EVERY chunks under ``distributed``);
     #: needs ``checkpoint_dir``
     checkpoint_every: int = 0
     #: seconds to wait for in-flight work after a drain begins before
@@ -178,8 +175,10 @@ class ReproService:
         self._stream_seq = 0   # fault-site index for service.stream
         # one CoordinatorServer owns the fixed dist_port at a time, so
         # distributed flights execute serially (coalescing and caches
-        # still make concurrent identical submissions cheap)
-        self._dist_lock = threading.Lock()
+        # still make concurrent identical submissions cheap); local
+        # flights' coordinators listen nowhere and run concurrently
+        self._dist_lock = (threading.Lock() if self.config.distributed
+                           else contextlib.nullcontext())
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -478,10 +477,10 @@ class ReproService:
             self.metrics.incr("cancelled_total")
             final = {"event": "cancelled", "reason": str(error)}
         except PipelineCheckpointed as checkpointed:
-            # a drain caught this flight mid-stream: its state is on
-            # disk and the restarted daemon will pick it up
+            # a drain caught this flight mid-stream: its state is in
+            # its journal and the restarted daemon will pick it up
             final = {"event": "checkpointed",
-                     "checkpoint": self._record_path(flight.key, ".ckpt"),
+                     "checkpoint": self._record_path(flight.key),
                      "chunks": checkpointed.chunks,
                      "requests_done": checkpointed.requests_done}
         except JobExecutionError as error:
@@ -526,7 +525,7 @@ class ReproService:
         jobs = request.jobs()
         definition = get_sweep(request.preset) if request.preset else None
         if self.config.distributed:
-            rows_per_job = self._run_distributed(flight, jobs)
+            rows_per_job, _ = self._coordinate(flight, jobs)
             rows = [row for job_rows in rows_per_job for row in job_rows]
         else:
             runner = Runner(workers=self.workers, cache=self.cache,
@@ -547,87 +546,54 @@ class ReproService:
                 "table": {"columns": table.columns, "rows": table.rows}}
 
     def _execute_pipeline(self, flight: Flight) -> dict:
-        job = flight.request.jobs()[0]
-        rows = recall_rows(job, self.cache)
-        cached = rows is not None
-        if rows is None and self.config.distributed:
-            # the coordinator's checkpoint migration + journal replace
-            # the local checkpoint file for durability; completed rows
-            # land in both cache levels exactly as the local path's do
-            rows = self._run_distributed(flight, [job])[0]
-            remember_rows(job, rows, self.cache)
-        elif rows is None:
-            def on_chunk(chunk, requests_done, total_requests):
-                self._check_cancel(flight)
-                self._emit(flight, {"event": "progress", "chunk": chunk,
-                                    "requests_done": requests_done,
-                                    "total_requests": total_requests})
+        def on_chunk(chunk, requests_done, total_requests):
+            if flight.cancel.is_set():
+                raise PipelineCancelled("every subscriber disconnected")
+            self._emit(flight, {"event": "progress", "chunk": chunk,
+                                "requests_done": requests_done,
+                                "total_requests": total_requests})
 
-            ckpt_path = self._record_path(flight.key, ".ckpt")
-            ckpt_kwargs: Dict[str, object] = {}
-            resume_from = None
-            if ckpt_path is not None:
-                if os.path.exists(ckpt_path):
-                    try:
-                        resume_from = load_checkpoint(ckpt_path,
-                                                      kind="trace-pipeline")
-                    except CheckpointError as error:
-                        self._quarantine(ckpt_path, error)  # full recompute
-                    else:
-                        self._emit(flight, {
-                            "event": "resumed",
-                            "requests_done": resume_from.get("cursor"),
-                            "chunks": resume_from.get("chunks")})
-                # the request rides in the envelope's meta, as in a
-                # journal header, so a restarted daemon can re-admit
-                # this flight unprompted
-                meta = {"request": flight.request.resubmit_body()}
+        def on_resume(envelope):
+            self._emit(flight, {"event": "resumed",
+                                "requests_done": envelope.get("cursor"),
+                                "chunks": envelope.get("chunks")})
 
-                def on_checkpoint(envelope, chunks, requests_done):
-                    save_checkpoint(ckpt_path, {**envelope, "meta": meta})
-                    self.metrics.incr("checkpoints_written_total")
-
-                ckpt_kwargs = dict(
-                    checkpoint_every=self.config.checkpoint_every,
-                    checkpoint_request=flight.checkpoint_now.is_set,
-                    resume_from=resume_from,
-                    on_checkpoint=on_checkpoint)
-            total, chunk_requests = pipeline_extent(job.params)
-            if (0 < total <= chunk_requests and resume_from is None
-                    and not flight.checkpoint_now.is_set()):
-                # one chunk has no seam to stream, cancel or checkpoint
-                # at, so a thread gains nothing: compute it on the pool,
-                # off the interpreter lock the loop and sweeps share
-                self._check_cancel(flight)
-                rows = Runner(self.workers, pool_manager=self.pool_manager
-                              ).compute_rows([job])[0]
-                on_chunk(1, total, total)
-            else:
-                rows = pipeline_rows(job.params, on_chunk=on_chunk,
-                                     should_stop=flight.cancel.is_set,
-                                     **ckpt_kwargs)
-            remember_rows(job, rows, self.cache)
+        # a drain parks the flight only where its journal can keep it
+        park = (flight.checkpoint_now.is_set if self.config.checkpoint_dir
+                else None)
+        rows_per_job, cached = self._coordinate(
+            flight, flight.request.jobs(), on_chunk=on_chunk,
+            on_resume=on_resume, park=park)
         return {"event": "result", "kind": "pipeline", "cached": cached,
-                "rows": rows}
+                "rows": rows_per_job[0]}
 
-    # -- distributed execution ----------------------------------------------
+    # -- coordinated execution ----------------------------------------------
 
     def _spawn_coordinator(self, flight: Flight, jobs,
                            journal_path: Optional[str]):
         # imported here, not at module top: repro.distributed's wire
         # protocol reuses repro.service.protocol's framing, so a
         # module-level import would be circular
-        from repro.distributed import JournalError, SweepCoordinator
+        from repro.distributed import (
+            DEFAULT_CHECKPOINT_EVERY,
+            JournalError,
+            SweepCoordinator,
+        )
 
+        every = self.config.checkpoint_every
         kwargs = dict(
             cache=self.cache, local_workers=self.workers,
-            host=self.config.dist_host, port=self.config.dist_port,
-            wait_workers=self.config.dist_wait_workers,
-            pool_manager=self.pool_manager,
-            journal_path=journal_path,
+            pool_manager=self.pool_manager, journal_path=journal_path,
             # the request rides in the journal header so a restarted
             # daemon can rebuild this flight without a client attached
             journal_meta={"request": flight.request.resubmit_body()})
+        if self.config.distributed:
+            kwargs.update(host=self.config.dist_host,
+                          port=self.config.dist_port,
+                          wait_workers=self.config.dist_wait_workers,
+                          checkpoint_every=every or DEFAULT_CHECKPOINT_EVERY)
+        else:
+            kwargs.update(port=None, checkpoint_every=every)
         try:
             return SweepCoordinator(jobs, **kwargs)
         except JournalError as error:
@@ -636,40 +602,53 @@ class ReproService:
             self._quarantine(journal_path, error)
             return SweepCoordinator(jobs, **kwargs)
 
-    def _run_distributed(self, flight: Flight, jobs) -> list:
-        """Execute one flight's jobs through a :class:`SweepCoordinator`
-        bound to the fixed distributed port, journaled under the
-        checkpoint directory so a daemon crash mid-flight resumes from
-        committed units instead of recomputing. Returns rows per job in
-        job order — bit-identical to the local path by the coordinator's
-        construction. The coordinator closes its journal on the way
-        out; the flight retires it once the rows are in hand."""
+    def _coordinate(self, flight: Flight, jobs, **hooks):
+        """Execute one flight's jobs through a :class:`SweepCoordinator`,
+        journaled under the checkpoint directory so a drain or a daemon
+        crash mid-flight resumes from its committed units and latest
+        chunk seam instead of recomputing. Under ``--distributed`` it
+        listens on the fixed distributed port; otherwise it opens no
+        listener and its local fallback runs every unit. ``hooks`` reach
+        the pipeline units it runs locally. Returns ``(rows per job in
+        job order, whether the result cache answered)`` — bit-identical
+        to the direct APIs by the coordinator's construction. The
+        coordinator probes and fills the result cache and closes its
+        journal on the way out; the flight retires the journal once the
+        rows are in hand."""
         self._check_cancel(flight)
-        journal_path = self._record_path(flight.key, ".journal")
+        journal_path = self._record_path(flight.key)
         with self._dist_lock:
             coordinator = self._spawn_coordinator(flight, jobs, journal_path)
-            self.metrics.incr("distributed_flights_total")
-            replayed = coordinator.state.counters["journal_replayed_units"]
+            counters = coordinator.state.counters
+            replayed = counters["journal_replayed_units"]
             if replayed:
                 self.metrics.incr("journal_units_replayed_total", replayed)
-            self._emit(flight, {"event": "distributed",
-                                "url": coordinator.url,
-                                "epoch": coordinator.state.epoch,
-                                "replayed_units": replayed})
-            return coordinator.run()
+            if self.config.distributed:
+                self.metrics.incr("distributed_flights_total")
+                self._emit(flight, {"event": "distributed",
+                                    "url": coordinator.url,
+                                    "epoch": coordinator.state.epoch,
+                                    "replayed_units": replayed})
+            try:
+                rows_per_job = coordinator.run(**hooks)
+            finally:
+                if journal_path is not None:
+                    self.metrics.incr("checkpoints_written_total",
+                                      counters["checkpoints_migrated"])
+            return rows_per_job, counters["cache_served_units"] > 0
 
     # -- durable flight records ----------------------------------------------
 
-    def _record_path(self, key: str, suffix: str) -> Optional[str]:
+    def _record_path(self, key: str) -> Optional[str]:
         directory = self.config.checkpoint_dir
-        return os.path.join(directory, key + suffix) if directory else None
+        return (os.path.join(directory, key + _RECORD_SUFFIX)
+                if directory else None)
 
     def _quarantine(self, path: str, error: Exception) -> None:
-        """Set an unusable record aside as ``<name>.corrupt``: kept as
+        """Set an unusable journal aside as ``<name>.corrupt``: kept as
         evidence, never re-parsed on a later restart, and out of the way
-        of the flight key's next record."""
-        if path.endswith(".journal"):
-            self.metrics.incr("journals_quarantined_total")
+        of the flight key's next journal."""
+        self.metrics.incr("journals_quarantined_total")
         quarantined = path + ".corrupt"
         try:
             os.replace(path, quarantined)
@@ -681,22 +660,22 @@ class ReproService:
 
     def _retire(self, key: str) -> None:
         """A flight that ended with rows needs no record: delete its
-        ``.ckpt`` and ``.journal``, whichever mode wrote them. A flight
-        that fails or is cancelled keeps them for the next attempt."""
+        journal. A flight that fails, is cancelled or parks keeps it for
+        the next attempt."""
         if self.config.checkpoint_dir:
-            for suffix in _RECORD_SUFFIXES:
-                _discard(self._record_path(key, suffix))
+            _discard(self._record_path(key))
 
     def _resume_flights(self) -> None:
         """Re-admit, before accepting traffic, every flight a previous
-        daemon instance left a record of, in either mode: a
-        ``<key>.ckpt`` (a local flight parked at a chunk seam) or a
-        ``<key>.journal`` (a distributed flight's coordinator state).
-        A re-admitted flight has no subscribers; its rows land in the
-        shared caches, so the client that retries after the restart
-        gets a cache hit instead of a recompute from request zero.
+        daemon instance left a ``<key>.journal`` of — in either mode: a
+        journal holds the committed units and the latest chunk-seam
+        envelope of a local or a distributed flight alike, and the
+        re-admitted flight continues from that seam. A re-admitted
+        flight has no subscribers; its rows land in the shared caches,
+        so the client that retries after the restart gets a cache hit
+        instead of a recompute from request zero.
 
-        An unreadable record is quarantined. A readable one is deleted
+        An unreadable journal is quarantined. A readable one is deleted
         when it holds no request this build can parse, or when the
         request's key differs from the file name: it was written under
         another code fingerprint, and bit-identity only holds within
@@ -709,21 +688,18 @@ class ReproService:
 
         for name in sorted(os.listdir(directory)):
             key, suffix = os.path.splitext(name)
-            if suffix not in _RECORD_SUFFIXES:
+            if suffix != _RECORD_SUFFIX:
                 continue
             path = os.path.join(directory, name)
             try:
-                meta = (journal_meta(path) if suffix == ".journal" else
-                        load_checkpoint(path, kind="trace-pipeline").get("meta"))
-            except (CheckpointError, JournalError) as error:
+                meta = journal_meta(path)
+            except JournalError as error:
                 self._quarantine(path, error)
                 continue
             request = _recorded_request(meta)
             if request is None or request.key(self._fingerprint) != key:
                 _discard(path)
                 continue
-            if self.coalescer.peek(key) is not None:
-                continue  # its other record re-admitted it already
             if not self._dispatch(key, request).admitted:
                 break  # capacity full; the rest resume on client demand
             self.metrics.incr("flights_resumed_total")

@@ -161,59 +161,97 @@ class TestCacheDir:
 
 
 class TestPipeline:
+    """``repro pipeline --journal``: the run's one durable record, in
+    local mode as under ``--distributed``."""
+
+    PARAMS = {"workload": "streaming", "nbytes": 1 << 12,
+              "chunk_requests": 16, "schemes": ["np"]}
+
+    @staticmethod
+    def argv(path, schemes="np", chunk_requests=16):
+        import json
+
+        return ["pipeline", "--workload", "streaming", "--schemes", schemes,
+                "--chunk-requests", str(chunk_requests), "--params",
+                json.dumps({"nbytes": 1 << 12}), "--journal", path]
+
+    def write_journal(self, path, fingerprint):
+        """A journal holding the first chunk seam of ``PARAMS``'s run,
+        as a run of the build ``fingerprint`` names would leave it."""
+        from repro.distributed import Journal
+        from repro.distributed.protocol import unit_key
+        from repro.experiments.executors import pipeline_rows
+        from repro.experiments.jobs import Job, canonical_json
+
+        envelopes = []
+        pipeline_rows(dict(self.PARAMS), checkpoint_every=1,
+                      on_checkpoint=lambda state, *_: envelopes.append(state))
+        job = Job("pipeline_run", canonical_json(self.PARAMS))
+        journal, _ = Journal.recover(path, fingerprint,
+                                     [unit_key([job], fingerprint)])
+        journal.append_checkpoint(0, envelopes[0]["cursor"], envelopes[0])
+        journal.close()
+
     def test_resume_refuses_another_builds_checkpoint(self, tmp_path):
         """A pipeline fingerprint pins the computation, not the code,
-        so ``--resume`` checks the build in the envelope's meta: state
-        another build wrote is refused, not mixed into this model's."""
-        import json
-
-        from repro.checkpoint import save_checkpoint
-        from repro.experiments.executors import pipeline_rows
-
-        params = {"workload": "streaming", "nbytes": 1 << 12,
-                  "chunk_requests": 16, "schemes": ["np"]}
-        envelopes = []
-        pipeline_rows(dict(params), checkpoint_every=1,
-                      on_checkpoint=lambda state, *_: envelopes.append(state))
-        path = str(tmp_path / "run.ckpt")
-        save_checkpoint(path, {**envelopes[0],
-                               "meta": {"build": "another-build"}})
-        argv = ["pipeline", "--workload", "streaming", "--schemes", "np",
-                "--chunk-requests", "16", "--params",
-                json.dumps({"nbytes": 1 << 12}), "--checkpoint", path,
-                "--resume"]
+        so the journal pins the build that wrote it: state another
+        build journaled is refused, not mixed into this model's, and
+        the journal is left in place."""
+        path = str(tmp_path / "run.journal")
+        self.write_journal(path, "another-build")
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert str(excinfo.value) == (
-            f"error: checkpoint {path} was written by another build of "
-            f"repro; delete it to start over")
+            main(self.argv(path))
+        message = str(excinfo.value)
+        assert message.startswith(f"error: journal {path} was written by "
+                                  f"fingerprint another-bui")
+        assert message.endswith("(delete the journal to start over)")
+        assert os.path.exists(path)
 
     def test_resume_refuses_another_computations_checkpoint(self, tmp_path):
-        """This build's envelope of another run (here an ``np`` pipeline
+        """This build's journal of another run (here an ``np`` pipeline
         resumed as ``np,bp``) is refused with an actionable error, not a
         ``CheckpointError`` traceback, and the file is left in place."""
+        from repro.experiments.cache import code_fingerprint
+
+        path = str(tmp_path / "run.journal")
+        self.write_journal(path, code_fingerprint())
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.argv(path, schemes="np,bp"))
+        message = str(excinfo.value)
+        assert message.startswith(f"error: journal {path} describes 1 "
+                                  f"unit(s) that do not match")
+        assert message.endswith("(delete the journal to start over)")
+        assert os.path.exists(path)
+
+    def test_journal_resumes_from_the_default_cadence_seam(self, tmp_path,
+                                                            capsys):
+        """Without ``--checkpoint-every`` a local ``--journal`` run
+        journals every ``DEFAULT_CHECKPOINT_EVERY`` chunks, as
+        ``--distributed`` does: a run failing at chunk 6 of 8 leaves the
+        4-chunk seam, and the rerun resumes there with identical rows."""
         import json
 
-        from repro.checkpoint import save_checkpoint
-        from repro.experiments.cache import code_fingerprint
+        from repro.distributed import DEFAULT_CHECKPOINT_EVERY
+        from repro.distributed.journal import replay
         from repro.experiments.executors import pipeline_rows
+        from repro.testing import faults
 
-        params = {"workload": "streaming", "nbytes": 1 << 12,
-                  "chunk_requests": 16, "schemes": ["np"]}
-        envelopes = []
-        pipeline_rows(dict(params), checkpoint_every=1,
-                      on_checkpoint=lambda state, *_: envelopes.append(state))
-        path = str(tmp_path / "run.ckpt")
-        save_checkpoint(path, {**envelopes[0],
-                               "meta": {"build": code_fingerprint()}})
-        argv = ["pipeline", "--workload", "streaming", "--schemes", "np,bp",
-                "--chunk-requests", "16", "--params",
-                json.dumps({"nbytes": 1 << 12}), "--checkpoint", path,
-                "--resume"]
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        message = str(excinfo.value)
-        assert message.startswith(f"error: checkpoint {path} does not match "
-                                  f"this run (")
-        assert message.endswith("rerun with its options or delete it")
-        assert os.path.exists(path)
+        params = dict(self.PARAMS, chunk_requests=8)  # 64 requests, 8 chunks
+        reference = pipeline_rows(dict(params))
+        path = str(tmp_path / "run.journal")
+        faults.install({"points": [
+            {"site": "pipeline.chunk", "at": 6, "action": "raise"}]})
+        try:
+            with pytest.raises(SystemExit, match="^error: "):
+                main(self.argv(path, chunk_requests=8))
+        finally:
+            faults.clear()
+        assert DEFAULT_CHECKPOINT_EVERY == 4
+        assert replay(path).checkpoints[0]["cursor"] == 4 * 8
+        capsys.readouterr()
+
+        assert main(self.argv(path, chunk_requests=8)) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out) == reference
+        assert "# units=1 resumed=1 " in err
+        assert not os.path.exists(path)  # the spent journal is deleted

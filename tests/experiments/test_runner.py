@@ -8,11 +8,13 @@ import time
 import pytest
 
 import repro.experiments.runner as runner_module
+from repro import perf
 from repro.experiments import (
     Job,
     ResultCache,
     Runner,
     SweepSpec,
+    execute_job,
     get_sweep,
     run_sweep,
 )
@@ -162,17 +164,23 @@ class TestPersistentPool:
         assert runner._pool is None  # context exit tears it down
 
     def test_chunk_payload_roundtrip(self):
-        rows_per_job = [
-            [{"a": 1, "b": 2}, {"a": 3, "b": 4}],
-            [{"c": "x"}],
-            [],
-            [{"a": 5, "b": 6}, {"b": 7, "a": 8}],  # key order differs
-        ]
-        decoded = runner_module._decode_rows(
-            runner_module._encode_rows(rows_per_job))
-        assert decoded == rows_per_job
-        assert [list(r) for rows in decoded for r in rows] == \
-            [list(r) for rows in rows_per_job for r in rows]
+        """What a pool worker ships back for a chunk unpickles to each
+        job's rows, key order included (ResultTable infers its columns
+        from it)."""
+        import pickle
+
+        jobs = [Job.make("accel_run", model="alexnet", scheme="bp"),
+                Job.make("pipeline_run", workload="streaming",
+                         nbytes=1 << 12, schemes=["np"])]
+        chunk = (0, tuple(job.executor for job in jobs),
+                 tuple(job.params_json for job in jobs), perf.fast_enabled())
+        rows_per_job, error = pickle.loads(
+            pickle.dumps(runner_module._run_chunk(chunk)))
+        assert error is None
+        expected = [execute_job(job) for job in jobs]
+        assert rows_per_job == expected
+        assert [list(r) for rows in rows_per_job for r in rows] == \
+            [list(r) for rows in expected for r in rows]
 
 
 @pytest.mark.slow

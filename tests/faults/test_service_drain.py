@@ -9,7 +9,9 @@ checkpoint at their next chunk seam. A fresh daemon pointed at the
 same checkpoint directory re-admits the interrupted flight at startup,
 finishes it from the cursor, and lands the rows in the shared caches —
 so the client that retries after the restart sees the same bits an
-uninterrupted run would have produced.
+uninterrupted run would have produced. Local and distributed flights
+keep the same record, a coordinator journal, so a daemon of either mode
+continues the other's parked flight from its seam.
 """
 
 import asyncio
@@ -48,10 +50,14 @@ def fresh_memory_cache():
     perf.clear_caches()
 
 
-def start_service(**overrides):
+def start_service(before=None, **overrides):
+    """A daemon on its own loop thread; ``before(service)`` runs before
+    it starts serving, so it sees the startup scan's flights too."""
     overrides.setdefault("cache", False)
     config = ServeConfig(port=0, workers=2, **overrides)
     service = ReproService(config)
+    if before is not None:
+        before(service)
     ready = threading.Event()
     thread = threading.Thread(
         target=lambda: asyncio.run(service.serve_forever(ready)), daemon=True)
@@ -116,7 +122,7 @@ def test_drain_checkpoints_flight_then_restart_resumes_it(tmp_path):
     trigger_drain(service)
     terminal = read_until(events, "checkpointed")[-1]
 
-    ckpt_path = os.path.join(ckpt_dir, key + ".ckpt")
+    ckpt_path = os.path.join(ckpt_dir, key + ".journal")
     assert terminal["checkpoint"] == ckpt_path
     assert os.path.exists(ckpt_path)
     assert 0 < terminal["requests_done"] < (64 << 20) // 64
@@ -154,17 +160,18 @@ def test_stale_checkpoint_from_other_fingerprint_is_dropped(tmp_path):
     from the current code fingerprint (i.e. written by a different
     build) is unlinked at startup, never resumed: bit-identity only
     holds within one build."""
-    from repro.checkpoint import save_checkpoint
+    from repro.distributed import Journal
+    from repro.experiments.cache import code_fingerprint
 
     ckpt_dir = str(tmp_path)
-    stale = os.path.join(ckpt_dir, "0" * 64 + ".ckpt")
-    save_checkpoint(stale, {
-        "kind": "trace-pipeline", "cursor": 100, "chunks": 2,
-        "meta": {"job": {"kind": "pipeline",
-                         "params": {"workload": "streaming",
-                                    "schemes": ["np"],
-                                    "chunk_requests": 1 << 12,
-                                    "nbytes": 1 << 20}}}})
+    stale = os.path.join(ckpt_dir, "0" * 64 + ".journal")
+    journal, _ = Journal.recover(stale, code_fingerprint(), [], meta={
+        "job": {"kind": "pipeline",
+                "params": {"workload": "streaming",
+                           "schemes": ["np"],
+                           "chunk_requests": 1 << 12,
+                           "nbytes": 1 << 20}}})
+    journal.close()
     service, client, thread = start_service(checkpoint_dir=ckpt_dir)
     try:
         wait_for(lambda: not os.path.exists(stale), timeout=10.0)
@@ -181,12 +188,13 @@ def test_unreadable_checkpoint_is_quarantined_at_startup(tmp_path):
     evidence, never re-parsed on the next restart, and never partially
     resumed — while the daemon comes up healthy."""
     ckpt_dir = str(tmp_path)
-    torn = os.path.join(ckpt_dir, "a" * 64 + ".ckpt")
+    torn = os.path.join(ckpt_dir, "a" * 64 + ".journal")
     with open(torn, "w") as handle:
-        handle.write('{"version": 1, "kind": "trace-pip')  # torn write
-    future = os.path.join(ckpt_dir, "b" * 64 + ".ckpt")
+        handle.write('{"type": "header", "journal": 1, "finger')  # torn write
+    future = os.path.join(ckpt_dir, "b" * 64 + ".journal")
     with open(future, "w") as handle:
-        handle.write('{"version": 999, "kind": "trace-pipeline", "state": {}}')
+        handle.write('{"type": "header", "journal": 999, "epoch": 0, '
+                     '"unit_keys": [], "meta": {}}\n')
 
     service, client, thread = start_service(checkpoint_dir=ckpt_dir)
     try:
@@ -199,3 +207,66 @@ def test_unreadable_checkpoint_is_quarantined_at_startup(tmp_path):
     finally:
         service.request_shutdown()
         thread.join(15)
+
+
+def record_finished_flights(service, streams):
+    """Append every finished flight's event stream (its replay buffer,
+    terminal event last) to ``streams`` — the only witness of a
+    clientless flight."""
+    finish = service._finish_flight
+
+    def recording(flight, final, latency, started):
+        finish(flight, final, latency, started)
+        streams.append(list(flight.events))
+
+    service._finish_flight = recording
+
+
+@pytest.mark.parametrize("first", [False, True],
+                         ids=["local-then-distributed",
+                              "distributed-then-local"])
+def test_parked_flight_resumes_from_its_seam_in_the_other_mode(tmp_path,
+                                                               first):
+    """A flight drained under one mode is re-admitted by a daemon of the
+    other mode with no workers, which continues from the journaled seam
+    — not from request zero — and finishes bit-identical."""
+    ckpt_dir = str(tmp_path)
+
+    def mode(distributed):
+        return {"distributed": True, "dist_port": 0} if distributed else {}
+
+    service, client, thread = start_service(
+        checkpoint_dir=ckpt_dir, drain_grace=60.0, **mode(first))
+    events = client.submit(DRAIN_JOB)
+    read_until(events, "progress")
+    trigger_drain(service)
+    parked = read_until(events, "checkpointed")[-1]
+    thread.join(20)
+    assert not thread.is_alive(), "drain did not shut the service down"
+    seam = parked["requests_done"]
+    assert 0 < seam < (64 << 20) // 64
+    assert parked["checkpoint"].endswith(".journal")
+
+    runner_module._MEMORY_CACHE.clear()
+    streams = []
+    service2, client2, thread2 = start_service(
+        before=lambda daemon: record_finished_flights(daemon, streams),
+        checkpoint_dir=ckpt_dir, **mode(not first))
+    try:
+        wait_for(lambda: streams, timeout=60.0)
+        (stream,) = streams
+        resumed = [e for e in stream if e["event"] == "resumed"]
+        progress = [e for e in stream if e["event"] == "progress"]
+        assert [e["requests_done"] for e in resumed] == [seam]
+        assert progress[0]["requests_done"] == seam + DRAIN_JOB["chunk_requests"]
+        assert progress[0]["chunk"] > 1
+        assert stream[-1]["event"] == "result"
+        assert stream[-1]["rows"] == pipeline_rows({
+            "workload": DRAIN_JOB["workload"],
+            "schemes": DRAIN_JOB["schemes"],
+            "chunk_requests": DRAIN_JOB["chunk_requests"],
+            **DRAIN_JOB["params"]})
+        wait_for(lambda: not os.path.exists(parked["checkpoint"]))
+    finally:
+        service2.request_shutdown()
+        thread2.join(15)

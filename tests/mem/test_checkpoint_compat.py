@@ -2,9 +2,10 @@
 
 A pipeline fingerprint pins the trace spec, the schemes and the chunk
 size, not the code, so the API's ``resume_from`` loads envelopes that
-an older build wrote. Both front doors refuse them: ``repro pipeline
---resume`` compares the build in the envelope's meta, and ``repro serve
---checkpoint-dir`` keys its records by the code fingerprint.
+an older build wrote. Both front doors refuse them: the journal that
+keeps ``repro pipeline --journal``'s envelopes pins the code
+fingerprint, and ``repro serve --checkpoint-dir`` also keys its
+journals by it.
 ``data/bp_session_residue.ckpt.json`` was written at the third seam of
 a chunked BP run by the leftovers-list controller loop. Its session
 carries 31 bursts of window residue (out-of-order leftovers ahead of

@@ -1,7 +1,8 @@
 """Regression tests for the pipeline control seams the service relies
 on: per-chunk progress callbacks, cooperative cancellation at chunk
-boundaries, the one-shot guard, and NaN (not a silent 0.0) for a
-slowdown against an empty baseline."""
+boundaries (a progress hook raising :class:`PipelineCancelled`), the
+one-shot guard, and NaN (not a silent 0.0) for a slowdown against an
+empty baseline."""
 
 import math
 from types import SimpleNamespace
@@ -49,22 +50,26 @@ class TestProgressCallback:
         assert seen[-1][1] == seen[-1][2]  # requests_done reaches total
 
 
+def cancel_after(chunks_fed, limit):
+    """An ``on_chunk`` hook that records each chunk and cancels the run
+    at the seam after chunk ``limit``."""
+    def on_chunk(chunk, done, total):
+        chunks_fed.append(chunk)
+        if chunk >= limit:
+            raise PipelineCancelled(f"cancelled after {chunk} chunks")
+    return on_chunk
+
+
 class TestCancellation:
-    def test_should_stop_raises_at_chunk_boundary(self):
+    def test_on_chunk_cancels_at_chunk_boundary(self):
         chunks_fed = []
-
-        def stop_after_two():
-            return len(chunks_fed) >= 2
-
-        with pytest.raises(PipelineCancelled, match="after 2 of 4 chunks"):
-            make_pipeline().run(
-                on_chunk=lambda chunk, done, total: chunks_fed.append(chunk),
-                should_stop=stop_after_two)
+        with pytest.raises(PipelineCancelled, match="after 2 chunks"):
+            make_pipeline().run(on_chunk=cancel_after(chunks_fed, 2))
         assert chunks_fed == [1, 2]  # no chunk generated past the stop
 
     def test_never_stopping_runs_to_completion(self):
         results = make_pipeline(("np", "guardnn-ci")).run(
-            should_stop=lambda: False)
+            on_chunk=cancel_after([], 5))
         assert set(results) == {"np", "guardnn-ci"}
         assert all(r.chunks == 4 for r in results.values())
         assert all(r.cycles > 0 for r in results.values())
@@ -80,6 +85,6 @@ class TestOneShotGuard:
     def test_cancelled_run_also_consumes_the_pipeline(self):
         pipeline = make_pipeline()
         with pytest.raises(PipelineCancelled):
-            pipeline.run(should_stop=lambda: True)
+            pipeline.run(on_chunk=cancel_after([], 1))
         with pytest.raises(RuntimeError, match="already ran"):
             pipeline.run()

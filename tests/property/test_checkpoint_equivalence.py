@@ -31,6 +31,12 @@ from repro.workloads.llm import LlmDecodeSpec
 
 SCHEMES = ("np", "guardnn-ci", "bp")
 
+
+def save_to(path):
+    """An ``on_checkpoint`` hook that publishes each envelope at ``path``."""
+    return lambda envelope, chunks, requests_done: save_checkpoint(path,
+                                                                   envelope)
+
 TINY_LM = LlmGeometry("tiny-lm", d_model=64, layers=2, heads=2, d_ff=128,
                       vocab=512, max_seq=64)
 
@@ -101,7 +107,7 @@ def test_resume_is_bit_identical(tmp_path_factory, spec, scheme, chunk,
 
     first = _fresh(spec, (scheme,), chunk)
     try:
-        first.run(checkpoint_path=path, checkpoint_request=stop)
+        first.run(on_checkpoint=save_to(path), checkpoint_request=stop)
     except PipelineCheckpointed:
         resumed = _fresh(spec, (scheme,), chunk)
         results = resumed.run(resume_from=path)
@@ -128,9 +134,12 @@ def test_periodic_checkpoints_resume_identically(tmp_path_factory, spec,
     reference = _summary(_fresh(spec, schemes, chunk).run())
     written = []
     checkpointing = _fresh(spec, schemes, chunk)
-    results = checkpointing.run(
-        checkpoint_path=path, checkpoint_every=every,
-        on_checkpoint=lambda p, chunks, done: written.append((chunks, done)))
+    def on_checkpoint(envelope, chunks, done):
+        save_checkpoint(path, envelope)
+        written.append((chunks, done))
+
+    results = checkpointing.run(checkpoint_every=every,
+                                on_checkpoint=on_checkpoint)
     assert _summary(results) == reference
 
     if written:
@@ -145,7 +154,7 @@ def test_checkpoint_rejects_wrong_fingerprint(tmp_path):
     spec = StreamingSpec(1 << 15, write_fraction=0.25)
     try:
         TracePipeline(spec, schemes=("np",), chunk_requests=64).run(
-            checkpoint_path=path, checkpoint_request=lambda *a: True)
+            on_checkpoint=save_to(path), checkpoint_request=lambda *a: True)
     except PipelineCheckpointed:
         pass
     for wrong in (

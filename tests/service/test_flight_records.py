@@ -1,14 +1,14 @@
-"""One record path for durable flights: whichever mode wrote a flight's
-record, any daemon re-admits it at startup, and a flight that ends with
-rows retires it.
+"""One record for durable flights: whichever mode wrote a flight's
+journal, any daemon re-admits it at startup, and a flight that ends
+with rows retires it.
 
-A flight leaves ``<key>.ckpt`` (a local flight parked at a chunk seam)
-or ``<key>.journal`` (a distributed flight's coordinator journal) under
-the checkpoint directory. Both carry the resubmittable request in their
-meta, so the startup scan rebuilds either into a flight in either mode.
-The record is deleted once the flight has rows, wherever they came
-from (the result cache, the pool, the flight thread or a coordinator),
-and an unreadable record is set aside as ``.corrupt`` instead of
+Every flight, local or distributed, leaves its coordinator's
+``<key>.journal`` under the checkpoint directory: committed units, the
+latest chunk-seam envelope, and the resubmittable request in its
+header's meta, so the startup scan rebuilds it into a flight in either
+mode. The journal is deleted once the flight has rows, wherever they
+came from (the result cache, the pool, the flight thread or a remote
+worker), and an unreadable one is set aside as ``.corrupt`` instead of
 being resumed.
 """
 
@@ -20,7 +20,6 @@ import pytest
 
 import repro.experiments.runner as runner_module
 from repro import perf
-from repro.checkpoint import load_checkpoint, save_checkpoint
 from repro.distributed import Journal
 from repro.distributed.protocol import unit_key
 from repro.experiments.cache import code_fingerprint
@@ -68,8 +67,8 @@ def stop_service(service, thread):
     thread.join(15)
 
 
-def record_path(directory, suffix):
-    return os.path.join(directory, REQUEST.key(code_fingerprint()) + suffix)
+def record_path(directory):
+    return os.path.join(directory, REQUEST.key(code_fingerprint()) + ".journal")
 
 
 def reference_rows():
@@ -78,20 +77,26 @@ def reference_rows():
 
 def write_checkpoint_record(directory):
     """What a local-mode daemon leaves when a drain parks the flight
-    after two of its four chunks: the envelope, with the request in its
-    meta."""
+    after two of its four chunks: a journal with the request in its
+    header's meta and the seam envelope as its last record."""
     polls = []
 
     def park():
         polls.append(None)
         return len(polls) == 3
 
-    path = record_path(directory, ".ckpt")
+    envelopes = []
     with pytest.raises(PipelineCheckpointed):
-        pipeline_rows(dict(REQUEST.jobs()[0].params), checkpoint_path=path,
+        pipeline_rows(dict(REQUEST.jobs()[0].params),
+                      on_checkpoint=lambda state, *_: envelopes.append(state),
                       checkpoint_request=park)
-    save_checkpoint(path, {**load_checkpoint(path),
-                           "meta": {"request": REQUEST.resubmit_body()}})
+    fingerprint = code_fingerprint()
+    path = record_path(directory)
+    journal, _ = Journal.recover(
+        path, fingerprint, [unit_key(REQUEST.jobs(), fingerprint)],
+        meta={"request": REQUEST.resubmit_body()})
+    journal.append_checkpoint(0, envelopes[-1]["cursor"], envelopes[-1])
+    journal.close()
     return path
 
 
@@ -122,7 +127,7 @@ def test_distributed_daemon_resumes_local_checkpoint_and_deletes_it(tmp_path):
 
 def test_local_daemon_readmits_journal_and_deletes_it(tmp_path):
     fingerprint = code_fingerprint()
-    path = record_path(str(tmp_path), ".journal")
+    path = record_path(str(tmp_path))
     journal, _ = Journal.recover(
         path, fingerprint, [unit_key(REQUEST.jobs(), fingerprint)],
         meta={"request": REQUEST.resubmit_body()})
@@ -179,14 +184,14 @@ def test_flight_retires_its_records_after_leaving_the_coalescer(tmp_path):
 def test_corrupt_checkpoint_on_submit_is_quarantined(tmp_path):
     service, client, thread = start_service(checkpoint_dir=str(tmp_path))
     try:
-        path = record_path(str(tmp_path), ".ckpt")
+        path = record_path(str(tmp_path))
         with open(path, "w") as handle:
-            handle.write('{"version": 1, "kind": "trace-pip')  # torn write
+            handle.write('{"type": "head\n{"type": "commit"}\n')  # mid-file
         events = []
         result = client.run(PIPELINE_JOB, on_event=events.append)
         assert os.path.exists(path + ".corrupt")
         assert not os.path.exists(path)
-        assert service.metrics.get("journals_quarantined_total") == 0
+        assert service.metrics.get("journals_quarantined_total") == 1
 
         # recomputed from request zero, not resumed
         assert not [e for e in events if e["event"] == "resumed"]
@@ -194,5 +199,25 @@ def test_corrupt_checkpoint_on_submit_is_quarantined(tmp_path):
         assert progress[0]["chunk"] == 1
         assert progress[0]["requests_done"] == PIPELINE_JOB["chunk_requests"]
         assert result["rows"] == reference_rows()
+    finally:
+        stop_service(service, thread)
+
+
+@pytest.mark.parametrize("distributed", [False, True],
+                         ids=["local", "distributed"])
+def test_flight_probes_and_fills_the_result_cache_once(tmp_path, distributed):
+    """The flight's coordinator is the one that reads and writes the
+    result cache: one probe (a miss) and one put per job, in either
+    mode."""
+    extra = {"distributed": True, "dist_port": 0} if distributed else {}
+    service, client, thread = start_service(
+        cache=True, cache_dir=str(tmp_path / "cache"),
+        checkpoint_dir=str(tmp_path / "records"), **extra)
+    try:
+        result = client.run(PIPELINE_JOB)
+        assert result["cached"] is False
+        assert result["rows"] == reference_rows()
+        counters = service.cache.counters
+        assert (counters["misses"], counters["puts"]) == (1, 1)
     finally:
         stop_service(service, thread)

@@ -2,7 +2,7 @@
 coordinator, with the local pool as the zero-worker floor and a
 journal per flight under the checkpoint directory.
 
-Four contracts:
+Five contracts:
 
 * **Local fallback** — with no worker connected a distributed service
   still answers sweep and pipeline flights, bit-identical to the
@@ -16,6 +16,9 @@ Four contracts:
   attached, and its rows land in the shared caches.
 * **Quarantine** — an unreadable journal is set aside as ``.corrupt``
   at startup (counted) instead of wedging the daemon.
+* **Cadence** — ``--checkpoint-every N`` reaches the grants of a
+  distributed flight's pipeline units; without it they migrate every
+  ``DEFAULT_CHECKPOINT_EVERY`` chunks.
 """
 
 import asyncio
@@ -27,7 +30,12 @@ import pytest
 
 import repro.experiments.runner as runner_module
 from repro import perf
-from repro.distributed import Journal, Worker, WorkerConfig
+from repro.distributed import (
+    DEFAULT_CHECKPOINT_EVERY,
+    Journal,
+    Worker,
+    WorkerConfig,
+)
 from repro.distributed.protocol import unit_key
 from repro.experiments import Runner, SweepSpec
 from repro.experiments.cache import code_fingerprint
@@ -203,5 +211,30 @@ def test_unreadable_journal_quarantined_on_startup(fresh_memory_cache,
         # the daemon is healthy: flights still execute
         result = client.run(PIPELINE_JOB)
         assert result["rows"] == direct_pipeline_rows()
+    finally:
+        stop_service(service, thread)
+
+
+@pytest.mark.parametrize("every, granted",
+                         [(1, 1), (0, DEFAULT_CHECKPOINT_EVERY)])
+def test_checkpoint_every_reaches_the_grants(fresh_memory_cache, tmp_path,
+                                             monkeypatch, every, granted):
+    from repro.distributed.coordinator import CoordinatorState
+
+    grants = []
+    lease = CoordinatorState.lease
+
+    def recording(state, worker):
+        reply = lease(state, worker)
+        if reply["event"] == "lease":
+            grants.append(reply)
+        return reply
+
+    monkeypatch.setattr(CoordinatorState, "lease", recording)
+    service, client, thread = start_service(
+        dist_port=0, checkpoint_dir=str(tmp_path), checkpoint_every=every)
+    try:
+        assert client.run(PIPELINE_JOB)["rows"] == direct_pipeline_rows()
+        assert [grant["checkpoint_every"] for grant in grants] == [granted]
     finally:
         stop_service(service, thread)
