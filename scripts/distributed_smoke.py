@@ -14,8 +14,9 @@ Six phases (the CI distributed-smoke job):
    (``resumed_units`` ≥ 1) and the rows must be byte-identical to a
    local uninterrupted ``pipeline_rows``.
 3. **Warm re-run** — a fresh coordinator over the same pipeline job
-   and the same shared cache directory serves the unit at lease time
-   without dispatching anything (``cache_served_units`` > 0).
+   and the same shared cache directory serves the unit when it is
+   built, before any lease (``cache_served_units`` > 0,
+   ``lease_requests_total`` 0).
 4. **Coordinator kill + journal restart** — the *coordinator* itself
    (a real ``repro sweep --distributed --journal`` process) is
    SIGKILLed mid-run by the ``dist.journal`` fault after exactly one
@@ -243,9 +244,9 @@ def phase_warm_rerun(cache_dir: str, reference) -> int:
           file=sys.stderr)
     if counters["cache_served_units"] < 1:
         return fail("warm re-run did not serve the unit from the cache")
-    if counters["leases_granted"] != 0:
-        return fail("warm re-run dispatched work despite a full cache")
-    print("OK: warm re-run served from the shared cache, nothing dispatched")
+    if counters["lease_requests_total"] != 0:
+        return fail("warm re-run asked for a lease despite a full cache")
+    print("OK: warm re-run served from the shared cache, nothing leased")
     return 0
 
 

@@ -1,44 +1,39 @@
-"""Versioned, atomic on-disk checkpoints.
+"""The seam envelope's one contract, and crash-atomic file writes.
 
-A checkpoint is one JSON envelope, kept as a file here or as a record
-of a coordinator journal (:mod:`repro.distributed.journal`)::
+A seam envelope is the state a :class:`~repro.mem.pipeline.TracePipeline`
+captures at a chunk seam. It travels as a dict (a worker's upload, a
+lease grant) and is kept only as a record of a coordinator journal
+(:mod:`repro.distributed.journal`)::
 
     {"version": 1,                 # format version (this module bumps it)
-     "kind": "trace-pipeline",     # what produced it
+     "kind": "trace-pipeline",     # the one kind of envelope
      "fingerprint": {...},         # identity of the computation
-     "meta": {...},                # optional caller payload
      "cursor": 1310720,            # resume position (request index)
-     ...}                          # producer-specific state
+     ...}                          # the pipeline's rewriter/session state
 
 ``fingerprint`` pins *what* was being computed (the trace spec, the
-scheme set, the chunk size); a loader refuses to resume state against a
-different computation. The perf mode (fast vs ``REPRO_SCALAR=1``) is
-deliberately **not** part of the fingerprint: the two paths are
-bit-identical by contract (the equivalence suites), so a checkpoint
-written by one resumes under the other.
-
-Writes are crash-atomic: the payload goes to a temp file in the target
-directory, is flushed and fsynced, then published with ``os.replace``;
-on POSIX the directory is fsynced too, so a host crash leaves either
-the old checkpoint or the new one — never a truncated hybrid. This is
-the same discipline the result cache uses
-(:meth:`repro.experiments.cache.ResultCache.put`).
+scheme set, the chunk size). The perf mode (fast vs ``REPRO_SCALAR=1``)
+is deliberately **not** part of it: the two paths are bit-identical by
+contract (the equivalence suites), so an envelope written by one
+resumes under the other.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
-from typing import Dict, Optional
+from typing import Dict
 
 #: bump when the envelope or any producer's state layout changes
 CHECKPOINT_VERSION = 1
 
+#: the one kind of envelope: a trace pipeline's chunk-seam state
+ENVELOPE_KIND = "trace-pipeline"
+
 
 class CheckpointError(RuntimeError):
-    """A checkpoint could not be loaded or does not match the
-    computation it is being resumed against."""
+    """An envelope is malformed or does not match the computation it
+    is being resumed against."""
 
 
 def fsync_directory(path: str) -> None:
@@ -56,46 +51,42 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def seal_envelope(state: Dict[str, object]) -> Dict[str, object]:
-    """A copy of ``state`` stamped with this build's envelope version —
-    the exact payload :func:`save_checkpoint` persists. Callers that
-    ship an envelope somewhere other than disk (the distributed tier
-    migrates them to the coordinator over HTTP) seal it the same way so
-    every envelope, wherever it travels, validates identically."""
-    payload = dict(state)
-    payload["version"] = CHECKPOINT_VERSION
-    return payload
-
-
-def validate_envelope(state: object, kind: Optional[str] = None,
-                      source: str = "checkpoint") -> Dict[str, object]:
-    """Envelope-validate an already-parsed checkpoint payload: it must
-    be an object, speak this build's version, and (when ``kind`` is
-    given) be the right kind of checkpoint. Returns the state; raises
-    :class:`CheckpointError` otherwise. Shared by :func:`load_checkpoint`
-    and the distributed coordinator's ``/v1/checkpoint`` endpoint, so an
-    envelope corrupted in flight is rejected with the same rules as one
-    corrupted on disk."""
+def validate_envelope(state: object, fingerprint: dict,
+                      source: str = "envelope") -> Dict[str, object]:
+    """Check a seam envelope: an object, of this build's version and the
+    one kind, pinned to ``fingerprint`` (the computation resuming it),
+    with an integer cursor ≥ 0. Returns the envelope; raises
+    :class:`CheckpointError` otherwise. The pipeline's ``resume_from``
+    and the coordinator's ``/v1/checkpoint`` both call it, so every
+    envelope, wherever it travelled, passes the same checks."""
     if not isinstance(state, dict):
-        raise CheckpointError(f"corrupt {source}: not an object")
+        raise CheckpointError(f"{source} is not an envelope object")
     version = state.get("version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{source} has version {version!r}; this build reads "
             f"version {CHECKPOINT_VERSION}")
-    if kind is not None and state.get("kind") != kind:
+    if state.get("kind") != ENVELOPE_KIND:
         raise CheckpointError(
-            f"{source} is a {state.get('kind')!r} checkpoint, "
-            f"expected {kind!r}")
+            f"{source} is a {state.get('kind')!r} envelope, "
+            f"expected {ENVELOPE_KIND!r}")
+    if state.get("fingerprint") != fingerprint:
+        raise CheckpointError(
+            f"{source} belongs to a different computation.\n"
+            f"  envelope: {state.get('fingerprint')}\n"
+            f"  expected: {fingerprint}")
+    cursor = state.get("cursor")
+    if not isinstance(cursor, int) or cursor < 0:
+        raise CheckpointError(f"{source} has no usable cursor ({cursor!r})")
     return state
 
 
 def atomic_write_text(path: str, data: str) -> None:
     """Crash-atomically publish ``data`` at ``path``: temp file in the
     target directory, flush + fsync, ``os.replace``, directory fsync.
-    The shared discipline behind checkpoints, the result cache, and the
-    distributed coordinator's journal compaction — a crash at any point
-    leaves either the old file or the new one, never a hybrid."""
+    The shared discipline behind the result cache and the distributed
+    coordinator's journal compaction — a crash at any point leaves
+    either the old file or the new one, never a hybrid."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -112,22 +103,3 @@ def atomic_write_text(path: str, data: str) -> None:
         except OSError:
             pass
         raise
-
-
-def save_checkpoint(path: str, state: Dict[str, object]) -> None:
-    """Atomically write ``state`` (adding the version field) to ``path``."""
-    atomic_write_text(path, json.dumps(seal_envelope(state)))
-
-
-def load_checkpoint(path: str, kind: Optional[str] = None) -> Dict[str, object]:
-    """Load and envelope-validate a checkpoint. Raises
-    :class:`CheckpointError` for a missing/corrupt file, a version this
-    code does not speak, or (when ``kind`` is given) the wrong kind."""
-    try:
-        with open(path, "r") as handle:
-            state = json.load(handle)
-    except OSError as error:
-        raise CheckpointError(f"cannot read checkpoint {path}: {error}") from None
-    except ValueError as error:
-        raise CheckpointError(f"corrupt checkpoint {path}: {error}") from None
-    return validate_envelope(state, kind=kind, source=f"checkpoint {path}")

@@ -193,24 +193,6 @@ class AES128:
         self._add_round_key(state, self._round_keys[ROUNDS])
         return bytes(state)
 
-    def encrypt_blocks(self, data: bytes) -> bytes:
-        """Encrypt a multiple of 16 bytes in ECB (the batch primitive of
-        the pipelined-engine model). Dispatches to the table-driven
-        batched kernel unless :mod:`repro.perf` is in scalar mode; both
-        paths are bit-identical."""
-        if len(data) % BLOCK_SIZE:
-            raise ValueError("data must be a multiple of 16 bytes")
-        from repro import perf
-
-        if perf.fast_enabled():
-            from repro.crypto import aes_fast
-
-            return aes_fast.encrypt_blocks(self._key, data)
-        return b"".join(
-            self.encrypt_block(data[i : i + BLOCK_SIZE])
-            for i in range(0, len(data), BLOCK_SIZE)
-        )
-
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt one 16-byte block."""
         if len(block) != BLOCK_SIZE:

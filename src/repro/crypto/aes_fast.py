@@ -160,18 +160,6 @@ def encrypt_blocks(key: bytes, data: bytes) -> bytes:
     return bytes(out)
 
 
-def _counter_words(counters):
-    """(n,) iterable of 128-bit ints -> (n, 4) uint32 column words."""
-    n = len(counters)
-    words = _np.empty((n, 4), dtype=_np.uint32)
-    for j in range(4):
-        shift = 96 - 32 * j
-        words[:, j] = _np.fromiter(
-            ((c >> shift) & 0xFFFFFFFF for c in counters), dtype=_np.uint32, count=n
-        )
-    return words
-
-
 def keystream(key: bytes, initial_counter_int: int, nblocks: int) -> bytes:
     """CTR keystream: encrypt ``nblocks`` consecutive big-endian counter
     values starting at ``initial_counter_int`` (mod 2^128)."""
@@ -210,8 +198,8 @@ def keystream_for_region(key: bytes, base_address: int, version_number: int,
     ``base_address + i`` is padded with the counter block
     ``(base_address + i) << 64 | VN``. The counter-block words are
     formed directly as numpy columns (structure-of-arrays) — no
-    per-block 128-bit Python ints are ever materialized, unlike the
-    generic :func:`keystream_for_counters` entry point."""
+    per-block 128-bit Python ints are ever materialized. One block, or
+    any run without numpy, takes :func:`keystream_for_counters`."""
     rk = expand_key_words(key)
     if _np is not None and nblocks > 1:
         hi = _np.uint64(base_address) + _np.arange(nblocks, dtype=_np.uint64)
@@ -227,11 +215,9 @@ def keystream_for_region(key: bytes, base_address: int, version_number: int,
 
 def keystream_for_counters(key: bytes, counters) -> bytes:
     """Encrypt an explicit sequence of 128-bit counter-block ints (the
-    GuardNN ``(address || VN)`` form, one per 16-byte memory block)."""
+    GuardNN ``(address || VN)`` form, one per 16-byte memory block),
+    block by block."""
     rk = expand_key_words(key)
-    counters = list(counters)
-    if _np is not None and len(counters) > 1:
-        return _encrypt_batch_numpy(rk, _counter_words(counters)).astype(">u4").tobytes()
     out = bytearray()
     for c in counters:
         w0 = (c >> 96) & 0xFFFFFFFF

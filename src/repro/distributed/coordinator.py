@@ -28,19 +28,21 @@ Three layers, separable for testing:
 Three robustness layers ride on the lease machinery:
 
 * **Checkpoint migration** — a worker running a pipeline unit uploads
-  each chunk-seam envelope (``/v1/checkpoint``); the envelope is
-  validated (version, kind, fingerprint) and the latest one rides
+  each chunk-seam envelope (``/v1/checkpoint``); the envelope must pass
+  :func:`~repro.checkpoint.validate_envelope`, and the latest one rides
   along on the unit's next lease grant, so the successor of a
   SIGKILLed worker — the local fallback included — resumes mid-unit
   via ``resume_from=`` instead of recomputing — bit-identical by the
   pipeline's checkpoint contract.
   A rejected (corrupt/stale) upload stores nothing: the successor
   falls back to unit start, never wrong rows.
-* **Coordinator-served result cache** — before dispatching a unit the
-  coordinator probes its own two-level result cache (once per unit);
-  a whole-unit hit is committed internally and never leased, so a
-  restarted sweep or a second fleet member re-pays nothing the fleet
-  already computed (``cache_served_units`` on ``/metrics``).
+* **Coordinator-served result cache** — when it is built, before any
+  lease and before its listener opens, the coordinator probes its own
+  two-level result cache once per unit not yet done; a whole-unit hit
+  is committed internally and never leased, so a restarted sweep or a
+  second fleet member re-pays nothing the fleet already computed
+  (``cache_served_units`` on ``/metrics``). A run the cache answers in
+  full opens no journal.
 * **Write-ahead journal + epochs** — with ``journal_path`` set, every
   durable transition (unit commit, accepted envelope, cache-served
   unit) is fsync'd to an append-only journal *before* the reply that
@@ -79,7 +81,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.checkpoint import CheckpointError, validate_envelope
 from repro.experiments.cache import ResultCache, code_fingerprint
-from repro.experiments.jobs import Job, canonical_json
+from repro.experiments.jobs import Job
 from repro.experiments.runner import (
     JobExecutionError,
     Runner,
@@ -92,9 +94,6 @@ from repro.service.metrics import StreamingHistogram
 from . import protocol
 from .journal import Journal
 from .protocol import ProtocolError, encode_event, unit_key
-
-#: checkpoint kind pipeline units migrate (see repro.mem.pipeline)
-PIPELINE_CHECKPOINT_KIND = "trace-pipeline"
 
 #: executor whose jobs become singleton, checkpoint-migratable units
 PIPELINE_EXECUTOR = "pipeline_run"
@@ -128,7 +127,7 @@ class StaleWorkerError(ProtocolError):
 class _Unit:
     __slots__ = ("index", "key", "jobs", "rows", "digest", "leases",
                  "first_dispatch", "fingerprint", "checkpoint",
-                 "checkpoint_cursor", "cache_probed")
+                 "checkpoint_cursor")
 
     def __init__(self, index: int, key: str, jobs: List[Job],
                  fingerprint: Optional[dict] = None):
@@ -145,7 +144,6 @@ class _Unit:
         #: latest validated migrated envelope (cleared on commit)
         self.checkpoint: Optional[dict] = None
         self.checkpoint_cursor = -1
-        self.cache_probed = False
 
     @property
     def done(self) -> bool:
@@ -184,7 +182,6 @@ class CoordinatorState:
         self.on_commit = on_commit
         self.fingerprint = fingerprint
         self.checkpoint_every = int(checkpoint_every)
-        self.cache_lookup = cache_lookup
         self.cache_counters = cache_counters
         self._lock = threading.Lock()
         if unit_fingerprints is None:
@@ -233,8 +230,19 @@ class CoordinatorState:
         }
         self.epoch = 0
         self._journal: Optional[Journal] = None
-        if journal_path is not None:
+        # probe the cache once, here, so no lease does cache I/O under
+        # the lock: after replaying an existing journal (its done units
+        # need no probe); a fresh journal opens only if a unit is left
+        fresh = journal_path is None or not os.path.exists(journal_path)
+        if not fresh:
             self._recover(journal_path, journal_meta)
+        hits = self._probe_cache(cache_lookup)
+        if journal_path is not None and fresh and len(hits) < self._remaining:
+            self._recover(journal_path, journal_meta)
+        for unit, rows_per_job in hits:
+            self._complete_locked(unit, "cache", rows_per_job,
+                                  protocol.rows_digest(rows_per_job),
+                                  self.clock(), cached=True)
 
     def _recover(self, journal_path: str,
                  journal_meta: Optional[dict]) -> None:
@@ -259,7 +267,6 @@ class CoordinatorState:
             unit = self._units[index]
             unit.rows = protocol.rows_from_wire(commit["rows"])
             unit.digest = commit["digest"]
-            unit.cache_probed = True
             self._remaining -= 1
         for index, envelope in replayed.checkpoints.items():
             unit = self._units[index]
@@ -325,24 +332,17 @@ class CoordinatorState:
                 self.counters["resumed_units"] += 1
         return reply
 
-    def _serve_cached_locked(self) -> None:
-        """Answer whole-unit cache hits before dispatching anything:
-        each unprobed unit is looked up once through the coordinator's
-        result cache hook and, on a hit, committed internally — it is
-        never leased, so a warm restart re-pays nothing."""
-        if self.cache_lookup is None:
-            return
-        for unit in self._units:
-            if unit.done or unit.cache_probed:
-                continue
-            unit.cache_probed = True
-            rows_per_job = self.cache_lookup(unit.index)
-            if rows_per_job is None or len(rows_per_job) != len(unit.jobs):
-                continue
-            self._complete_locked(unit, "cache",
-                                  [list(rows) for rows in rows_per_job],
-                                  protocol.rows_digest(rows_per_job),
-                                  self.clock(), cached=True)
+    def _probe_cache(self, cache_lookup) -> List[Tuple[_Unit, List[List[dict]]]]:
+        """The whole-unit cache hits among the units not yet done, one
+        lookup each. A hit is committed internally and never leased, so
+        a warm restart re-pays nothing."""
+        if cache_lookup is None:
+            return []
+        probes = [(unit, cache_lookup(unit.index))
+                  for unit in self._units if not unit.done]
+        return [(unit, [list(rows) for rows in found])
+                for unit, found in probes
+                if found is not None and len(found) == len(unit.jobs)]
 
     # -- protocol verbs ----------------------------------------------------
 
@@ -363,7 +363,6 @@ class CoordinatorState:
             self._require_known(worker)
             self._touch(worker, now)
             self._expire(now)
-            self._serve_cached_locked()
             if self.failure is not None or self._remaining == 0:
                 self._told_done.add(worker)
                 return self._stamp({"event": "done"})
@@ -485,10 +484,11 @@ class CoordinatorState:
     def checkpoint(self, worker: str, unit_index: int, key: str,
                    lease_id: str, state: dict) -> dict:
         """Migrate a pipeline unit's chunk-seam envelope. The envelope
-        must validate (version, kind, fingerprint-vs-unit, integer
-        cursor) before it is stored — a corrupt upload is rejected with
-        a :class:`ProtocolError` and stores *nothing*, so a successor
-        falls back to unit start rather than resuming poison. Stored
+        must pass :func:`~repro.checkpoint.validate_envelope` against
+        the unit's fingerprint before it is stored — a corrupt upload is
+        rejected with a :class:`ProtocolError` and stores *nothing*, so
+        a successor falls back to unit start rather than resuming
+        poison. Stored
         envelopes advance monotonically by cursor (a late holder's older
         seam never overwrites a fresher one) and an accepted upload
         renews the uploading lease: the upload itself proves liveness."""
@@ -514,21 +514,12 @@ class CoordinatorState:
                 raise ProtocolError(
                     f"unit {unit_index} is not a pipeline unit")
             try:
-                validate_envelope(state, kind=PIPELINE_CHECKPOINT_KIND,
-                                  source="migrated checkpoint")
+                validate_envelope(state, unit.fingerprint,
+                                  source=f"unit {unit_index}'s envelope")
             except CheckpointError as exc:
                 self.counters["checkpoint_rejects"] += 1
                 raise ProtocolError(str(exc)) from None
-            if canonical_json(state.get("fingerprint")) != canonical_json(unit.fingerprint):
-                self.counters["checkpoint_rejects"] += 1
-                raise ProtocolError(
-                    f"migrated checkpoint fingerprint does not match "
-                    f"unit {unit_index}")
-            cursor = state.get("cursor")
-            if not isinstance(cursor, int) or cursor < 0:
-                self.counters["checkpoint_rejects"] += 1
-                raise ProtocolError(
-                    "migrated checkpoint has no usable cursor")
+            cursor = state["cursor"]
             if cursor <= unit.checkpoint_cursor:
                 return self._stamp({"event": "stale", "unit": unit_index,
                                     "cursor": unit.checkpoint_cursor})
@@ -834,8 +825,9 @@ class SweepCoordinator:
     The flow mirrors :meth:`Runner.run` exactly: every job is sharded
     into a content-addressed unit (``pipeline_run`` jobs as singleton,
     checkpoint-migratable units); whole-unit cache hits are answered by
-    the coordinator at lease time through the same two-level lookup a
-    local run uses and never dispatched; every committed row goes
+    the coordinator when it is built, before any lease, through the
+    same two-level lookup a local run uses, and never dispatched; every
+    committed row goes
     through :func:`remember_rows` (both cache levels); the final
     rows-per-job list is assembled in job order. Distribution is
     unobservable in the output by construction.

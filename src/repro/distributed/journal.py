@@ -39,8 +39,8 @@ Crash semantics:
   :class:`JournalError` rather than resume from a lie.
 * **Compaction** — recovery rewrites the journal as a fresh snapshot
   (header with a bumped epoch + one commit per done unit + the latest
-  envelope per pending unit) via the checkpoint tier's temp + fsync +
-  rename discipline, so replay cost stays proportional to state, not
+  envelope per pending unit) via :func:`~repro.checkpoint.atomic_write_text`
+  (temp + fsync + rename), so replay cost stays proportional to state, not
   history, and the epoch bump is itself durable before any worker can
   observe it.
 

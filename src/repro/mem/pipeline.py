@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.checkpoint import (
+    CHECKPOINT_VERSION,
+    ENVELOPE_KIND,
     CheckpointError,
-    load_checkpoint,
-    seal_envelope,
     validate_envelope,
 )
 from repro.mem.controller import ControllerResult, MemoryController
@@ -157,8 +157,9 @@ class TracePipeline:
         }
 
     def _capture(self, sessions, chunks: int, requests_done: int) -> dict:
-        return seal_envelope({
-            "kind": "trace-pipeline",
+        return {
+            "version": CHECKPOINT_VERSION,
+            "kind": ENVELOPE_KIND,
             "fingerprint": self.fingerprint(),
             "cursor": requests_done,
             "chunks": chunks,
@@ -169,24 +170,14 @@ class TracePipeline:
                     "session": sessions[self.controllers[name]].state_dict(),
                 } for name in self.schemes
             },
-        })
+        }
 
-    def _restore(self, sessions, resume_from) -> Tuple[int, int]:
-        # a dict is an envelope that travelled without a file (migrated
-        # over the wire); it passes the same checks a file's does
-        state = (validate_envelope(resume_from, kind="trace-pipeline",
-                                   source="resume_from envelope")
-                 if isinstance(resume_from, dict)
-                 else load_checkpoint(resume_from, kind="trace-pipeline"))
-        fingerprint = self.fingerprint()
-        if state.get("fingerprint") != fingerprint:
-            raise CheckpointError(
-                "checkpoint fingerprint mismatch — it belongs to a "
-                f"different computation.\n  checkpoint: {state.get('fingerprint')}"
-                f"\n  this run:   {fingerprint}")
-        cursor = int(state["cursor"])
+    def _restore(self, sessions, envelope) -> Tuple[int, int]:
+        state = validate_envelope(envelope, self.fingerprint(),
+                                  source="resume_from envelope")
+        cursor = state["cursor"]
         total = self.source.total_requests
-        if not (0 <= cursor <= total and
+        if not (cursor <= total and
                 (cursor % self.chunk_requests == 0 or cursor == total)):
             raise CheckpointError(
                 f"checkpoint cursor {cursor} is not a chunk seam of "
@@ -214,18 +205,18 @@ class TracePipeline:
         chunk).
 
         **Checkpointing** (all off by default, zero overhead when off):
-        the full mid-stream state is sealed into an envelope every
+        the full mid-stream state is captured in an envelope every
         ``checkpoint_every`` chunks (0 = only on request) and handed to
         ``on_checkpoint(envelope, chunks, requests_done)``, which
         checkpointing needs: a distributed worker uploads it to its
         coordinator, the coordinator's local fallback journals it.
-        ``checkpoint_request()`` polled truthy at a seam seals a final
-        one and raises :class:`PipelineCheckpointed` (the graceful-drain
-        path). ``resume_from`` (an envelope dict, or the path of a file
-        holding one) restores a checkpoint into this pipeline's
-        rewriters/sessions and continues from its cursor — the resumed
-        run is bit-identical to the uninterrupted one (cycles, bursts,
-        stats, cache state; pinned by
+        ``checkpoint_request()`` polled truthy at a seam captures a
+        final one and raises :class:`PipelineCheckpointed` (the graceful-drain
+        path). ``resume_from`` (an envelope dict, as ``on_checkpoint``
+        received it or a journal stored it) restores it into this
+        pipeline's rewriters/sessions and continues from its cursor —
+        the resumed run is bit-identical to the uninterrupted one
+        (cycles, bursts, stats, cache state; pinned by
         ``tests/property/test_checkpoint_equivalence.py``).
 
         One-shot: the rewriters' metadata state and the controllers'

@@ -122,23 +122,6 @@ class CounterState:
     def on_set_weight(self) -> None:
         self.ctr_w += 1
 
-    # --- checkpointing ---
-
-    def state_dict(self) -> dict:
-        return {
-            "ctr_in": self.ctr_in,
-            "ctr_fw": self.ctr_fw,
-            "ctr_w": self.ctr_w,
-            "read_ctrs": [list(entry) for entry in self._read_ctrs],
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.ctr_in = int(state["ctr_in"])
-        self.ctr_fw = int(state["ctr_fw"])
-        self.ctr_w = int(state["ctr_w"])
-        self._read_ctrs = [tuple(int(v) for v in entry)
-                           for entry in state["read_ctrs"]]
-
     # --- VN queries ---
 
     def feature_write_vn(self) -> VersionNumber:

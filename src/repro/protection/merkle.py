@@ -120,28 +120,6 @@ class MerkleTree:
                 here[i] = node
             dirty = {i // 2 for i in ordered}
 
-    # -- checkpointing -----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Every stored level as hex (leaves up). Hex keeps the payload
-        JSON-safe; the levels are restored verbatim rather than rebuilt,
-        so resume costs no rehash of the tree."""
-        return {
-            "num_leaves": self.num_leaves,
-            "levels": [[node.hex() for node in level] for level in self._levels],
-        }
-
-    def load_state(self, state: dict) -> None:
-        if state["num_leaves"] != self.num_leaves:
-            raise ValueError(
-                f"merkle geometry mismatch: checkpoint has "
-                f"{state['num_leaves']} leaves, tree has {self.num_leaves}")
-        levels = [[bytes.fromhex(node) for node in level]
-                  for level in state["levels"]]
-        if [len(level) for level in levels] != [len(level) for level in self._levels]:
-            raise ValueError("merkle level shape mismatch")
-        self._levels = levels
-
     def proof(self, index: int) -> List[bytes]:
         """Sibling path for a leaf (what a verifier fetches from DRAM)."""
         if not 0 <= index < self.num_leaves:

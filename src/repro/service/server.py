@@ -578,6 +578,7 @@ class ReproService:
             DEFAULT_CHECKPOINT_EVERY,
             JournalError,
             SweepCoordinator,
+            journal_meta,
         )
 
         every = self.config.checkpoint_every
@@ -595,6 +596,10 @@ class ReproService:
         else:
             kwargs.update(port=None, checkpoint_every=every)
         try:
+            if journal_path is not None and os.path.exists(journal_path):
+                # the startup scan's check: a journal without a durable
+                # header is unusable here too, not silently overwritten
+                journal_meta(journal_path)
             return SweepCoordinator(jobs, **kwargs)
         except JournalError as error:
             # an unusable journal must not wedge this flight key

@@ -5,6 +5,7 @@ worker or by the coordinator's local fallback), the worker's
 local-cache provenance, a worker refusing another build's lease, the
 end of a run reaching a napping worker, and graceful drain."""
 
+import os
 import threading
 
 import pytest
@@ -202,6 +203,25 @@ class TestEndToEnd:
         counters = warm.state.counters
         assert counters["cache_served_units"] == 1
         assert counters["leases_granted"] == 0
+
+    def test_warm_local_coordinator_writes_no_journal(self, tmp_path):
+        """A run the result cache answers in full has nothing to make
+        durable: the cache is probed when the coordinator is built, and
+        the journal is never created."""
+        cache_dir = str(tmp_path / "shared")
+        local = SweepCoordinator([pipeline_job()], port=None,
+                                 cache=ResultCache(cache_dir)).run()[0]
+        _MEMORY_CACHE.clear()
+        path = str(tmp_path / "warm.journal")
+        warm = SweepCoordinator([pipeline_job()], port=None,
+                                cache=ResultCache(cache_dir),
+                                journal_path=path)
+        assert not os.path.exists(path)
+        assert warm.run()[0] == local
+        assert not os.path.exists(path)
+        counters = warm.state.counters
+        assert counters["cache_served_units"] == 1
+        assert counters["lease_requests_total"] == 0
 
     def test_worker_local_cache_hit_commits_cache_hit_provenance(self,
                                                                  tmp_path):

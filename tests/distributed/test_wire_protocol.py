@@ -143,3 +143,27 @@ class TestHttpFraming:
         finally:
             server.close()
 
+
+    def test_get_endpoints_over_http(self):
+        """``GET /metrics`` answers the state's snapshot, ``GET
+        /healthz`` whether the run is done, any other path a 404."""
+        server = CoordinatorServer(CoordinatorState([JOBS]), port=0)
+        try:
+            connection = http.client.HTTPConnection(server.host, server.port,
+                                                    timeout=10)
+            replies = {}
+            for path in ("/metrics", "/healthz", "/nope"):
+                connection.request("GET", path)
+                response = connection.getresponse()
+                replies[path] = (response.status, json.loads(response.read()))
+            connection.close()
+        finally:
+            server.close()
+        status, metrics = replies["/metrics"]
+        assert status == 200 and metrics["event"] == "metrics"
+        assert metrics["units_total"] == 1
+        assert metrics["units_remaining"] == 1
+        assert metrics["counters"]["leases_granted"] == 0
+        assert replies["/healthz"] == (200, {"event": "ok", "done": False})
+        assert replies["/nope"] == (404, {"event": "error",
+                                          "error": "unknown path"})

@@ -14,15 +14,21 @@ the DRAM stats (``run_hits``), and that loop's cached
 ``leftover_hit_possible`` flag.
 """
 
+import json
 import os
 
-from repro.checkpoint import load_checkpoint
 from repro.mem.controller import MemoryController
 from repro.mem.pipeline import TracePipeline
 from repro.workloads import StreamingSpec
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                        "bp_session_residue.ckpt.json")
+
+
+def _envelope():
+    with open(FIXTURE) as handle:
+        return json.load(handle)
+
 
 #: the uninterrupted run's outcome, as the writing build computed it
 UNINTERRUPTED = {
@@ -45,7 +51,7 @@ def _outcome(pipeline, **run):
 
 
 def test_fixture_is_a_mid_stream_envelope_with_residue():
-    session = load_checkpoint(FIXTURE, kind="trace-pipeline")["schemes"]["bp"]["session"]
+    session = _envelope()["schemes"]["bp"]["session"]
     assert len(session["carry_write"]) == 31
     assert session["run_hits"] == 594
     assert session["leftover_hit_possible"] is False
@@ -54,13 +60,13 @@ def test_fixture_is_a_mid_stream_envelope_with_residue():
 def test_old_envelope_resumes_to_the_uninterrupted_run():
     uninterrupted = _outcome(_pipeline())
     assert uninterrupted == UNINTERRUPTED
-    assert _outcome(_pipeline(), resume_from=FIXTURE) == UNINTERRUPTED
+    assert _outcome(_pipeline(), resume_from=_envelope()) == UNINTERRUPTED
 
 
 def test_old_envelope_folds_run_hits_into_dram_stats():
     """Loading the session alone already counts every issued burst:
     the envelope's pending ``run_hits`` land in ``row_hits``."""
-    session_state = load_checkpoint(FIXTURE)["schemes"]["bp"]["session"]
+    session_state = _envelope()["schemes"]["bp"]["session"]
     controller = MemoryController()
     controller.session().load_state(session_state)
     stats = controller.dram.stats

@@ -3,13 +3,14 @@ for bit.
 
 The checkpoint contract extends the chunking contract one level up: a
 pipeline run that is checkpointed at an arbitrary chunk seam, torn
-down, and resumed from disk in a *fresh* pipeline must reproduce the
-uninterrupted run exactly — cycles, bursts, per-kind traffic, DRAM
-bank statistics, carried cache/Merkle/counter state, all of it. These
-tests pin that contract across every trace generator, scheme, and
-chunk size the equivalence suite already sweeps, plus the envelope
-validation around it (fingerprint pinning, version checks, cursor
-seams).
+down, and resumed from its envelope in a *fresh* pipeline must
+reproduce the uninterrupted run exactly — cycles, bursts, per-kind
+traffic, DRAM bank statistics, carried rewriter cache state, all of
+it. Each envelope goes through JSON text first, as a journal record
+does. These tests pin that contract across every trace generator,
+scheme, and chunk size the equivalence suite already sweeps, plus the
+envelope validation around it (fingerprint pinning, version checks,
+cursor seams).
 """
 
 import json
@@ -22,8 +23,8 @@ from repro.accel.zoo_ext import LlmGeometry
 from repro.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
-    load_checkpoint,
-    save_checkpoint,
+    atomic_write_text,
+    validate_envelope,
 )
 from repro.mem.pipeline import PipelineCheckpointed, TracePipeline
 from repro.workloads import BpMetadataSpec, RandomSpec, StreamingSpec
@@ -31,11 +32,22 @@ from repro.workloads.llm import LlmDecodeSpec
 
 SCHEMES = ("np", "guardnn-ci", "bp")
 
+#: the fingerprint the validation tests pin envelopes to
+FINGERPRINT = {"spec": {"type": "streaming"}, "chunk_requests": 64}
 
-def save_to(path):
-    """An ``on_checkpoint`` hook that publishes each envelope at ``path``."""
-    return lambda envelope, chunks, requests_done: save_checkpoint(path,
-                                                                   envelope)
+
+def keep_latest(kept):
+    """An ``on_checkpoint`` hook that keeps the latest envelope in
+    ``kept[0]``, round-tripped through JSON as the journal stores it."""
+    def keep(envelope, chunks, requests_done):
+        kept[:] = [json.loads(json.dumps(envelope))]
+    return keep
+
+
+def envelope(**fields):
+    return {"version": CHECKPOINT_VERSION, "kind": "trace-pipeline",
+            "fingerprint": FINGERPRINT, "cursor": 0, **fields}
+
 
 TINY_LM = LlmGeometry("tiny-lm", d_model=64, layers=2, heads=2, d_ff=128,
                       vocab=512, max_seq=64)
@@ -88,14 +100,12 @@ def _fresh(spec, schemes, chunk):
 @settings(max_examples=15, deadline=None)
 @given(spec=spec_strategy, scheme=st.sampled_from(SCHEMES),
        chunk=st.integers(1, 2048), stop_after=st.integers(1, 8))
-def test_resume_is_bit_identical(tmp_path_factory, spec, scheme, chunk,
-                                 stop_after):
+def test_resume_is_bit_identical(spec, scheme, chunk, stop_after):
     """Checkpoint after an arbitrary chunk, resume in a fresh pipeline,
     and the final timings equal the uninterrupted run exactly — the
     interruption point is unobservable."""
-    tmp_path = tmp_path_factory.mktemp("ckpt")
     chunk = min(chunk, max(spec.total_requests, 1))
-    path = str(tmp_path / "run.ckpt")
+    kept = []
 
     reference = _summary(_fresh(spec, (scheme,), chunk).run())
 
@@ -107,10 +117,10 @@ def test_resume_is_bit_identical(tmp_path_factory, spec, scheme, chunk,
 
     first = _fresh(spec, (scheme,), chunk)
     try:
-        first.run(on_checkpoint=save_to(path), checkpoint_request=stop)
+        first.run(on_checkpoint=keep_latest(kept), checkpoint_request=stop)
     except PipelineCheckpointed:
         resumed = _fresh(spec, (scheme,), chunk)
-        results = resumed.run(resume_from=path)
+        results = resumed.run(resume_from=kept[0])
     else:
         # the run finished before the threshold (few chunks): nothing
         # was interrupted, so it must itself equal the reference
@@ -121,21 +131,21 @@ def test_resume_is_bit_identical(tmp_path_factory, spec, scheme, chunk,
 @settings(max_examples=8, deadline=None)
 @given(spec=spec_strategy, chunk=st.integers(16, 1024),
        every=st.integers(1, 4))
-def test_periodic_checkpoints_resume_identically(tmp_path_factory, spec,
-                                                 chunk, every):
+def test_periodic_checkpoints_resume_identically(spec, chunk, every):
     """A run writing periodic checkpoints finishes with the same result
     as one that never checkpoints, and resuming from the *last* written
     checkpoint reproduces it too (multi-scheme shared pass)."""
-    tmp_path = tmp_path_factory.mktemp("ckpt")
     chunk = min(chunk, max(spec.total_requests, 1))
-    path = str(tmp_path / "periodic.ckpt")
+    kept = []
     schemes = ("np", "guardnn-c", "bp")
 
     reference = _summary(_fresh(spec, schemes, chunk).run())
     written = []
     checkpointing = _fresh(spec, schemes, chunk)
+    keep = keep_latest(kept)
+
     def on_checkpoint(envelope, chunks, done):
-        save_checkpoint(path, envelope)
+        keep(envelope, chunks, done)
         written.append((chunks, done))
 
     results = checkpointing.run(checkpoint_every=every,
@@ -143,18 +153,19 @@ def test_periodic_checkpoints_resume_identically(tmp_path_factory, spec,
     assert _summary(results) == reference
 
     if written:
-        resumed = _fresh(spec, schemes, chunk).run(resume_from=path)
+        resumed = _fresh(spec, schemes, chunk).run(resume_from=kept[0])
         assert _summary(resumed) == reference
 
 
-def test_checkpoint_rejects_wrong_fingerprint(tmp_path):
+def test_checkpoint_rejects_wrong_fingerprint():
     """A checkpoint resumes only the computation that wrote it: change
     the spec, the scheme set, or the chunk size and the load refuses."""
-    path = str(tmp_path / "pin.ckpt")
+    kept = []
     spec = StreamingSpec(1 << 15, write_fraction=0.25)
     try:
         TracePipeline(spec, schemes=("np",), chunk_requests=64).run(
-            on_checkpoint=save_to(path), checkpoint_request=lambda *a: True)
+            on_checkpoint=keep_latest(kept),
+            checkpoint_request=lambda *a: True)
     except PipelineCheckpointed:
         pass
     for wrong in (
@@ -166,90 +177,61 @@ def test_checkpoint_rejects_wrong_fingerprint(tmp_path):
                       schemes=("np",), chunk_requests=128),
     ):
         with pytest.raises(CheckpointError):
-            wrong.run(resume_from=path)
+            wrong.run(resume_from=kept[0])
 
 
-def test_checkpoint_envelope_validation(tmp_path):
-    missing = str(tmp_path / "nope.ckpt")
+def test_checkpoint_envelope_validation():
+    """One validator checks every envelope: an object, this build's
+    version, the one kind, the expected fingerprint, and an integer
+    cursor ≥ 0. A path where an envelope belongs is refused too."""
+    assert validate_envelope(envelope(), FINGERPRINT) == envelope()
+    for bad in ("run.ckpt", [envelope()],
+                envelope(version=CHECKPOINT_VERSION + 1),
+                envelope(kind="something-else"),
+                envelope(fingerprint=dict(FINGERPRINT, chunk_requests=128)),
+                envelope(cursor="5"), envelope(cursor=-1),
+                {k: v for k, v in envelope().items() if k != "cursor"}):
+        with pytest.raises(CheckpointError):
+            validate_envelope(bad, FINGERPRINT)
+    pipeline = TracePipeline(StreamingSpec(1 << 14), schemes=("np",),
+                             chunk_requests=64)
     with pytest.raises(CheckpointError):
-        load_checkpoint(missing)
-
-    corrupt = tmp_path / "bad.ckpt"
-    corrupt.write_text("{not json")
-    with pytest.raises(CheckpointError):
-        load_checkpoint(str(corrupt))
-
-    wrong_version = tmp_path / "old.ckpt"
-    wrong_version.write_text(json.dumps(
-        {"version": CHECKPOINT_VERSION + 1, "kind": "trace-pipeline"}))
-    with pytest.raises(CheckpointError):
-        load_checkpoint(str(wrong_version))
-
-    wrong_kind = str(tmp_path / "kind.ckpt")
-    save_checkpoint(wrong_kind, {"kind": "something-else"})
-    with pytest.raises(CheckpointError):
-        load_checkpoint(wrong_kind, kind="trace-pipeline")
-    assert load_checkpoint(wrong_kind)["kind"] == "something-else"
+        pipeline.run(resume_from="run.ckpt")
 
 
-def test_checkpoint_rejects_any_future_version(tmp_path):
+def test_checkpoint_rejects_any_future_version():
     """Forward compatibility is refusal, not best-effort parsing: an
     envelope stamped by *any* newer writer — next version or far
     future — must be rejected with a clear error naming the version,
     never partially loaded."""
     for future in (CHECKPOINT_VERSION + 1, CHECKPOINT_VERSION + 7, 999999):
-        path = tmp_path / f"future-{future}.ckpt"
-        path.write_text(json.dumps({
-            "version": future, "kind": "trace-pipeline",
-            "state": {"cursor": 3, "from": "a newer writer"}}))
+        stored = json.loads(json.dumps(envelope(
+            version=future, cursor=3, state={"from": "a newer writer"})))
         with pytest.raises(CheckpointError) as error:
-            load_checkpoint(str(path), kind="trace-pipeline")
+            validate_envelope(stored, FINGERPRINT)
         assert str(future) in str(error.value) or "version" in str(error.value)
 
 
-def test_checkpoint_truncated_at_every_prefix_rejected(tmp_path):
-    """A torn write (host crash mid-publish without the fsync+rename
-    discipline) must never half-load: every strict byte prefix of a
-    valid envelope raises CheckpointError — there is no prefix length
-    at which a partial checkpoint silently parses as a shorter one."""
-    path = str(tmp_path / "whole.ckpt")
-    save_checkpoint(path, {"kind": "trace-pipeline",
-                           "state": {"cursor": 5, "rows": [1, 2, 3]}})
-    with open(path, "rb") as handle:
-        payload = handle.read()
-    truncated = str(tmp_path / "torn.ckpt")
-    for cut in range(len(payload)):
-        with open(truncated, "wb") as handle:
-            handle.write(payload[:cut])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(truncated, kind="trace-pipeline")
-    # sanity: the full payload still loads
-    with open(truncated, "wb") as handle:
-        handle.write(payload)
-    assert load_checkpoint(truncated)["state"]["cursor"] == 5
-
-
-def test_checkpoint_unknown_fields_at_current_version_ok(tmp_path):
+def test_checkpoint_unknown_fields_at_current_version_ok():
     """Same-version envelopes with *extra* fields (a same-version
     writer recording more) load fine — versioning gates structure
     changes, not additive metadata."""
-    path = str(tmp_path / "extra.ckpt")
-    save_checkpoint(path, {"kind": "trace-pipeline",
-                           "state": {"cursor": 2},
-                           "novel_field": {"nested": True},
-                           "another": [1, 2]})
-    loaded = load_checkpoint(path, kind="trace-pipeline")
-    assert loaded["state"]["cursor"] == 2
+    stored = json.loads(json.dumps(envelope(
+        cursor=2, novel_field={"nested": True}, another=[1, 2])))
+    loaded = validate_envelope(stored, FINGERPRINT)
+    assert loaded["cursor"] == 2
     assert loaded["novel_field"] == {"nested": True}
 
 
-def test_save_checkpoint_is_atomic(tmp_path):
-    """Publishing a new checkpoint over an old one leaves no temp
-    debris and the file always parses (the tmp+rename discipline)."""
-    path = str(tmp_path / "atomic.ckpt")
+def test_atomic_write_text_is_atomic(tmp_path):
+    """Publishing a new file over an old one leaves no temp debris and
+    the file always holds one whole payload (the tmp+rename
+    discipline the result cache and journal compaction use)."""
+    path = str(tmp_path / "atomic.json")
     for i in range(3):
-        save_checkpoint(path, {"kind": "trace-pipeline", "i": i})
-        assert load_checkpoint(path)["i"] == i
+        atomic_write_text(path, json.dumps({"i": i}))
+        with open(path) as handle:
+            assert json.load(handle)["i"] == i
     leftovers = [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
     assert leftovers == []
 

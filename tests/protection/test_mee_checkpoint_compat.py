@@ -9,17 +9,23 @@ now keeps the ``OrderedDict`` cache in both modes, so the envelope must
 resume bit-identically, in either mode, to the run it came from.
 """
 
+import json
 import os
 
 import pytest
 
 from repro import perf
-from repro.checkpoint import load_checkpoint
 from repro.mem.pipeline import TracePipeline
 from repro.workloads import RandomSpec
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                        "bp_numpy_cache.ckpt.json")
+
+
+def _envelope():
+    with open(FIXTURE) as handle:
+        return json.load(handle)
+
 
 #: the uninterrupted run's outcome, as the writing build computed it
 UNINTERRUPTED = {
@@ -48,7 +54,7 @@ def _outcome(pipeline, **run):
 
 
 def test_fixture_is_a_mid_stream_envelope_with_a_full_cache():
-    state = load_checkpoint(FIXTURE, kind="trace-pipeline")
+    state = _envelope()
     assert (state["chunks"], state["cursor"]) == (2, 2048)
     cache = state["schemes"]["bp"]["rewriter"]["cache"]
     assert sum(map(len, cache["sets"])) == cache["num_sets"] * cache["ways"]
@@ -61,6 +67,6 @@ def test_old_envelope_resumes_to_the_uninterrupted_run(fast):
     perf.set_fast(fast)
     try:
         assert _outcome(_pipeline()) == UNINTERRUPTED
-        assert _outcome(_pipeline(), resume_from=FIXTURE) == UNINTERRUPTED
+        assert _outcome(_pipeline(), resume_from=_envelope()) == UNINTERRUPTED
     finally:
         perf.set_fast(previous)

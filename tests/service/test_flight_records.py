@@ -181,12 +181,16 @@ def test_flight_retires_its_records_after_leaving_the_coalescer(tmp_path):
         stop_service(service, thread)
 
 
-def test_corrupt_checkpoint_on_submit_is_quarantined(tmp_path):
+@pytest.mark.parametrize("content", [
+    '{"type": "head\n{"type": "commit"}\n',      # mid-file damage
+    '{"type": "header", "journal": 1, "finger',  # torn header
+], ids=["mid-file", "torn-header"])
+def test_corrupt_checkpoint_on_submit_is_quarantined(tmp_path, content):
     service, client, thread = start_service(checkpoint_dir=str(tmp_path))
     try:
         path = record_path(str(tmp_path))
         with open(path, "w") as handle:
-            handle.write('{"type": "head\n{"type": "commit"}\n')  # mid-file
+            handle.write(content)
         events = []
         result = client.run(PIPELINE_JOB, on_event=events.append)
         assert os.path.exists(path + ".corrupt")

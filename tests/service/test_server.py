@@ -12,7 +12,10 @@ observably running (cancellation) without sleeping for luck.
 import asyncio
 import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -306,3 +309,17 @@ class TestMetricsEndpoint:
     def test_health_endpoint(self, service_and_client):
         _, client = service_and_client
         assert client.health() is True
+
+
+def test_cli_and_service_imports_leave_the_distributed_tier_out():
+    """A local daemon loads ``repro.distributed`` and its
+    ``http.server`` stack only at its first pipeline flight: importing
+    the CLI and the service loads neither."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(perf.__file__)))
+    code = ("import sys, repro.cli, repro.service.server; "
+            "print([m for m in ('repro.distributed', 'http.server') "
+            "if m in sys.modules])")
+    child = subprocess.run([sys.executable, "-c", code], check=True,
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=60)
+    assert child.stdout.strip() == "[]"
