@@ -49,10 +49,10 @@ from repro.protection.trace_rewriter import (  # noqa: E402
     MeeTraceRewriter,
 )
 from repro.workloads.generators import (  # noqa: E402
+    bp_metadata_batch,
     bp_metadata_trace,
-    bp_metadata_trace_batch,
+    streaming_batch,
     streaming_trace,
-    streaming_trace_batch,
 )
 
 KEY = bytes(range(16))
@@ -144,7 +144,7 @@ def bench_hmac_batch(lanes: int, msg_bytes: int, repeat: int):
 
 def bench_rewriter(kind: str, nbytes: int, repeat: int):
     trace = streaming_trace(nbytes, write_fraction=0.5)
-    batch = streaming_trace_batch(nbytes, write_fraction=0.5)
+    batch = streaming_batch(nbytes, write_fraction=0.5)
 
     def make(kind):
         if kind == "guardnn":
@@ -161,9 +161,9 @@ def bench_rewriter(kind: str, nbytes: int, repeat: int):
 
 def bench_dram(pattern: str, nbytes: int, repeat: int):
     if pattern == "streaming":
-        trace, batch = streaming_trace(nbytes), streaming_trace_batch(nbytes)
+        trace, batch = streaming_trace(nbytes), streaming_batch(nbytes)
     else:
-        trace, batch = bp_metadata_trace(nbytes), bp_metadata_trace_batch(nbytes)
+        trace, batch = bp_metadata_trace(nbytes), bp_metadata_batch(nbytes)
     fast = lambda: MemoryController().run_batch(batch)
     scalar = lambda: MemoryController().run_trace(trace)
     return _measure(

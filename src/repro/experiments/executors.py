@@ -274,25 +274,22 @@ def dram_characterization(params: Dict[str, object]) -> Dict[str, object]:
     access pattern (streaming | random | bp-interleaved)."""
     import numpy as np
 
-    from repro import perf
     from repro.mem.controller import MemoryController
     from repro.mem.dram import DDR4_2400
     from repro.workloads import generators as gen
 
     pattern = params["pattern"]
     nbytes = int(params.get("nbytes", 1 << 18))
-    fast = perf.fast_enabled()
     if pattern == "streaming":
-        trace = (gen.streaming_trace_batch if fast else gen.streaming_trace)(nbytes)
+        trace = gen.streaming_batch(nbytes)
     elif pattern == "random":
         rng = np.random.default_rng(int(params.get("seed", 3)))
-        make = gen.random_trace_batch if fast else gen.random_trace
-        trace = make(int(params.get("requests", 4096)), 1 << 28, rng)
+        trace = gen.random_batch(int(params.get("requests", 4096)), 1 << 28, rng)
     elif pattern == "bp-interleaved":
-        trace = (gen.bp_metadata_trace_batch if fast else gen.bp_metadata_trace)(nbytes)
+        trace = gen.bp_metadata_batch(nbytes)
     else:
         raise ValueError(f"unknown pattern {pattern!r}")
-    stats = MemoryController().run_trace(trace)
+    stats = MemoryController().run_batch(trace)
     return {
         "pattern": pattern,
         "requests": len(trace),

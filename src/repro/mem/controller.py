@@ -7,8 +7,10 @@ one burst are split into per-burst sub-requests.
 
 The controller is used two ways:
 
-* **event-driven**: :meth:`run_trace` times an explicit request list —
-  used by tests, microbenches, and bandwidth characterization;
+* **event-driven**: :meth:`run_trace` times an explicit request list
+  (the scalar oracle) and :meth:`run_batch` a
+  :class:`~repro.mem.batch.RequestBatch` — used by tests, microbenches,
+  and bandwidth characterization;
 * **characterization**: :meth:`effective_bandwidth_gbps` measures
   sustainable bandwidth for a synthetic streaming mix. The analytical
   layer-performance model does not call it: its bandwidth input is the
@@ -116,8 +118,7 @@ class MemoryController:
         burst = self.layout.burst_bytes
         cpr = self.layout.columns_per_row
         banks = self.layout.banks
-        addr = _np.frombuffer(batch.address, dtype=_np.int64)
-        size = _np.frombuffer(batch.size, dtype=_np.int64)
+        addr, size, is_write, _kind = batch.columns()
         start_burst = addr // burst
         counts = (addr + size - 1) // burst - start_burst + 1
         total = int(counts.sum())
@@ -125,7 +126,7 @@ class MemoryController:
         ends = _np.cumsum(counts)
         ramp = _np.arange(total, dtype=_np.int64) - _np.repeat(ends - counts, counts)
         rest = (starts + ramp) // cpr
-        write_arr = _np.repeat(_np.frombuffer(batch.is_write, dtype=_np.int8), counts)
+        write_arr = _np.repeat(is_write, counts)
         return write_arr, rest % banks, rest // banks
 
     def run_batch(self, batch: RequestBatch) -> ControllerResult:
@@ -154,18 +155,12 @@ class MemoryController:
         # outside the tests reads it: the analytic model's bandwidth is
         # its config's fixed value
         writes_every = int(1 / write_fraction) if write_fraction > 0 else 0
-        n = nbytes // stride
-        if perf.fast_enabled():
-            trace = RequestBatch()
-            for i in range(n):
-                is_write = writes_every > 0 and (i % writes_every == 0)
-                trace.append(i * stride, stride, is_write)
-        else:
-            trace = []
-            for i in range(n):
-                is_write = writes_every > 0 and (i % writes_every == 0)
-                trace.append(MemoryRequest(address=i * stride, size=stride, is_write=is_write))
-        result = self.run_trace(trace)
+        index = _np.arange(nbytes // stride, dtype=_np.int64)
+        trace = RequestBatch.from_arrays(
+            index * stride, _np.full(len(index), stride, dtype=_np.int64),
+            index % writes_every == 0 if writes_every
+            else _np.zeros(len(index), dtype=_np.int8))
+        result = self.run_batch(trace)
         return result.bandwidth_gbps(self.dram.timing.freq_mhz, self.layout.burst_bytes)
 
 

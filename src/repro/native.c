@@ -42,7 +42,7 @@ typedef struct {
     int64_t length, capacity;
 } Stream;
 
-/* RequestBatch.append, less the validation: 0 when the stream is full */
+/* Append one request, unvalidated: 0 when the stream is full */
 static int emit(Stream *out, int64_t address, int64_t size, int is_write,
                 int kind)
 {

@@ -140,11 +140,13 @@ class _KernelOutput:
             self.capacity = capacity
 
     def append_to(self, out: RequestBatch, length: int) -> None:
-        """Copy the first ``length`` requests written onto ``out``."""
-        for column, values in zip((out.address, out.size, out.is_write, out.kind),
-                                  self.columns):
-            # a uint8 view: array.frombytes takes byte buffers only
-            column.frombytes(values[:length].view(_np.uint8))
+        """Copy the first ``length`` requests written onto ``out``, once:
+        a non-empty ``out`` concatenates them, and an empty one, which
+        takes its columns as they are, gets a copy (the next call
+        overwrites these columns)."""
+        written = (column[:length] for column in self.columns)
+        out.extend(RequestBatch(*written) if len(out)
+                   else RequestBatch(*(column.copy() for column in written)))
 
 
 class GuardNNTraceRewriter:

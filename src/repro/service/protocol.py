@@ -153,8 +153,11 @@ def _parse_sweep(obj: Dict[str, object]) -> JobRequest:
     unknown = set(spec_fields) - allowed
     _require(not unknown,
              f"unknown spec field(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
-    _require("models" in spec_fields, "'spec.models' is required")
-    kwargs: Dict[str, object] = {"models": tuple(spec_fields["models"])}
+    models = spec_fields.get("models")
+    _require(isinstance(models, (list, tuple)) and models
+             and all(isinstance(m, str) for m in models),
+             "'spec.models' must be a non-empty list of model names")
+    kwargs: Dict[str, object] = {"models": tuple(models)}
     for key in ("schemes", "batches", "modes"):
         if key in spec_fields:
             value = spec_fields[key]
@@ -224,8 +227,8 @@ def _parse_pipeline(obj: Dict[str, object]) -> JobRequest:
     _require(len(set(schemes)) == len(schemes), "duplicate scheme names")
     params["schemes"] = list(schemes)
     chunk_requests = obj.get("chunk_requests", DEFAULT_CHUNK_REQUESTS)
-    _require(isinstance(chunk_requests, int) and chunk_requests > 0,
-             "'chunk_requests' must be a positive integer")
+    _require(isinstance(chunk_requests, int) and not isinstance(chunk_requests, bool)
+             and chunk_requests > 0, "'chunk_requests' must be a positive integer")
     params["chunk_requests"] = chunk_requests
     extra = obj.get("params", {})
     _require(isinstance(extra, dict), "'params' must be an object")

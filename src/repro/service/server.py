@@ -172,7 +172,6 @@ class ReproService:
         self._draining = False
         self._connections: set = set()  # live client-connection tasks
         self._flight_seq = 0   # fault-site index for service.flight
-        self._stream_seq = 0   # fault-site index for service.stream
         # one CoordinatorServer owns the fixed dist_port at a time, so
         # distributed flights execute serially (coalescing and caches
         # still make concurrent identical submissions cheap); local
@@ -414,9 +413,6 @@ class ReproService:
                 event = getter.result()
                 if event is END_OF_STREAM:
                     break
-                if faults.enabled():
-                    faults.fire("service.stream", self._stream_seq)
-                self._stream_seq += 1
                 writer.write(encode_event(event))
                 await writer.drain()
                 self.metrics.incr("events_streamed_total")

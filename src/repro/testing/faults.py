@@ -19,8 +19,6 @@ Sites instrumented in this repo:
 ``cache.put``         the result cache about to publish entry *index*
                       (action ``corrupt``/``truncate`` damages the
                       entry instead of crashing)
-``service.stream``    the service about to emit streamed event *index*
-                      (action ``drop`` severs the client connection)
 ``service.flight``    a service flight about to start (index = flight
                       sequence number)
 ``dist.lease``        a distributed worker sending lease request *index*

@@ -23,20 +23,24 @@ def build_trace_spec(workload: str, **params) -> TraceSpec:
     ``streaming`` / ``random`` / ``bp-metadata`` build the synthetic
     patterns; any registered LLM geometry name (``gpt2``, ``gpt2-xl``,
     ``llama-7b``) builds its decode trace. ``params`` forward to the
-    spec constructor.
+    spec constructor. A spec that yields no requests raises
+    ``ValueError``: it has no cycles to compare, so every slowdown
+    would read NaN.
     """
-    if workload == "streaming":
-        return StreamingSpec(**params)
-    if workload == "random":
-        return RandomSpec(**params)
-    if workload == "bp-metadata":
-        return BpMetadataSpec(**params)
-    from repro.workloads.llm import LLM_GEOMETRIES, llm_decode_spec
+    synthetic = {"streaming": StreamingSpec, "random": RandomSpec,
+                 "bp-metadata": BpMetadataSpec}
+    if workload in synthetic:
+        spec = synthetic[workload](**params)
+    else:
+        from repro.workloads.llm import LLM_GEOMETRIES, llm_decode_spec
 
-    if workload in LLM_GEOMETRIES:
-        return llm_decode_spec(workload, **params)
-    known = ["streaming", "random", "bp-metadata"] + sorted(LLM_GEOMETRIES)
-    raise KeyError(f"unknown workload {workload!r}; known: {', '.join(known)}")
+        if workload not in LLM_GEOMETRIES:
+            known = list(synthetic) + sorted(LLM_GEOMETRIES)
+            raise KeyError(f"unknown workload {workload!r}; known: {', '.join(known)}")
+        spec = llm_decode_spec(workload, **params)
+    if spec.total_requests < 1:
+        raise ValueError(f"workload {workload!r} with these params yields no requests")
+    return spec
 
 
 __all__ = [

@@ -5,14 +5,15 @@ validation runs, and the streaming :class:`~repro.mem.pipeline.TracePipeline`;
 :func:`random_mlp_spec` builds the quantized MLPs the functional
 (encrypt -> compute -> decrypt) tests execute.
 
-Every generator exists in two forms:
+Every trace pattern exists in two forms:
 
-* a **scalar reference** building ``MemoryRequest`` objects one at a
-  time (the original list-of-objects code, what ``REPRO_SCALAR=1``
-  runs and what the equivalence tests trust);
-* a **batch generator** emitting the identical stream straight into a
-  structure-of-arrays :class:`~repro.mem.batch.RequestBatch` via numpy
-  address arithmetic — no per-request Python, no objects.
+* a **list generator** building ``MemoryRequest`` objects one at a
+  time (the original list-of-objects code, which the equivalence tests
+  trust as the oracle);
+* a **batch generator** emitting the identical stream as the numpy
+  columns of a :class:`~repro.mem.batch.RequestBatch` — no per-request
+  Python, no objects. It is the one batch lane: ``REPRO_SCALAR=1``
+  runs it too, and the tests check it against the list generator.
 
 The batch generators take an optional ``(start, stop)`` request-index
 window, so the streaming pipeline can pull bounded chunks of an
@@ -29,7 +30,6 @@ from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro import perf
 from repro.core.host import MlpSpec
 from repro.mem.batch import MAC_CODE, VN_CODE, RequestBatch
 from repro.mem.trace import MemoryRequest, RequestKind
@@ -125,16 +125,10 @@ def streaming_batch(nbytes: int, base: int = 0, write_fraction: float = 0.3,
     / ``stop`` select a request-index window of the same stream."""
     _check_write_fraction(write_fraction)
     start, stop = _resolve_window(nbytes // stride, start, stop)
-    if perf.fast_enabled():
-        index = np.arange(start, stop, dtype=np.int64)
-        return RequestBatch.from_arrays(
-            base + index * stride,
-            np.full(len(index), stride, dtype=np.int64),
-            _write_mask(index, write_fraction))
-    batch = RequestBatch()
-    for i in range(start, stop):
-        batch.append(base + i * stride, stride, _write_flag(i, write_fraction))
-    return batch
+    index = np.arange(start, stop, dtype=np.int64)
+    return RequestBatch.from_arrays(
+        base + index * stride, np.full(len(index), stride, dtype=np.int64),
+        _write_mask(index, write_fraction))
 
 
 def random_batch(n_requests: int, span_bytes: int, rng: np.random.Generator,
@@ -145,14 +139,9 @@ def random_batch(n_requests: int, span_bytes: int, rng: np.random.Generator,
     chunk-stable random stream use :class:`RandomSpec`."""
     slots = rng.integers(0, span_bytes // stride, size=n_requests)
     writes = rng.random(n_requests) < write_fraction
-    if perf.fast_enabled():
-        return RequestBatch.from_arrays(
-            slots.astype(np.int64) * stride,
-            np.full(n_requests, stride, dtype=np.int64), writes)
-    batch = RequestBatch()
-    for slot, is_write in zip(slots, writes):
-        batch.append(int(slot) * stride, stride, bool(is_write))
-    return batch
+    return RequestBatch.from_arrays(
+        slots.astype(np.int64) * stride,
+        np.full(n_requests, stride, dtype=np.int64), writes)
 
 
 def bp_metadata_batch(nbytes: int, base: int = 0, meta_base: int = 1 << 28,
@@ -166,21 +155,6 @@ def bp_metadata_batch(nbytes: int, base: int = 0, meta_base: int = 1 << 28,
     n_data = nbytes // 64
     groups = n_data // 8
     start, stop = _resolve_window(n_data + 2 * groups, start, stop)
-    if not perf.fast_enabled():
-        batch = RequestBatch()
-        for i in range(start, stop):
-            if i < groups * 10:
-                group, r = divmod(i, 10)
-                if r < 8:
-                    batch.append(base + (group * 8 + r) * 64, 64, False)
-                elif r == 8:
-                    batch.append(meta_base + group * 64, 64, False, VN_CODE)
-                else:
-                    batch.append(meta_base + (1 << 20) + group * 64, 64, False,
-                                 MAC_CODE)
-            else:
-                batch.append(base + (i - 2 * groups) * 64, 64, False)
-        return batch
     index = np.arange(start, stop, dtype=np.int64)
     in_pattern = index < groups * 10
     group = index // 10
@@ -197,12 +171,6 @@ def bp_metadata_batch(nbytes: int, base: int = 0, meta_base: int = 1 << 28,
     return RequestBatch.from_arrays(
         address, np.full(len(index), 64, dtype=np.int64),
         np.zeros(len(index), dtype=np.int8), kind)
-
-
-#: legacy aliases (pre-streaming names) — same functions
-streaming_trace_batch = streaming_batch
-random_trace_batch = random_batch
-bp_metadata_trace_batch = bp_metadata_batch
 
 
 def strided_trace(n_requests: int, stride: int, base: int = 0,
@@ -345,14 +313,9 @@ class RandomSpec(TraceSpec):
             write_parts.append(writes[s:e])
         slots = np.concatenate(slot_parts) if slot_parts else np.empty(0, dtype=np.int64)
         writes = np.concatenate(write_parts) if write_parts else np.empty(0, dtype=bool)
-        if perf.fast_enabled():
-            return RequestBatch.from_arrays(
-                slots.astype(np.int64) * self.stride,
-                np.full(len(slots), self.stride, dtype=np.int64), writes)
-        batch = RequestBatch()
-        for slot, is_write in zip(slots, writes):
-            batch.append(int(slot) * self.stride, self.stride, bool(is_write))
-        return batch
+        return RequestBatch.from_arrays(
+            slots.astype(np.int64) * self.stride,
+            np.full(len(slots), self.stride, dtype=np.int64), writes)
 
     @property
     def end_address(self) -> int:

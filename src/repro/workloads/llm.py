@@ -114,11 +114,11 @@ class LlmDecodeSpec(TraceSpec):
     def batch(self, start: int = 0, stop: Optional[int] = None) -> RequestBatch:
         start, stop = _resolve_window(self.total_requests, start, stop)
         if not perf.fast_enabled():
-            batch = RequestBatch()
-            for i in range(start, stop):
-                address, is_write = self._request_at(i)
-                batch.append(address, self.stride, is_write)
-            return batch
+            rows = [self._request_at(i) for i in range(start, stop)]
+            return RequestBatch.from_arrays(
+                [address for address, _ in rows],
+                np.full(len(rows), self.stride, dtype=np.int64),
+                [is_write for _, is_write in rows])
         index = np.arange(start, stop, dtype=np.int64)
         token = index // self.requests_per_token
         r = index - token * self.requests_per_token

@@ -192,6 +192,15 @@ class TestPipeline:
         journal.append_checkpoint(0, envelopes[0]["cursor"], envelopes[0])
         journal.close()
 
+    def test_pipeline_without_requests_is_an_error_line(self, capsys):
+        """A trace of no requests is refused before any row is printed,
+        not run into a NaN slowdown (not valid JSON)."""
+        with pytest.raises(SystemExit,
+                           match="^error: .*yields no requests$"):
+            main(["pipeline", "--workload", "streaming", "--schemes", "np",
+                  "--params", '{"nbytes": 0}'])
+        assert capsys.readouterr().out == ""
+
     def test_resume_refuses_another_builds_checkpoint(self, tmp_path):
         """A pipeline fingerprint pins the computation, not the code,
         so the journal pins the build that wrote it: state another

@@ -15,7 +15,8 @@ VECTORS = [
 ]
 
 
-@pytest.mark.parametrize("message,digest_hex", VECTORS)
+@pytest.mark.parametrize("message,digest_hex", VECTORS,
+                         ids=["empty", "abc", "448-bit", "million-a"])
 def test_known_answers(message, digest_hex):
     assert sha256(message).hex() == digest_hex
 

@@ -1,5 +1,6 @@
 """Unit tests for the structure-of-arrays request batch."""
 
+import numpy as np
 import pytest
 
 from repro.mem.batch import KIND_CODE, KINDS, MAC_CODE, RequestBatch
@@ -7,22 +8,28 @@ from repro.mem.trace import MemoryRequest, RequestKind
 
 
 class TestRequestBatch:
-    def test_append_and_len(self):
-        batch = RequestBatch()
-        assert len(batch) == 0
-        batch.append(64, 64, False)
-        batch.append(128, 16, True, MAC_CODE)
+    def test_from_arrays_and_len(self):
+        assert len(RequestBatch()) == 0
+        batch = RequestBatch.from_arrays([64, 128], [64, 16], [False, True],
+                                         [0, MAC_CODE])
         assert len(batch) == 2
         assert batch.request(0) == MemoryRequest(64, 64, False)
         assert batch.request(1) == MemoryRequest(128, 16, True, RequestKind.MAC)
 
-    def test_append_validates_like_memory_request(self):
-        batch = RequestBatch()
+    def test_from_arrays_validates_like_memory_request(self):
         with pytest.raises(ValueError):
-            batch.append(-1, 64, False)
+            RequestBatch.from_arrays([0, -1], [64, 64], [False, False])
         with pytest.raises(ValueError):
-            batch.append(0, 0, False)
-        assert len(batch) == 0
+            RequestBatch.from_arrays([0, 64], [64, 0], [False, False])
+
+    def test_from_arrays_keeps_contiguous_columns(self):
+        columns = (np.array([0, 64], dtype=np.int64),
+                   np.array([64, 64], dtype=np.int64),
+                   np.array([0, 1], dtype=np.int8),
+                   np.array([0, MAC_CODE], dtype=np.int8))
+        batch = RequestBatch.from_arrays(*columns)
+        for kept, given in zip(batch.columns(), columns):
+            assert np.shares_memory(kept, given)
 
     def test_round_trip_preserves_order_and_kinds(self):
         trace = [

@@ -220,10 +220,10 @@ def test_streaming_pipeline_batch_matches_scalar_at_scale():
     """Long streaming traces drive the run-compressed rewriter paths
     and the controller's row-hit run servicing across several refresh
     intervals — shapes the short hypothesis traces cannot reach."""
-    from repro.workloads.generators import streaming_trace, streaming_trace_batch
+    from repro.workloads.generators import streaming_batch, streaming_trace
 
     trace = streaming_trace(1 << 17, write_fraction=0.4)
-    batch = streaming_trace_batch(1 << 17, write_fraction=0.4)
+    batch = streaming_batch(1 << 17, write_fraction=0.4)
 
     scalar_rw = MeeTraceRewriter()
     batch_rw = MeeTraceRewriter()

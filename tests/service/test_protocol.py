@@ -44,6 +44,13 @@ class TestSweepParsing:
             parse_job_request({"kind": "sweep",
                                "spec": {"models": ["alexnet"], "model": "x"}})
 
+    def test_non_list_models_rejected_at_submission(self):
+        """``models`` is checked like ``schemes``: a 400, not a 500 from
+        a ``TypeError``."""
+        for models in (5, [], ["alexnet", 3]):
+            with pytest.raises(ProtocolError, match="'spec.models' must be"):
+                parse_job_request({"kind": "sweep", "spec": {"models": models}})
+
     def test_unknown_model_rejected_at_submission(self):
         with pytest.raises(ProtocolError, match="invalid sweep spec"):
             parse_job_request({"kind": "sweep",
@@ -111,6 +118,24 @@ class TestPipelineParsing:
             parse_job_request({"kind": "pipeline", "workload": "streaming",
                                "chunk_requests": 0,
                                "params": {"nbytes": 1 << 20}})
+
+    def test_bool_chunk_requests_rejected(self):
+        with pytest.raises(ProtocolError, match="chunk_requests"):
+            parse_job_request({"kind": "pipeline", "workload": "streaming",
+                               "chunk_requests": True,
+                               "params": {"nbytes": 1 << 20}})
+
+    @pytest.mark.parametrize("workload,params", [
+        ("streaming", {"nbytes": -64}),
+        ("streaming", {"nbytes": 0}),
+        ("random", {"n_requests": 0, "span_bytes": 4096}),
+    ], ids=["negative-nbytes", "zero-nbytes", "zero-random"])
+    def test_pipeline_without_requests_rejected(self, workload, params):
+        """A trace of no requests has no cycles to compare: refused at
+        submission, not run into NaN slowdowns."""
+        with pytest.raises(ProtocolError, match="yields no requests"):
+            parse_job_request({"kind": "pipeline", "workload": workload,
+                               "params": params})
 
     def test_params_may_not_shadow_reserved_fields(self):
         with pytest.raises(ProtocolError, match="may not override"):
