@@ -186,11 +186,21 @@ class ControllerSession:
     (:meth:`MemoryController._expand_bursts_soa`) and runs
     :meth:`_schedule_window`. Fast mode runs all three as one
     line-for-line port in C (``repro_schedule`` in ``repro/native.c``,
-    see :mod:`repro.native`): it takes the carried residue and the
-    batch's raw request columns, expands bursts as it fills the window
-    and hands the residue back, and the session and chip state go in
-    and come back on each feed. Without a compiled kernel, fast mode
-    runs the oracle too.
+    see :mod:`repro.native`): it takes the batch's raw request columns
+    and expands bursts as it fills the window. Without a compiled
+    kernel, fast mode runs the oracle too.
+
+    The session's state, and the chip's, have two forms, of which
+    exactly one is current. The Python form is the chip's lists and
+    stats and this session's counters, traffic stats and carried
+    residue (``_carry``); the oracle runs on it. The kernel's form
+    (``_arrays``, None while the Python form is current) is one int64
+    array of the scalars and bank columns, the per-kind byte totals
+    counted since it became current, and the window buffers, whose
+    first ``_left`` slots hold the residue. It stays current between
+    compiled feeds; :meth:`finish`, :meth:`state_dict`,
+    :meth:`load_state` and a scalar feed make the Python form current,
+    so the chip's lists and stats read current after :meth:`finish`.
     """
 
     def __init__(self, controller: MemoryController):
@@ -204,6 +214,9 @@ class ControllerSession:
         # columns in age order
         self._carry = _NO_BURSTS
         self._result = None
+        self._arrays = None  # the kernel's form, see the class docstring
+        self._left = 0
+        self._arguments = ()
 
     def feed(self, batch: RequestBatch) -> None:
         """Append one chunk to the stream and schedule as far as the
@@ -219,6 +232,7 @@ class ControllerSession:
         """Drain the window and return the whole stream's result."""
         if self._result is None:
             self._schedule(_NO_REQUESTS, final=True)
+            self._use_python()
             self._result = ControllerResult(
                 cycles=max(self._cycle, self._last_data_end),
                 requests=self._requests, bursts=self._bursts, stats=self._stats)
@@ -233,6 +247,7 @@ class ControllerSession:
         checkpoint stays a few KB regardless of trace length."""
         if self._result is not None:
             raise RuntimeError("session already finished")
+        self._use_python()
         writes, banks, rows = self._carry
         return {
             "stats": self._stats.state_dict(),
@@ -252,7 +267,9 @@ class ControllerSession:
         issued but not yet counted) and ``leftover_hit_possible`` (a
         scan cache): the hits are folded into the DRAM stats, the flag
         is ignored. A carried burst outside the chip's banks, or on a
-        negative row, is refused with a ``ValueError``."""
+        negative row, is refused with a ``ValueError``, and so is a
+        residue of ``queue_depth`` bursts or more, which no seam leaves
+        (the window pauses only once it cannot fill)."""
         carry = (_np.array(state["carry_write"], dtype=_np.int8),
                  _np.array(state["carry_bank"], dtype=_np.int64),
                  _np.array(state["carry_row"], dtype=_np.int64))
@@ -261,6 +278,9 @@ class ControllerSession:
                               or carry[2].min() < 0):
             raise ValueError(f"carried bursts must lie in banks 0-{banks - 1} "
                              "on rows >= 0")
+        if len(carry[1]) >= self.controller.queue_depth:
+            raise ValueError(f"{len(carry[1])} carried bursts fill the "
+                             f"{self.controller.queue_depth}-burst window")
         self._stats = TraceStats()
         self._stats.load_state(state["stats"])
         self._requests = int(state["requests"])
@@ -269,6 +289,7 @@ class ControllerSession:
         self._last_data_end = int(state["last_data_end"])
         self._carry = carry
         self._result = None
+        self._arrays = None
         dram = self.controller.dram
         dram.load_state(state["dram"])
         dram.stats["row_hits"] += int(state.get("run_hits", 0))
@@ -281,8 +302,12 @@ class ControllerSession:
         it."""
         kernels = native.kernels() if perf.fast_enabled() else None
         if kernels is not None:
-            self._schedule_compiled(kernels, batch, final)
+            self._use_arrays()
+            self._left = kernels.repro_schedule(
+                *native.batch_arguments(batch), self._left, final,
+                *self._arguments)
             return
+        self._use_python()
         self._stats.merge(batch.stats())
         bursts = self.controller._expand_bursts_soa(batch)
         if len(self._carry[0]):
@@ -332,13 +357,16 @@ class ControllerSession:
         self._last_data_end = last_data_end
         return list(window)
 
-    def _schedule_compiled(self, kernels, batch: RequestBatch, final: bool) -> None:
-        """:meth:`_schedule`'s oracle path in C. The session and chip
-        state go in as one int64 array (the layout ``repro/native.c``
-        names: scalars, then the open row, -1 while precharged,
-        activation, last data end and last direction of every bank) and
-        come back in it; the eight per-kind byte totals come back in
-        another, and the residue in the three window columns."""
+    # -- the two forms of the state ----------------------------------------
+
+    def _use_arrays(self) -> None:
+        """Make the kernel's arrays the current form of the session and
+        chip state (the layout ``repro/native.c`` names: scalars, then
+        the open row, -1 while precharged, activation, last data end and
+        last direction of every bank), with zeroed byte totals and the
+        residue in the window's first slots; take their addresses."""
+        if self._arrays is not None:
+            return
         ctrl = self.controller
         dram = ctrl.dram
         t = dram.timing
@@ -364,12 +392,27 @@ class ControllerSession:
         window = (_np.empty(2 * depth, dtype=_np.int8),
                   _np.empty(2 * depth, dtype=_np.int64),
                   _np.empty(2 * depth, dtype=_np.int64))
-        left = kernels.repro_schedule(
-            *self._carry, len(self._carry[0]), *batch.columns(), len(batch),
-            depth, final, timing, shifts, nbanks, state, totals, *window,
-            2 * depth)
+        self._left = len(self._carry[0])
+        for slots, carried in zip(window, self._carry):
+            slots[:self._left] = carried
+        self._arrays = (timing, shifts, state, totals, window)
+        address_of = native.address_of
+        self._arguments = (depth, address_of(timing), address_of(shifts), nbanks,
+                           address_of(state), address_of(totals),
+                           *(address_of(slots) for slots in window), 2 * depth)
+
+    def _use_python(self) -> None:
+        """Make the Python form current: the kernel's scalars and bank
+        columns back into the chip and this session, its byte totals
+        into the traffic stats, and its residue into ``_carry``."""
+        if self._arrays is None:
+            return
+        _, _, state, totals, window = self._arrays
+        dram = self.controller.dram
+        stats = dram.stats
+        nbanks = len(dram.open_row)
         self._stats.merge(stats_from_totals(totals.tolist()))
-        self._carry = tuple(column[:left] for column in window)
+        self._carry = tuple(slots[:self._left].copy() for slots in window)
         values = state.tolist()
         (self._cycle, self._last_data_end, self._bursts, dram._bus_free_at,
          dram._next_refresh, stats["row_hits"], stats["row_misses"],
@@ -379,6 +422,8 @@ class ControllerSession:
         dram.activated_at[:] = banks_state[nbanks:2 * nbanks]
         dram.last_data_end[:] = banks_state[2 * nbanks:3 * nbanks]
         dram.last_was_write[:] = [bool(write) for write in banks_state[3 * nbanks:]]
+        self._arrays = None
+        self._arguments = ()
 
 
 #: scalars ahead of the bank columns in the compiled kernel's state array

@@ -87,8 +87,11 @@ class DramChip:
     Bank state is four per-bank lists: ``open_row`` (``None`` while the
     bank is precharged), ``activated_at``, ``last_data_end`` and
     ``last_was_write``. Every update, refresh included, mutates them in
-    place; the compiled controller kernel copies them in and back out
-    on each feed (see :class:`~repro.mem.controller.ControllerSession`).
+    place. A session that feeds the compiled controller kernel keeps
+    them, and ``stats`` with them, in the kernel's arrays until it
+    finishes, checkpoints or runs a scalar feed (see
+    :class:`~repro.mem.controller.ControllerSession`); only then do
+    they read current.
     """
 
     def __init__(self, timing: DramTiming = DDR4_2400, layout: AddressLayout = None):

@@ -88,24 +88,22 @@ static void slide(int8_t *write, int64_t *bank, int64_t *row, int64_t start,
     memmove(row, row + start, (size_t)len * sizeof *row);
 }
 
-/* Schedule the carried bursts (ncarry descriptors, age order) and then
- * the bursts of n requests through a window of the first `depth`
- * unserviced ones: pick the first row hit in age order, else the
- * oldest. Unless `final`, stop once fewer than `depth` bursts are left.
- * Each request's bytes are added to kind_bytes[kind + 4 * is_write].
- * The window lives in the three window_* arrays (window_len slots, at
- * least 2 * depth), where it slides forward as its oldest bursts go;
- * on return their first entries are the unserviced bursts in age
- * order, and their number is returned. */
-int64_t repro_schedule(const int8_t *carry_write, const int64_t *carry_bank,
-                       const int64_t *carry_row, int64_t ncarry,
-                       const int64_t *address, const int64_t *size,
+/* Schedule the carried bursts and then the bursts of n requests through
+ * a window of the first `depth` unserviced ones: pick the first row hit
+ * in age order, else the oldest. Unless `final`, stop once fewer than
+ * `depth` bursts are left. Each request's bytes are added to
+ * kind_bytes[kind + 4 * is_write]. The window lives in the three
+ * window_* arrays (window_len slots, at least 2 * depth), where it
+ * slides forward as its oldest bursts go. On entry their first ncarry
+ * entries are the bursts carried from the last call, in age order; on
+ * return, the unserviced bursts, whose number is returned. */
+int64_t repro_schedule(const int64_t *address, const int64_t *size,
                        const int8_t *is_write, const int8_t *kind, int64_t n,
-                       int64_t depth, int32_t final, const int64_t *t,
-                       const int64_t *layout, int64_t nbanks, int64_t *state,
-                       int64_t *kind_bytes, int8_t *window_write,
-                       int64_t *window_bank, int64_t *window_row,
-                       int64_t window_len)
+                       int64_t ncarry, int32_t final, int64_t depth,
+                       const int64_t *t, const int64_t *layout, int64_t nbanks,
+                       int64_t *state, int64_t *kind_bytes,
+                       int8_t *window_write, int64_t *window_bank,
+                       int64_t *window_row, int64_t window_len)
 {
     int64_t *open_row = state + N_SCALARS;
     int64_t *activated_at = open_row + nbanks;
@@ -115,15 +113,17 @@ int64_t repro_schedule(const int8_t *carry_write, const int64_t *carry_bank,
     int64_t session_data_end = state[S_LAST_DATA_END];
     int64_t bus_free = state[S_BUS_FREE];
     int64_t next_refresh = state[S_NEXT_REFRESH];
-    int64_t carried = 0, next = 0;
-    int64_t start = 0, len = 0; /* the window: slots start to start + len */
+    int64_t next = 0;
+    int64_t start = 0, len = ncarry; /* the window: slots start to start + len */
     int64_t burst = 0, last = -1; /* the request being expanded */
     int8_t write = 0;
 
     if (depth < 1 || window_len < 2 * depth)
         return OVERFLOW;
+    if (ncarry < 0 || ncarry > depth)
+        return BAD_INPUT;
     for (int64_t c = 0; c < ncarry; c++)
-        if (carry_bank[c] < 0 || carry_bank[c] >= nbanks)
+        if (window_bank[c] < 0 || window_bank[c] >= nbanks)
             return BAD_INPUT;
     /* RequestBatch.stats */
     for (int64_t i = 0; i < n; i++) {
@@ -137,16 +137,10 @@ int64_t repro_schedule(const int8_t *carry_write, const int64_t *carry_bank,
             slide(window_write, window_bank, window_row, start, len);
             start = 0;
         }
-        /* refill from the carried bursts, then each request's bursts
-         * (_expand_bursts_soa) */
+        /* refill from each request's bursts (_expand_bursts_soa) */
         while (len < depth) {
             int64_t slot = start + len;
-            if (carried < ncarry) {
-                window_write[slot] = carry_write[carried];
-                window_bank[slot] = carry_bank[carried];
-                window_row[slot] = carry_row[carried++];
-                len++;
-            } else if (burst <= last) {
+            if (burst <= last) {
                 int64_t rest = burst++ >> layout[L_COLUMNS];
                 window_write[slot] = write;
                 window_bank[slot] = rest & (nbanks - 1);
@@ -246,10 +240,30 @@ int64_t repro_schedule(const int8_t *carry_write, const int64_t *carry_bank,
     return len;
 }
 
+/* -- runtime divisors ---------------------------------------------------- */
+
+/* The rewriters divide by geometry values that are powers of two in
+ * every default geometry, but need not be. Each comes with its shift,
+ * log2 of the divisor when it is a power of two and -1 otherwise
+ * (repro/native.py's shift_of), and x >= 0 throughout. */
+static int64_t divide(int64_t x, int64_t divisor, int64_t shift)
+{
+    return shift >= 0 ? x >> shift : x / divisor;
+}
+
+static int64_t modulo(int64_t x, int64_t divisor, int64_t shift)
+{
+    return shift >= 0 ? x & (divisor - 1) : x % divisor;
+}
+
 /* -- GuardNN_CI's active MAC line ---------------------------------------- */
 
-/* geometry[] */
-enum { GN_INTEGRITY, GN_CHUNK, GN_TAG, GN_LINE, GN_BASE, N_GN_GEOMETRY };
+/* geometry[]: the integrity flag, the chunk and MAC-line divisors with
+ * their shifts, the tag bytes and the MAC region's first byte */
+enum {
+    GN_INTEGRITY, GN_CHUNK, GN_CHUNK_SHIFT, GN_TAG, GN_LINE, GN_LINE_SHIFT,
+    GN_BASE, N_GN_GEOMETRY
+};
 
 /* Rewrite n requests into `out` (out_len slots per column); returns the
  * output length. active[0] is the active MAC line (-1 for none),
@@ -263,6 +277,8 @@ int64_t repro_guardnn_rewrite(const int64_t *address, const int64_t *size,
 {
     Stream out = {out_address, out_size, out_write, out_kind, 0, out_len};
     int64_t chunk_bytes = geometry[GN_CHUNK], line_bytes = geometry[GN_LINE];
+    int64_t chunk_shift = geometry[GN_CHUNK_SHIFT];
+    int64_t line_shift = geometry[GN_LINE_SHIFT];
     int64_t active_line = active[0];
     int dirty = active[1] != 0;
     for (int64_t i = 0; i < n; i++) {
@@ -271,12 +287,14 @@ int64_t repro_guardnn_rewrite(const int64_t *address, const int64_t *size,
             return OVERFLOW;
         if (!geometry[GN_INTEGRITY])
             continue;
-        int64_t first = address[i] / chunk_bytes;
-        int64_t last = (address[i] + size[i] - 1) / chunk_bytes;
+        int64_t first = divide(address[i], chunk_bytes, chunk_shift);
+        int64_t last = divide(address[i] + size[i] - 1, chunk_bytes,
+                              chunk_shift);
         for (int64_t chunk = first; chunk <= last; chunk++) {
             /* _mac_line(chunk) */
             int64_t line = geometry[GN_BASE]
-                           + chunk * geometry[GN_TAG] / line_bytes * line_bytes;
+                           + divide(chunk * geometry[GN_TAG], line_bytes,
+                                    line_shift) * line_bytes;
             if (line != active_line) {
                 /* _retire_active */
                 if (active_line >= 0 && dirty
@@ -299,14 +317,20 @@ int64_t repro_guardnn_rewrite(const int64_t *address, const int64_t *size,
 
 /* -- the MEE metadata cache ---------------------------------------------- */
 
-/* geometry[] */
+/* geometry[]: each divisor is followed by its shift */
 enum {
-    G_VN_BASE, G_MAC_BASE, /* first byte of each region */
-    G_LINE,                /* metadata line bytes, also the cache's */
-    G_UNIT, G_PER_MAC,     /* data bytes per VN line and per MAC line */
-    G_SETS, G_WAYS, G_LEVELS,
+    G_VN_BASE, G_MAC_BASE,    /* first byte of each region */
+    G_LINE, G_LINE_SHIFT,     /* metadata line bytes, also the cache's */
+    G_UNIT, G_UNIT_SHIFT,     /* data bytes per VN line */
+    G_PER_MAC, G_PER_MAC_SHIFT, /* data bytes per MAC line */
+    G_SETS, G_SETS_SHIFT,
+    G_WAYS, G_LEVELS,
     N_GEOMETRY
 };
+
+/* tree[]: per tree level, its first line, the data bytes one of its
+ * lines covers and that divisor's shift */
+enum { TREE_BASE, TREE_COVER, TREE_SHIFT, N_TREE };
 
 /* stats[]: CacheStats */
 enum { C_HITS, C_MISSES, C_EVICTIONS, C_DIRTY_EVICTIONS, N_CACHE_STATS };
@@ -317,7 +341,7 @@ typedef struct {
     int64_t *tags;
     uint8_t *dirty;
     int64_t *count, *stats;
-    int64_t line_bytes, sets, ways;
+    int64_t line_bytes, line_shift, sets, sets_shift, ways;
 } Cache;
 
 /* SetAssociativeCache.access: 1 on a hit; on a miss, 0, and a dirty
@@ -325,8 +349,9 @@ typedef struct {
 static int cache_access(Cache *c, int64_t address, int is_write,
                   int64_t *writeback)
 {
-    int64_t line = address / c->line_bytes;
-    int64_t s = line % c->sets, tag = line / c->sets;
+    int64_t line = divide(address, c->line_bytes, c->line_shift);
+    int64_t s = modulo(line, c->sets, c->sets_shift);
+    int64_t tag = divide(line, c->sets, c->sets_shift);
     int64_t *tags = c->tags + s * c->ways;
     uint8_t *dirty = c->dirty + s * c->ways;
     int64_t held = c->count[s];
@@ -363,7 +388,7 @@ static int cache_access(Cache *c, int64_t address, int is_write,
 typedef struct {
     Cache cache;
     Stream out;
-    const int64_t *geometry, *tree_base;
+    const int64_t *geometry, *tree;
 } Mee;
 
 /* MeeTraceRewriter._kind_of */
@@ -371,7 +396,7 @@ static int kind_of(const Mee *m, int64_t meta_address)
 {
     if (meta_address < m->geometry[G_MAC_BASE])
         return VN;
-    if (!m->geometry[G_LEVELS] || meta_address < m->tree_base[0])
+    if (!m->geometry[G_LEVELS] || meta_address < m->tree[TREE_BASE])
         return MAC;
     return TREE;
 }
@@ -392,22 +417,23 @@ static int touch(Mee *m, int64_t meta_address, int is_write, int kind)
 
 /* Rewrite n requests into `out` (out_len slots per column); returns the
  * output length. Tree level l holds the line of data address a at
- * tree_base[l] + a / tree_cover[l] * line bytes. The cache's sets
+ * tree[l].base + a / tree[l].cover * line bytes. The cache's sets
  * (tags, dirty, count) and its stats carry across calls. */
 int64_t repro_mee_rewrite(const int64_t *address, const int64_t *size,
                           const int8_t *is_write, const int8_t *kind,
                           int64_t n, const int64_t *geometry,
-                          const int64_t *tree_base, const int64_t *tree_cover,
-                          int64_t *tags, uint8_t *dirty, int64_t *count,
-                          int64_t *stats, int64_t *out_address,
+                          const int64_t *tree, int64_t *tags, uint8_t *dirty,
+                          int64_t *count, int64_t *stats, int64_t *out_address,
                           int64_t *out_size, int8_t *out_write,
                           int8_t *out_kind, int64_t out_len)
 {
-    Mee m = {{tags, dirty, count, stats, geometry[G_LINE], geometry[G_SETS],
+    Mee m = {{tags, dirty, count, stats, geometry[G_LINE],
+              geometry[G_LINE_SHIFT], geometry[G_SETS], geometry[G_SETS_SHIFT],
               geometry[G_WAYS]},
              {out_address, out_size, out_write, out_kind, 0, out_len},
-             geometry, tree_base};
-    int64_t unit = geometry[G_UNIT], line_bytes = geometry[G_LINE];
+             geometry, tree};
+    int64_t unit = geometry[G_UNIT], unit_shift = geometry[G_UNIT_SHIFT];
+    int64_t line_bytes = geometry[G_LINE];
     for (int64_t s = 0; s < geometry[G_SETS]; s++)
         if (count[s] < 0 || count[s] > geometry[G_WAYS])
             return BAD_INPUT;
@@ -415,13 +441,15 @@ int64_t repro_mee_rewrite(const int64_t *address, const int64_t *size,
         int write = is_write[i] != 0;
         if (!emit(&m.out, address[i], size[i], write, kind[i]))
             return OVERFLOW;
-        int64_t first = address[i] / unit;
-        int64_t last = (address[i] + size[i] - 1) / unit;
+        int64_t first = divide(address[i], unit, unit_shift);
+        int64_t last = divide(address[i] + size[i] - 1, unit, unit_shift);
         for (int64_t u = first; u <= last; u++) {
             int64_t addr = u * unit;
-            int64_t vn_line = geometry[G_VN_BASE] + addr / unit * line_bytes;
+            /* _vn_line(addr), where addr / unit is u */
+            int64_t vn_line = geometry[G_VN_BASE] + u * line_bytes;
             int64_t mac_line = geometry[G_MAC_BASE]
-                               + addr / geometry[G_PER_MAC] * line_bytes;
+                               + divide(addr, geometry[G_PER_MAC],
+                                        geometry[G_PER_MAC_SHIFT]) * line_bytes;
             /* VN line (decrypt pad / increment on write) */
             int vn_hit = touch(&m, vn_line, write, VN);
             /* MAC line (verify on read, update on write) */
@@ -432,8 +460,10 @@ int64_t repro_mee_rewrite(const int64_t *address, const int64_t *size,
             /* authenticate the fetched VN line: walk the tree upward
              * until a level hits in the cache */
             for (int64_t level = 0; level < geometry[G_LEVELS]; level++) {
-                int64_t line = tree_base[level]
-                               + addr / tree_cover[level] * line_bytes;
+                const int64_t *at = tree + N_TREE * level;
+                int64_t line = at[TREE_BASE]
+                               + divide(addr, at[TREE_COVER], at[TREE_SHIFT])
+                                 * line_bytes;
                 int hit = touch(&m, line, write, TREE);
                 if (hit < 0)
                     return OVERFLOW;

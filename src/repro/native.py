@@ -132,23 +132,19 @@ def _load() -> ctypes.CDLL:
 
 
 def _declare(library: ctypes.CDLL) -> ctypes.CDLL:
-    """Give each kernel its signature; ``ndpointer`` arguments check
-    dtype and contiguity on every call, and a negative return (an
-    output array too short, or an input a kernel cannot index) raises
-    ``RuntimeError``."""
-    def array(dtype):
-        return _np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-
-    i8, flags, i64 = array(_np.int8), array(_np.bool_), array(_np.int64)
-    n = ctypes.c_int64
-    batch = [i64, i64, i8, i8, n]  # a RequestBatch's columns, its length
-    out = [i64, i64, i8, i8, n]  # output columns, their length
+    """Give each kernel its signature: arrays go in as addresses
+    (``c_void_p``), which the callers take once for the buffers they
+    own (:func:`address_of`) and check for a batch's columns
+    (:func:`batch_arguments`). A negative return (an output array too
+    short, or an input a kernel cannot index) raises ``RuntimeError``."""
+    p, n = ctypes.c_void_p, ctypes.c_int64
+    batch = [p, p, p, p, n]  # a RequestBatch's columns, its length
+    out = [p, p, p, p, n]  # output columns, their length
     signatures = {
-        "repro_schedule": [i8, i64, i64, n, *batch, n, ctypes.c_int32, i64,
-                           i64, n, i64, i64, i8, i64, i64, n],
-        "repro_guardnn_rewrite": [*batch, i64, i64, *out],
-        "repro_mee_rewrite": [*batch, i64, i64, i64, i64, flags, i64, i64,
-                              *out],
+        "repro_schedule": [*batch, n, ctypes.c_int32, n, p, p, n, p, p, p, p,
+                           p, n],
+        "repro_guardnn_rewrite": [*batch, p, p, *out],
+        "repro_mee_rewrite": [*batch, p, p, p, p, p, p, *out],
     }
     for name, argtypes in signatures.items():
         kernel = getattr(library, name)
@@ -165,3 +161,38 @@ def _check(result, kernel, args):
                            + ("an output array is too short" if result == -1
                               else "an input is out of range"))
     return result
+
+
+def address_of(array: _np.ndarray) -> int:
+    """The address of a C-contiguous array's first element, as a kernel
+    argument. The caller keeps ``array`` alive while the address is in
+    use, and takes it again if it replaces the array."""
+    if not array.flags.c_contiguous:
+        raise ValueError("kernel arrays must be C-contiguous")
+    return array.ctypes.data
+
+
+_BATCH_DTYPES = (_np.dtype(_np.int64), _np.dtype(_np.int64),
+                 _np.dtype(_np.int8), _np.dtype(_np.int8))
+
+
+def batch_arguments(batch) -> tuple:
+    """A :class:`~repro.mem.batch.RequestBatch`'s four column addresses
+    and its length, the kernels' first five arguments. ``RequestBatch``
+    trusts the columns it is given, so each is checked here for its
+    dtype, contiguity and length before its address goes in."""
+    columns = batch.columns()
+    n = len(columns[0])
+    for column, dtype in zip(columns, _BATCH_DTYPES):
+        if (column.dtype != dtype or not column.flags.c_contiguous
+                or len(column) != n):
+            raise ValueError("a batch's columns must be C-contiguous int64 "
+                             "address and size and int8 is_write and kind "
+                             "columns of one length")
+    return (*(column.ctypes.data for column in columns), n)
+
+
+def shift_of(divisor: int) -> int:
+    """The right shift that divides by ``divisor`` when it is a power of
+    two, else -1: the kernels take both for each runtime divisor."""
+    return divisor.bit_length() - 1 if divisor & (divisor - 1) == 0 else -1

@@ -103,7 +103,8 @@ class _KernelOutput:
     mapping, where only the pages the kernel writes become resident.
     (numpy would advise arrays of 4 MB and up onto 2 MB huge pages, and
     each column's unwritten tail would count towards the process's
-    memory.)"""
+    memory.) The columns' addresses and capacity, the kernels' last
+    five arguments, are taken whenever the mapping is replaced."""
 
     #: requests per kernel call, which caps the address space a call
     #: reserves whatever the chunk size (~48 MB for BP over 64-B
@@ -115,18 +116,21 @@ class _KernelOutput:
         self.touches = touches
         self.capacity = 0
         self.columns = ()
+        self.arguments = ()
 
     def slices(self, batch: RequestBatch):
-        """``batch``'s columns in slices of at most :attr:`SLICE`
-        requests; when each is yielded, :attr:`columns` has room for
-        its worst case."""
-        columns = batch.columns()
-        for start in range(0, len(batch), self.SLICE):
-            piece = tuple(column[start:start + self.SLICE] for column in columns)
-            n, size = len(piece[1]), piece[1]
-            self._reserve(n + self.touches * (
-                (int(size.sum()) - n) // self.unit + 2 * n))
-            yield piece
+        """``batch``'s column addresses and length (the kernels' first
+        five arguments) in slices of at most :attr:`SLICE` requests;
+        when each is yielded, :attr:`arguments` has room for its worst
+        case."""
+        address, size, is_write, kind, n = native.batch_arguments(batch)
+        for start in range(0, n, self.SLICE):
+            length = min(self.SLICE, n - start)
+            self._reserve(length + self.touches * (
+                (int(batch.size[start:start + length].sum()) - length)
+                // self.unit + 2 * length))
+            yield (address + 8 * start, size + 8 * start, is_write + start,
+                   kind + start, length)
 
     def _reserve(self, capacity: int) -> None:
         if capacity > self.capacity:
@@ -138,6 +142,8 @@ class _KernelOutput:
                 for dtype, offset in ((_np.int64, 0), (_np.int64, 8),
                                       (_np.int8, 16), (_np.int8, 17)))
             self.capacity = capacity
+            # the old mapping goes with its columns: take the new addresses
+            self.arguments = (*map(native.address_of, self.columns), capacity)
 
     def append_to(self, out: RequestBatch, length: int) -> None:
         """Copy the first ``length`` requests written onto ``out``, once:
@@ -172,10 +178,14 @@ class GuardNNTraceRewriter:
         self._active_line = None
         self._active_dirty = False
         self._rewrite_calls = 0
-        # the kernel's geometry (``GN_*`` in repro/native.c)
+        # the kernel's geometry (``GN_*`` in repro/native.c) and the
+        # active line and dirty bit it reads and writes back
         self._geometry = _np.array(
-            [integrity, params.chunk_bytes, params.mac_bytes, self.LINE_BYTES,
+            [integrity, params.chunk_bytes, native.shift_of(params.chunk_bytes),
+             params.mac_bytes, self.LINE_BYTES, native.shift_of(self.LINE_BYTES),
              metadata_base], dtype=_np.int64)
+        self._active = _np.zeros(2, dtype=_np.int64)
+        self._arguments = ()  # their addresses, taken on the first call
         # per 512-B chunk, the MAC line's retire and fetch at most
         self._output = _KernelOutput(params.chunk_bytes, 2)
 
@@ -245,13 +255,16 @@ class GuardNNTraceRewriter:
         kernels = native.kernels() if perf.fast_enabled() and len(batch) else None
         if kernels is None:
             return RequestBatch.from_requests(self.rewrite(batch))
+        if not self._arguments:
+            self._arguments = (native.address_of(self._geometry),
+                               native.address_of(self._active))
         out = RequestBatch()
-        active = _np.array([-1 if self._active_line is None else self._active_line,
-                            self._active_dirty], dtype=_np.int64)
-        for columns in self._output.slices(batch):
+        active = self._active
+        active[0] = -1 if self._active_line is None else self._active_line
+        active[1] = self._active_dirty
+        for piece in self._output.slices(batch):
             length = kernels.repro_guardnn_rewrite(
-                *columns, len(columns[0]), self._geometry, active,
-                *self._output.columns, self._output.capacity)
+                *piece, *self._arguments, *self._output.arguments)
             self._output.append_to(out, length)
         line, dirty = active.tolist()
         self._active_line = None if line < 0 else line
@@ -282,30 +295,37 @@ class MeeTraceRewriter:
                  protected_bytes: int = 1 << 30,
                  metadata_base: int = METADATA_BASE):
         self.params = params
-        # the metadata cache in both modes. Its sets have two forms, of
-        # which exactly one is current: the cache's per-set OrderedDicts
-        # (``_cache._sets``), which the scalar path's ``access`` calls
-        # use, and the compiled kernel's arrays (``_lines``), which stay
-        # current between fast-mode calls; while they are, ``_sets`` is
-        # None. See :attr:`cache`.
+        # the metadata cache in both modes. Its sets and stats have two
+        # forms, of which exactly one is current: the cache's per-set
+        # OrderedDicts (``_cache._sets``) and ``CacheStats``, which the
+        # scalar path's ``access`` calls use, and the compiled kernel's
+        # arrays (``_lines``), which stay current between fast-mode
+        # calls; while they are, ``_sets`` is None. See :attr:`cache`.
         self._cache = SetAssociativeCache(
             params.cache_bytes, params.line_bytes, ways=8)
         self._lines = None
+        self._arguments = ()  # the kernel's arrays' addresses
         self.metadata_base = metadata_base
         self.regions = self._lay_out(protected_bytes)
         self._rewrite_calls = 0
-        # the kernel's geometry (``G_*`` in repro/native.c) and, per tree
-        # level, its first line and the data bytes one line covers
+        # the kernel's geometry (``G_*`` in repro/native.c, each divisor
+        # followed by its shift) and, per tree level, its first line and
+        # the data bytes one line covers, with that divisor's shift
+        shift_of = native.shift_of
         tree_bases = self.regions.tree_bases
         self._geometry = _np.array(
-            [self.regions.vn_base, self.regions.mac_base, params.line_bytes,
-             params.data_per_vn_line, params.data_per_mac_line,
-             self._cache.num_sets, self._cache.ways, len(tree_bases)],
-            dtype=_np.int64)
-        self._tree_base = _np.array(tree_bases, dtype=_np.int64)
-        self._tree_cover = _np.array(
-            [params.data_per_vn_line * params.tree_arity ** (level + 1)
-             for level in range(len(tree_bases))], dtype=_np.int64)
+            [self.regions.vn_base, self.regions.mac_base,
+             params.line_bytes, shift_of(params.line_bytes),
+             params.data_per_vn_line, shift_of(params.data_per_vn_line),
+             params.data_per_mac_line, shift_of(params.data_per_mac_line),
+             self._cache.num_sets, shift_of(self._cache.num_sets),
+             self._cache.ways, len(tree_bases)], dtype=_np.int64)
+        covers = [params.data_per_vn_line * params.tree_arity ** (level + 1)
+                  for level in range(len(tree_bases))]
+        self._tree = _np.array(
+            [(base, cover, shift_of(cover))
+             for base, cover in zip(tree_bases, covers)],
+            dtype=_np.int64).reshape(-1)
         # per 512-B VN unit, a writeback and a fill for VN, MAC and each
         # tree level at most
         self._output = _KernelOutput(params.data_per_vn_line,
@@ -319,21 +339,27 @@ class MeeTraceRewriter:
         return self._cache
 
     def _use_sets(self) -> None:
-        """Make the cache's OrderedDicts the current form of its sets."""
+        """Make the cache's OrderedDicts and ``CacheStats`` the current
+        form of its sets and stats."""
         if self._lines is None:
             return
-        tags, dirty, count = (column.tolist() for column in self._lines)
+        tags, dirty, count, counters = (column.tolist() for column in self._lines)
         ways = self._cache.ways
         self._cache._sets = [
             OrderedDict(zip(tags[s * ways:s * ways + held],
                             dirty[s * ways:s * ways + held]))
             for s, held in enumerate(count)]
+        stats = self._cache.stats
+        (stats.hits, stats.misses, stats.evictions,
+         stats.dirty_evictions) = counters
         self._lines = None
+        self._arguments = ()
 
     def _use_lines(self) -> None:
         """Make the kernel's arrays the current form of the cache's
-        sets: per set, its lines' tags and dirty bits, oldest first,
-        in ``ways`` slots, and how many lines it holds."""
+        sets and stats: per set, its lines' tags and dirty bits, oldest
+        first, in ``ways`` slots, and how many lines it holds; then the
+        four counters. Take the addresses the kernel is called with."""
         if self._lines is not None:
             return
         cache = self._cache
@@ -343,11 +369,16 @@ class MeeTraceRewriter:
         for s, lines in enumerate(cache._sets):
             tags[s * ways:s * ways + len(lines)] = lines
             dirty[s * ways:s * ways + len(lines)] = lines.values()
+        stats = cache.stats
         self._lines = (_np.array(tags, dtype=_np.int64),
                        _np.array(dirty, dtype=bool),
                        _np.array([len(lines) for lines in cache._sets],
-                                 dtype=_np.int64))
+                                 dtype=_np.int64),
+                       _np.array([stats.hits, stats.misses, stats.evictions,
+                                  stats.dirty_evictions], dtype=_np.int64))
         cache._sets = None
+        self._arguments = tuple(map(native.address_of,
+                                    (self._geometry, self._tree, *self._lines)))
 
     # -- checkpointing -----------------------------------------------------
 
@@ -457,17 +488,10 @@ class MeeTraceRewriter:
             return RequestBatch.from_requests(self.rewrite(batch))
         self._use_lines()
         out = RequestBatch()
-        stats = self._cache.stats
-        counters = _np.array([stats.hits, stats.misses, stats.evictions,
-                              stats.dirty_evictions], dtype=_np.int64)
-        for columns in self._output.slices(batch):
+        for piece in self._output.slices(batch):
             length = kernels.repro_mee_rewrite(
-                *columns, len(columns[0]), self._geometry, self._tree_base,
-                self._tree_cover, *self._lines, counters,
-                *self._output.columns, self._output.capacity)
+                *piece, *self._arguments, *self._output.arguments)
             self._output.append_to(out, length)
-        (stats.hits, stats.misses, stats.evictions,
-         stats.dirty_evictions) = counters.tolist()
         return out
 
     def flush_batch(self) -> RequestBatch:

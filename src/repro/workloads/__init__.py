@@ -23,10 +23,18 @@ def build_trace_spec(workload: str, **params) -> TraceSpec:
     ``streaming`` / ``random`` / ``bp-metadata`` build the synthetic
     patterns; any registered LLM geometry name (``gpt2``, ``gpt2-xl``,
     ``llama-7b``) builds its decode trace. ``params`` forward to the
-    spec constructor. A spec that yields no requests raises
+    spec constructor. Every parameter but ``write_fraction`` is an
+    integer: any other value, a ``bool`` included, raises
+    ``ValueError`` here rather than a ``TypeError`` or a silently
+    rounded trace later. A spec that yields no requests raises
     ``ValueError``: it has no cycles to compare, so every slowdown
     would read NaN.
     """
+    for name, value in params.items():
+        if name != "write_fraction" and (
+                not isinstance(value, int) or isinstance(value, bool)):
+            raise ValueError(f"workload parameter {name!r} must be an "
+                             f"integer, got {value!r}")
     synthetic = {"streaming": StreamingSpec, "random": RandomSpec,
                  "bp-metadata": BpMetadataSpec}
     if workload in synthetic:

@@ -119,18 +119,35 @@ class LlmDecodeSpec(TraceSpec):
                 [address for address, _ in rows],
                 np.full(len(rows), self.stride, dtype=np.int64),
                 [is_write for _, is_write in rows])
-        index = np.arange(start, stop, dtype=np.int64)
-        token = index // self.requests_per_token
-        r = index - token * self.requests_per_token
-        seg = np.searchsorted(self._bounds, r, side="right") - 1
-        within = r - self._bounds[seg]
-        line = self._seg_base[seg] + within
-        line += self._seg_emb[seg] * self._row_of(token) * self.emb_lines
-        line += self._seg_kv_slot[seg] * (token % self.context) * self.kv_entry_lines
-        return RequestBatch.from_arrays(
-            line * self.stride,
-            np.full(len(index), self.stride, dtype=np.int64),
-            self._seg_write[seg])
+        if stop == start:
+            return RequestBatch()
+        # the window overlaps a run of (token, segment) pieces, each a
+        # run of consecutive lines: request i of a piece reads line
+        # i + delta, so the per-request work is one arange and one repeat
+        token, seg = np.divmod(np.arange(self._segment_of(start),
+                                         self._segment_of(stop - 1) + 1,
+                                         dtype=np.int64), len(self._seg_base))
+        starts = token * self.requests_per_token + self._bounds[seg]
+        delta = self._seg_base[seg] - starts
+        delta += self._seg_emb[seg] * self._row_of(token) * self.emb_lines
+        delta += self._seg_kv_slot[seg] * (token % self.context) * self.kv_entry_lines
+        starts[0] = start
+        lengths = np.diff(starts, append=stop)
+        address = np.arange(start * self.stride, stop * self.stride, self.stride,
+                            dtype=np.int64)
+        delta *= self.stride
+        address += np.repeat(delta, lengths)
+        n = stop - start
+        return RequestBatch(address, np.full(n, self.stride, dtype=np.int64),
+                            np.repeat(self._seg_write[seg], lengths),
+                            np.zeros(n, dtype=np.int8))
+
+    def _segment_of(self, i: int) -> int:
+        """The piece holding request ``i``: its token's segments are
+        numbered after every earlier token's."""
+        token, r = divmod(i, self.requests_per_token)
+        return (token * len(self._seg_base)
+                + int(np.searchsorted(self._bounds, r, side="right")) - 1)
 
     def _request_at(self, i: int) -> tuple:
         """Scalar reference for one request index (bit-identical to the

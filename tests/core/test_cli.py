@@ -201,6 +201,15 @@ class TestPipeline:
                   "--params", '{"nbytes": 0}'])
         assert capsys.readouterr().out == ""
 
+    def test_non_integer_params_are_an_error_line(self, capsys):
+        """``--params`` with a non-integer trace parameter is refused
+        before any row is printed, not run into a ``TypeError``."""
+        with pytest.raises(SystemExit,
+                           match="^error: .*'nbytes' must be an integer"):
+            main(["pipeline", "--workload", "streaming", "--schemes", "np",
+                  "--params", '{"nbytes": 4096.5}'])
+        assert capsys.readouterr().out == ""
+
     def test_resume_refuses_another_builds_checkpoint(self, tmp_path):
         """A pipeline fingerprint pins the computation, not the code,
         so the journal pins the build that wrote it: state another

@@ -14,6 +14,7 @@ import pytest
 
 from repro import native, perf
 from repro.experiments.executors import pipeline_rows
+from repro.mem.batch import RequestBatch
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(native.__file__)))
 
@@ -141,39 +142,56 @@ def test_kernels_refuse_to_write_past_their_outputs(cache_home):
     and the call raises ``RuntimeError``."""
     kernels = native._load()
     i8, i64 = np.int8, np.int64
-    address = np.array([0, 4096, 8192], dtype=i64)
-    size = np.full(3, 64, dtype=i64)
-    is_write = np.zeros(3, dtype=i8)
-    kind = np.zeros(3, dtype=i8)
+    batch = RequestBatch.from_arrays([0, 4096, 8192], np.full(3, 64), [0, 0, 0])
+    arrays = []  # kept alive while their addresses are in use
+
+    def at(*values, dtype=i64):
+        arrays.append(np.array(values, dtype=dtype))
+        return native.address_of(arrays[-1])
 
     def out(slots):
-        return (np.zeros(slots, dtype=i64), np.zeros(slots, dtype=i64),
-                np.zeros(slots, dtype=i8), np.zeros(slots, dtype=i8), slots)
+        return (at(*[0] * slots), at(*[0] * slots), at(*[0] * slots, dtype=i8),
+                at(*[0] * slots, dtype=i8), slots)
 
     # the window columns: 4 slots for a 32-burst window
-    state = np.zeros(9 + 4 * 16, dtype=i64)
+    state = [0] * (9 + 4 * 16)
     state[4] = 9360  # the first refresh
     with pytest.raises(RuntimeError, match="repro_schedule"):
         kernels.repro_schedule(
-            np.zeros(0, dtype=i8), np.zeros(0, dtype=i64), np.zeros(0, dtype=i64), 0,
-            address, size, is_write, kind, 3, 32, 1,
-            np.array([17, 12, 17, 17, 39, 4, 18, 9, 9360, 420, 56, 4, 32], dtype=i64),
-            np.array([6, 7, 4], dtype=i64), 16, state, np.zeros(8, dtype=i64),
-            np.zeros(4, dtype=i8), np.zeros(4, dtype=i64), np.zeros(4, dtype=i64), 4)
+            *native.batch_arguments(batch), 0, 1, 32,
+            at(17, 12, 17, 17, 39, 4, 18, 9, 9360, 420, 56, 4, 32), at(6, 7, 4),
+            16, at(*state), at(*[0] * 8), at(0, 0, 0, 0, dtype=i8),
+            at(0, 0, 0, 0), at(0, 0, 0, 0), 4)
     # three reads of three MAC lines: six requests into five slots
     with pytest.raises(RuntimeError, match="repro_guardnn_rewrite"):
         kernels.repro_guardnn_rewrite(
-            address, size, is_write, kind, 3,
-            np.array([1, 512, 512, 64, 1 << 34], dtype=i64),
-            np.array([-1, 0], dtype=i64), *out(5))
+            *native.batch_arguments(batch),
+            at(1, 512, 9, 512, 64, 6, 1 << 34), at(-1, 0), *out(5))
     # a cold cache: the first request and its VN and MAC fills overflow 2
     with pytest.raises(RuntimeError, match="repro_mee_rewrite"):
         kernels.repro_mee_rewrite(
-            address, size, is_write, kind, 3,
-            np.array([1 << 34, 1 << 35, 64, 512, 4096, 128, 8, 0], dtype=i64),
-            np.zeros(0, dtype=i64), np.zeros(0, dtype=i64),
-            np.zeros(128 * 8, dtype=i64), np.zeros(128 * 8, dtype=bool),
-            np.zeros(128, dtype=i64), np.zeros(4, dtype=i64), *out(2))
+            *native.batch_arguments(batch),
+            at(1 << 34, 1 << 35, 64, 6, 512, 9, 4096, 12, 128, 7, 8, 0), at(),
+            at(*[0] * (128 * 8)), at(*[0] * (128 * 8), dtype=bool),
+            at(*[0] * 128), at(0, 0, 0, 0), *out(2))
+
+
+def test_batch_arguments_check_each_column():
+    """``RequestBatch`` trusts the columns it is given, so a column of
+    the wrong dtype, a strided view or a short column is refused before
+    its address reaches a kernel."""
+    good = RequestBatch.from_arrays([0, 64, 128], np.full(3, 64), [0, 1, 0])
+    assert native.batch_arguments(good)[4] == 3
+    for bad in (RequestBatch(good.address.astype(np.int32), *good.columns()[1:]),
+                RequestBatch(np.arange(6, dtype=np.int64)[::2], *good.columns()[1:]),
+                RequestBatch(*good.columns()[:3], good.kind[:2])):
+        with pytest.raises(ValueError, match="columns"):
+            native.batch_arguments(bad)
+
+
+def test_shift_of_powers_of_two_only():
+    assert [native.shift_of(d) for d in (1, 2, 64, 512, 1 << 40)] == [0, 1, 6, 9, 40]
+    assert [native.shift_of(d) for d in (3, 6, 12, 384, 768)] == [-1] * 5
 
 
 @pytest.mark.slow

@@ -94,6 +94,22 @@ class TestController:
         with pytest.raises(ValueError, match="carried bursts"):
             session.load_state(state)
 
+    def test_checkpoint_carry_that_fills_the_window_refused(self):
+        """A seam leaves fewer bursts than the window holds (it pauses
+        only once the window cannot fill), and the compiled loop keeps
+        the residue in its window: a carry of ``queue_depth`` bursts is
+        refused, one fewer is taken."""
+        session = MemoryController(queue_depth=4).session()
+        state = session.state_dict()
+        for carried, refused in ((3, False), (4, True)):
+            state.update(carry_write=[0] * carried, carry_bank=[0] * carried,
+                         carry_row=[0] * carried)
+            if refused:
+                with pytest.raises(ValueError, match="carried bursts fill"):
+                    session.load_state(state)
+            else:
+                session.load_state(state)
+
     def test_empty_trace(self):
         result = MemoryController().run_trace([])
         assert result.cycles == 0

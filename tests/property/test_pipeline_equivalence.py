@@ -374,6 +374,42 @@ def test_session_pauses_partway_through_a_request(depth, trace):
         assert len(seam["carry_bank"]) < depth
 
 
+@settings(max_examples=15, deadline=None)
+@given(trace=session_trace_strategy, depth=st.sampled_from(QUEUE_DEPTHS),
+       plan=st.lists(st.tuples(st.integers(1, 600), st.booleans(), st.booleans()),
+                     min_size=1, max_size=8))
+def test_one_session_across_modes_matches_the_oracle(trace, depth, plan):
+    """One session fed in pieces, each compiled (forced on) or under
+    ``scalar_mode``, its ``state_dict`` taken at some seams only: the
+    kernel's arrays stay current across consecutive compiled feeds and
+    hand the state to the Python form and back. Every ``state_dict``
+    taken equals a scalar session's fed the same pieces, and the
+    result and DRAM stats equal the monolithic ``run_trace`` oracle's."""
+    with perf.scalar_mode():
+        oracle_ctrl = MemoryController(queue_depth=depth)
+        oracle = oracle_ctrl.run_trace(trace)
+    ctrl = MemoryController(queue_depth=depth)
+    session = ctrl.session()
+    with perf.scalar_mode():
+        reference = MemoryController(queue_depth=depth).session()
+    cursor = 0
+    for size, compiled, checkpoint in plan + [(len(trace), True, False)]:
+        batch = RequestBatch.from_requests(trace[cursor:cursor + size])
+        cursor = min(cursor + size, len(trace))
+        with fast_mode() if compiled else perf.scalar_mode():
+            session.feed(batch)
+        with perf.scalar_mode():
+            reference.feed(batch)
+        if checkpoint:
+            assert session.state_dict() == reference.state_dict()
+    with fast_mode():
+        result = session.finish()
+    assert (result.cycles, result.requests, result.bursts) == (
+        oracle.cycles, oracle.requests, oracle.bursts)
+    assert result.stats.state_dict() == oracle.stats.state_dict()
+    assert ctrl.dram.state_dict() == oracle_ctrl.dram.state_dict()
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("trace, params, chunk", [
     ("random", {"n_requests": 32768, "span_bytes": 256 << 20}, 2048),
@@ -473,6 +509,63 @@ def test_llm_decode_vectorized_matches_scalar_mapping(layers, tokens, context,
     with perf.scalar_mode():
         reference = spec.batch()
     assert vectorized == reference
+
+
+@st.composite
+def llm_windows(draw):
+    """A tiny decode spec and a ``[start, stop)`` window of it: one
+    request, a few (inside a segment, or across segment and token
+    boundaries), or up to the whole trace. A 4-KB stride makes every
+    segment 1-8 requests long, so a window of many tokens spans
+    hundreds of pieces."""
+    spec = LlmDecodeSpec(TINY_LM, layers=draw(st.integers(1, 2)),
+                         tokens=draw(st.integers(1, 40)),
+                         context=draw(st.integers(1, 16)),
+                         seed=draw(st.integers(0, 9)),
+                         stride=draw(st.sampled_from([64, 4096])))
+    total = spec.total_requests
+    start = draw(st.integers(0, total - 1))
+    length = draw(st.one_of(st.just(1), st.integers(1, 40),
+                            st.integers(1, total)))
+    return spec, start, min(start + length, total)
+
+
+@settings(max_examples=40, deadline=None)
+@given(window=llm_windows())
+def test_llm_decode_windows_match_scalar_mapping(window):
+    """Any window of the numpy lane, which works per (token, segment)
+    piece, equals the per-request ``_request_at`` lane that
+    ``REPRO_SCALAR=1`` runs over the same window."""
+    spec, start, stop = window
+    with fast_mode():
+        vectorized = spec.batch(start, stop)
+    with perf.scalar_mode():
+        reference = spec.batch(start, stop)
+    assert vectorized == reference
+    assert len(vectorized) == stop - start
+
+
+def test_llm_decode_gpt2_chunks_match_scalar_mapping():
+    """Two gpt2 tokens in the pipeline's 65,536-request chunks, against
+    ``_request_at``: every request next to a chunk seam or a segment
+    boundary equals it, and between those the lines run on by one."""
+    spec = llm_decode_spec("gpt2", tokens=2, seed=3)
+    chunk = DEFAULT_CHUNK_REQUESTS
+    assert chunk == 1 << 16
+    pieces = {token * spec.requests_per_token + int(bound)
+              for token in range(spec.tokens) for bound in spec._bounds[:-1]}
+    for start in range(0, spec.total_requests, chunk):
+        stop = min(start + chunk, spec.total_requests)
+        with fast_mode():
+            batch = spec.batch(start, stop)
+        edges = {start, stop} | {edge for edge in pieces if start < edge < stop}
+        for i in sorted({i for edge in edges for i in (edge - 1, edge)
+                         if start <= i < stop}):
+            assert (int(batch.address[i - start]),
+                    bool(batch.is_write[i - start])) == spec._request_at(i)
+        jumps = np.flatnonzero(np.diff(batch.address) != spec.stride) + start + 1
+        assert set(jumps.tolist()) <= edges
+        assert (batch.size == spec.stride).all() and not batch.kind.any()
 
 
 def test_llm_decode_real_geometry_slices():

@@ -67,14 +67,19 @@ def assert_batches_match_scalar(make, chunks):
 
 
 #: (MeeParams, protected_bytes): the default engine; a 4-set cache that
-#: evicts constantly, so lines come back after eviction; and the same
+#: evicts constantly, so lines come back after eviction; the same
 #: small cache under a tree deep enough (8 levels: levels + 1 >= ways)
 #: that a walk can evict the VN/MAC lines it just filled, where a run's
-#: remaining requests must be replayed one by one
+#: remaining requests must be replayed one by one; and a geometry where
+#: no divisor is a power of two (384-B VN units, 768-B MAC lines, a
+#: 6-set cache and a 13-level ternary tree), which the kernel divides
+#: by where it shifts for the others
 geometries = st.sampled_from([
     (MeeParams(), 1 << 30),
     (MeeParams(cache_bytes=2048), 1 << 30),
     (MeeParams(cache_bytes=2048), 1 << 36),
+    (MeeParams(data_per_vn_line=384, data_per_mac_line=768, tree_arity=3,
+               cache_bytes=3072), 1 << 30),
 ])
 
 #: bursts of requests into one VN unit: a small hot pool of units (so
@@ -145,9 +150,18 @@ def test_tree_depth_at_the_event_mask_limit(protected, levels):
         [trace[:700], trace[700:]])
 
 
+def test_the_divisor_geometry_is_not_a_power_of_two():
+    rewriter = MeeTraceRewriter(
+        MeeParams(data_per_vn_line=384, data_per_mac_line=768, tree_arity=3,
+                  cache_bytes=3072), protected_bytes=1 << 30)
+    assert rewriter.cache.num_sets == 6
+    assert len(rewriter.regions.tree_bases) == 13
+
+
 @settings(max_examples=80, deadline=None)
 @given(params=st.sampled_from([GuardNNParams(),
-                               GuardNNParams(chunk_bytes=64, mac_bytes=16)]),
+                               GuardNNParams(chunk_bytes=64, mac_bytes=16),
+                               GuardNNParams(chunk_bytes=384)]),
        drawn=bursts, data=st.data())
 def test_guardnn_fast_lane_matches_scalar_in_random_chunks(params, drawn, data):
     """GuardNN_CI's compiled lane, forced on, against its ``rewrite``
@@ -226,6 +240,29 @@ def test_one_rewriter_across_modes_and_checkpoints():
     assert stats_tuple(rewriter) == stats_tuple(oracle)
     assert rewriter.state_dict() == oracle.state_dict()
     assert rewriter.flush_batch().to_requests() == oracle.flush()
+
+
+def test_output_growth_between_calls_across_modes():
+    """Each rewriter's kernel output is remapped when a call needs more
+    room than the last: its cached addresses must follow. One rewriter
+    of each kind takes batches that grow its output, with a scalar call
+    between, and matches its oracle throughout."""
+    trace = [MemoryRequest((i * 7919 % 4096) * 512 + (i % 3) * 8,
+                           64 + (i % 7) * 700, i % 3 == 0) for i in range(2600)]
+    chunks = [(trace[:5], fast_mode), (trace[5:50], fast_mode),
+              (trace[50:600], perf.scalar_mode), (trace[600:2600], fast_mode)]
+    for make in (lambda: MeeTraceRewriter(MeeParams(cache_bytes=2048)),
+                 lambda: GuardNNTraceRewriter(integrity=True)):
+        rewriter, oracle = make(), make()
+        capacities = []
+        for chunk, mode in chunks:
+            with mode():
+                got = rewriter.rewrite_batch(RequestBatch.from_requests(chunk))
+            capacities.append(rewriter._output.capacity)
+            assert got.to_requests() == oracle.rewrite(chunk)
+            assert rewriter.state_dict() == oracle.state_dict()
+        assert capacities[0] < capacities[1] < capacities[3]
+        assert rewriter.flush_batch().to_requests() == oracle.flush()
 
 
 class TestMeeStreams:

@@ -137,6 +137,25 @@ class TestPipelineParsing:
             parse_job_request({"kind": "pipeline", "workload": workload,
                                "params": params})
 
+    @pytest.mark.parametrize("workload,params", [
+        ("gpt2", {"tokens": 1.5, "layers": 1}),
+        ("gpt2", {"context": 2.5, "layers": 1}),
+        ("gpt2", {"seed": "x", "layers": 1}),
+        ("random", {"n_requests": 16, "span_bytes": 4096, "seed": "x"}),
+        ("random", {"n_requests": 16.5, "span_bytes": 4096}),
+        ("random", {"n_requests": 16, "span_bytes": 4096, "seed": True}),
+        ("streaming", {"nbytes": 4096.5}),
+    ], ids=["float-tokens", "float-context", "str-seed", "random-str-seed",
+            "float-n-requests", "bool-seed", "float-nbytes"])
+    def test_non_integer_trace_parameters_rejected(self, workload, params):
+        """A trace parameter that is not an integer (a ``bool`` is not
+        one) is a 400 at submission, not a flight that fails later with
+        a ``TypeError``, or a ``streaming`` trace of 4096.5 bytes that
+        reads 64.0 requests."""
+        with pytest.raises(ProtocolError, match="must be an integer"):
+            parse_job_request({"kind": "pipeline", "workload": workload,
+                               "params": params})
+
     def test_params_may_not_shadow_reserved_fields(self):
         with pytest.raises(ProtocolError, match="may not override"):
             parse_job_request({"kind": "pipeline", "workload": "streaming",
