@@ -72,11 +72,11 @@ bit-identical to a local run.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
 import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.checkpoint import CheckpointError, validate_envelope
@@ -667,81 +667,89 @@ class CoordinatorState:
 # -- HTTP skin -------------------------------------------------------------
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-coordinator/1"
+@functools.cache
+def _handler_class():
+    """The listener's request handler, defined on first use so that a
+    coordinator without a listener never loads ``http.server``."""
+    from http.server import BaseHTTPRequestHandler
 
-    def log_message(self, *args):  # noqa: D102 — silence per-request lines
-        pass
+    class _Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        server_version = "repro-coordinator/1"
 
-    def _reply(self, status: int, event: dict) -> None:
-        body = encode_event(event)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        def log_message(self, *args):  # noqa: D102 — silence per-request lines
+            pass
 
-    def _read_body(self) -> dict:
-        try:
-            length = protocol.content_length(self.headers.get("Content-Length"))
-        except ProtocolError:
-            self.close_connection = True  # the next request can't be framed
-            raise
-        raw = self.rfile.read(length) if length else b"{}"
-        return protocol.decode_event(raw)
+        def _reply(self, status: int, event: dict) -> None:
+            body = encode_event(event)
+            self.send_response(status)
+            self.send_header("Content-Type", "application/x-ndjson")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
 
-    def do_GET(self):  # noqa: N802 — http.server API
-        state: CoordinatorState = self.server.state  # type: ignore[attr-defined]
-        if self.path == "/metrics":
-            self._reply(200, {"event": "metrics", **state.snapshot()})
-        elif self.path == "/healthz":
-            self._reply(200, {"event": "ok", "done": state.done})
-        else:
-            self._reply(404, {"event": "error", "error": "unknown path"})
+        def _read_body(self) -> dict:
+            try:
+                length = protocol.content_length(self.headers.get("Content-Length"))
+            except ProtocolError:
+                self.close_connection = True  # the next request can't be framed
+                raise
+            raw = self.rfile.read(length) if length else b"{}"
+            return protocol.decode_event(raw)
 
-    def do_POST(self):  # noqa: N802 — http.server API
-        state: CoordinatorState = self.server.state  # type: ignore[attr-defined]
-        try:
-            body = self._read_body()
-            if self.path == "/v1/register":
-                req = protocol.parse_register(body)
-                self._reply(200, state.register(req["name"], req["workers"]))
-            elif self.path == "/v1/lease":
-                worker = protocol.parse_lease_request(body)
-                self._reply(200, state.lease(worker))
-            elif self.path == "/v1/heartbeat":
-                worker, leases, failures = protocol.parse_heartbeat(body)
-                self._reply(200, state.heartbeat(worker, leases, failures))
-            elif self.path == "/v1/result":
-                req = protocol.parse_result(body)
-                if req["error"] is not None:
-                    self._reply(200, state.fail(
-                        req["worker"], req["unit"], req["key"], req["error"]))
-                else:
-                    self._reply(200, state.commit(
-                        req["worker"], req["unit"], req["key"],
-                        req["lease"], req["rows"], req["provenance"]))
-            elif self.path == "/v1/checkpoint":
-                req = protocol.parse_checkpoint(body)
-                self._reply(200, state.checkpoint(
-                    req["worker"], req["unit"], req["key"],
-                    req["lease"], req["state"]))
-            elif self.path == "/v1/deregister":
-                worker = protocol.parse_deregister(body)
-                self._reply(200, state.deregister(worker))
+        def do_GET(self):  # noqa: N802 — http.server API
+            state: CoordinatorState = self.server.state  # type: ignore[attr-defined]
+            if self.path == "/metrics":
+                self._reply(200, {"event": "metrics", **state.snapshot()})
+            elif self.path == "/healthz":
+                self._reply(200, {"event": "ok", "done": state.done})
             else:
                 self._reply(404, {"event": "error", "error": "unknown path"})
-        except StaleWorkerError as exc:
-            # structured, machine-actionable: 409 + the current epoch
-            # tells a worker from a previous incarnation to re-register
-            # rather than die on an opaque protocol error
-            self._reply(409, {"event": "error", "error": "unknown_worker",
-                              "worker": exc.worker, "epoch": exc.epoch})
-        except ProtocolError as exc:
-            self._reply(400, {"event": "error", "error": str(exc)})
-        except Exception as exc:  # pragma: no cover — defensive
-            self._reply(500, {"event": "error", "error": str(exc)})
+
+        def do_POST(self):  # noqa: N802 — http.server API
+            state: CoordinatorState = self.server.state  # type: ignore[attr-defined]
+            try:
+                body = self._read_body()
+                if self.path == "/v1/register":
+                    req = protocol.parse_register(body)
+                    self._reply(200, state.register(req["name"], req["workers"]))
+                elif self.path == "/v1/lease":
+                    worker = protocol.parse_lease_request(body)
+                    self._reply(200, state.lease(worker))
+                elif self.path == "/v1/heartbeat":
+                    worker, leases, failures = protocol.parse_heartbeat(body)
+                    self._reply(200, state.heartbeat(worker, leases, failures))
+                elif self.path == "/v1/result":
+                    req = protocol.parse_result(body)
+                    if req["error"] is not None:
+                        self._reply(200, state.fail(
+                            req["worker"], req["unit"], req["key"], req["error"]))
+                    else:
+                        self._reply(200, state.commit(
+                            req["worker"], req["unit"], req["key"],
+                            req["lease"], req["rows"], req["provenance"]))
+                elif self.path == "/v1/checkpoint":
+                    req = protocol.parse_checkpoint(body)
+                    self._reply(200, state.checkpoint(
+                        req["worker"], req["unit"], req["key"],
+                        req["lease"], req["state"]))
+                elif self.path == "/v1/deregister":
+                    worker = protocol.parse_deregister(body)
+                    self._reply(200, state.deregister(worker))
+                else:
+                    self._reply(404, {"event": "error", "error": "unknown path"})
+            except StaleWorkerError as exc:
+                # structured, machine-actionable: 409 + the current epoch
+                # tells a worker from a previous incarnation to re-register
+                # rather than die on an opaque protocol error
+                self._reply(409, {"event": "error", "error": "unknown_worker",
+                                  "worker": exc.worker, "epoch": exc.epoch})
+            except ProtocolError as exc:
+                self._reply(400, {"event": "error", "error": str(exc)})
+            except Exception as exc:  # pragma: no cover — defensive
+                self._reply(500, {"event": "error", "error": str(exc)})
+
+    return _Handler
 
 
 class CoordinatorServer:
@@ -749,8 +757,10 @@ class CoordinatorServer:
 
     def __init__(self, state: CoordinatorState, host: str = "127.0.0.1",
                  port: int = 0):
+        from http.server import ThreadingHTTPServer
+
         self.state = state
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        self._httpd = ThreadingHTTPServer((host, port), _handler_class())
         self._httpd.daemon_threads = True
         self._httpd.state = state  # type: ignore[attr-defined]
         self.host, self.port = self._httpd.server_address[:2]

@@ -14,7 +14,8 @@ import dataclasses
 import hashlib
 from typing import Dict, List, Tuple
 
-from repro.accel.accelerator import AcceleratorModel, TPU_V1_CONFIG
+from repro import perf
+from repro.accel.accelerator import AcceleratorModel, LayerTable, TPU_V1_CONFIG
 from repro.accel.models import build_model
 from repro.accel.zoo_ext import build_extended
 from repro.experiments.jobs import executor
@@ -58,8 +59,6 @@ def resolve_model(name: str, zoo: str = "auto"):
     On the fast path (:mod:`repro.perf`) repeated (name, zoo) pairs
     share one built instance.
     """
-    from repro import perf
-
     if perf.fast_enabled():
         key = (name, zoo)
         hit = _MODEL_MEMO.get(key)
@@ -94,7 +93,6 @@ _DFG_MEMO: Dict[tuple, object] = {}
 
 def _resolve_dfg(name: str, zoo: str, model, training: bool, batch: int,
                  bytes_per_element: int):
-    from repro import perf
     from repro.accel.dfg import build_inference_dfg, build_training_dfg
 
     build = build_training_dfg if training else build_inference_dfg
@@ -107,14 +105,31 @@ def _resolve_dfg(name: str, zoo: str, model, training: bool, batch: int,
     return hit
 
 
+#: layer tables per (DFG key, accelerator geometry): every scheme and
+#: DRAM bandwidth of a grid point runs off one table. A bounded LRU,
+#: like the runner's in-memory result cache, so a long-lived worker
+#: that sweeps SRAM sizes or array shapes cannot grow it without limit
+_TABLE_MEMO: Dict[tuple, LayerTable] = {}
+_TABLE_MEMO_LIMIT = 64
+
+
+def _resolve_table(name: str, zoo: str, model, dfg, config, batch: int) -> LayerTable:
+    key = (name, zoo, dfg.training, batch, config.geometry)
+    table = _TABLE_MEMO.pop(key, None)
+    if table is None:
+        table = LayerTable(model, dfg, config, batch)
+        while len(_TABLE_MEMO) >= _TABLE_MEMO_LIMIT:
+            _TABLE_MEMO.pop(next(iter(_TABLE_MEMO)), None)
+    _TABLE_MEMO[key] = table  # at the recent end
+    return table
+
+
 #: total-MAC counts per (name, zoo) — walking every layer's GEMM list
 #: is pure and repeated once per scheme otherwise
 _GMACS_MEMO: Dict[tuple, float] = {}
 
 
 def _model_gmacs(name: str, zoo: str, model) -> float:
-    from repro import perf
-
     if not perf.fast_enabled():
         return model.macs(1) / 1e9
     key = (name, zoo)
@@ -127,12 +142,11 @@ def _model_gmacs(name: str, zoo: str, model) -> float:
 def _clear_executor_memos() -> None:
     _MODEL_MEMO.clear()
     _DFG_MEMO.clear()
+    _TABLE_MEMO.clear()
     _GMACS_MEMO.clear()
 
 
-from repro import perf as _perf  # noqa: E402 — memo registration
-
-_perf.register_cache(_clear_executor_memos)
+perf.register_cache(_clear_executor_memos)
 
 
 @executor("accel_run")
@@ -152,7 +166,13 @@ def accel_run(params: Dict[str, object]) -> Dict[str, object]:
 
     dfg = _resolve_dfg(params["model"], params.get("zoo", "auto"), model,
                        training, batch, config.bytes_per_element)
-    result = AcceleratorModel(config).run_dfg(model, dfg, scheme, batch)
+    accel = AcceleratorModel(config)
+    if perf.fast_enabled():
+        table = _resolve_table(params["model"], params.get("zoo", "auto"), model,
+                               dfg, config, batch)
+        result = accel.run_table(table, scheme)
+    else:
+        result = accel.run_dfg(model, dfg, scheme, batch)
     breakdown = result.metadata_breakdown
     return {
         "model": params["model"],  # the grid key; model.name may be descriptive
@@ -168,10 +188,10 @@ def accel_run(params: Dict[str, object]) -> Dict[str, object]:
         "dram_gbps": config.dram_bandwidth_gbps,
         "total_cycles": result.total_cycles,
         "seconds": result.seconds,
-        "data_read_bytes": sum(l.data_read_bytes for l in result.layers),
-        "data_write_bytes": sum(l.data_write_bytes for l in result.layers),
-        "metadata_read_bytes": sum(l.metadata_read_bytes for l in result.layers),
-        "metadata_write_bytes": sum(l.metadata_write_bytes for l in result.layers),
+        "data_read_bytes": result.total_data_read_bytes,
+        "data_write_bytes": result.total_data_write_bytes,
+        "metadata_read_bytes": result.total_metadata_read_bytes,
+        "metadata_write_bytes": result.total_metadata_write_bytes,
         "vn_bytes": breakdown.get(RequestKind.VN, 0),
         "mac_bytes": breakdown.get(RequestKind.MAC, 0),
         "tree_bytes": breakdown.get(RequestKind.TREE, 0),

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.jobs import Job, canonical_json
@@ -175,11 +175,12 @@ def _parse_sweep(obj: Dict[str, object]) -> JobRequest:
                  "'spec.configs' must be a non-empty list of objects")
         kwargs["configs"] = tuple(configs)
     # resolve everything a worker would now, so a bad model, config
-    # key or scheme parameter is a 400 at submission instead of a
-    # failed flight later
+    # key or value, or scheme parameter is a 400 at submission instead
+    # of a failed flight later
     try:
         spec = SweepSpec(**kwargs)
         jobs = spec.jobs()
+        from repro.accel.accelerator import TPU_V1_CONFIG
         from repro.experiments.executors import CONFIG_OVERRIDES, validate_model
         from repro.protection import build_scheme
 
@@ -191,6 +192,7 @@ def _parse_sweep(obj: Dict[str, object]) -> JobRequest:
                 raise ValueError(
                     f"unsupported config overrides {sorted(unknown)}; "
                     f"allowed: {list(CONFIG_OVERRIDES)}")
+            replace(TPU_V1_CONFIG, **config)  # refuses a malformed value
         for entry in spec.schemes:
             if isinstance(entry, str):
                 build_scheme(entry)

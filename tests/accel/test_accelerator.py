@@ -1,5 +1,7 @@
 """The combined accelerator performance model."""
 
+import dataclasses
+
 import pytest
 
 from repro.accel.accelerator import AcceleratorConfig, AcceleratorModel, TPU_V1_CONFIG
@@ -28,6 +30,41 @@ class TestConfig:
     def test_dram_bytes_per_cycle(self):
         cfg = AcceleratorConfig("x", 16, 16, 1 << 20, 1000.0, 16.0)
         assert cfg.dram_bytes_per_cycle == pytest.approx(16.0)
+
+    @pytest.mark.parametrize("name,value,kind", [
+        ("dram_bandwidth_gbps", -5, "positive finite number"),
+        ("dram_bandwidth_gbps", 0, "positive finite number"),
+        ("dram_bandwidth_gbps", True, "positive finite number"),
+        ("dram_bandwidth_gbps", "34", "positive finite number"),
+        ("dram_bandwidth_gbps", float("inf"), "positive finite number"),
+        ("freq_mhz", -700.0, "positive finite number"),
+        ("freq_mhz", float("nan"), "positive finite number"),
+        ("pe_rows", 2.5, "positive integer"),
+        ("pe_cols", 0, "positive integer"),
+        ("sram_bytes", True, "positive integer"),
+        ("vector_lanes", -1, "positive integer"),
+        ("bytes_per_element", 0, "positive integer"),
+    ])
+    def test_malformed_value_refused(self, name, value, kind):
+        with pytest.raises(ValueError, match=f"{name} must be a {kind}, got"):
+            dataclasses.replace(TPU_V1_CONFIG, **{name: value})
+
+    def test_integer_bandwidth_and_clock_accepted(self):
+        cfg = dataclasses.replace(TPU_V1_CONFIG, dram_bandwidth_gbps=68, freq_mhz=700)
+        assert cfg.dram_bytes_per_cycle == pytest.approx(68e9 / 700e6)
+
+    @pytest.mark.parametrize("config", [
+        {"dram_bandwidth_gbps": -5}, {"dram_bandwidth_gbps": True},
+        {"freq_mhz": -700.0}, {"pe_rows": 2.5}, {"vector_lanes": -1},
+    ], ids=["negative-bandwidth", "bool-bandwidth", "negative-freq",
+            "fractional-pe-rows", "negative-lanes"])
+    def test_accel_run_refuses_malformed_config(self, config):
+        """Each of these used to time a silently wrong row."""
+        from repro.experiments.executors import accel_run
+
+        (name,) = config
+        with pytest.raises(ValueError, match=f"{name} must be a positive"):
+            accel_run({"model": "alexnet", "scheme": "np", "config": config})
 
 
 class TestRuns:

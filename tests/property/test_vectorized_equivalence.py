@@ -9,9 +9,14 @@ produce exactly the same bytes, request sequences, cycle counts, and
 tree states.
 """
 
+import contextlib
+import copy
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from repro import perf
+from repro.accel.systolic import Dataflow
 from repro.crypto import aes_fast
 from repro.crypto.aes import AES128
 from repro.crypto.ctr import AesCtr, ctr_keystream
@@ -302,3 +307,128 @@ def test_fig3_sweep_rows_match_scalar():
     with perf.scalar_mode():
         reference = run_sweep("fig3-inference", cache=False)
     assert fast.rows == reference.rows
+
+
+@contextlib.contextmanager
+def fast_mode():
+    """The fast path, even on the scalar CI leg."""
+    previous = perf.fast_enabled()
+    perf.set_fast(True)
+    try:
+        yield
+    finally:
+        perf.set_fast(previous)
+
+
+#: accelerator overrides ``accel_run`` accepts: non-round bandwidths and
+#: clocks, SRAM from 256 KB (most layers tile) to 64 MB (none do), and
+#: non-square arrays
+accel_overrides = st.fixed_dictionaries({
+    "dram_bandwidth_gbps": st.floats(1.0, 200.0),
+    "freq_mhz": st.floats(100.0, 2000.0),
+    "sram_bytes": st.integers(256 << 10, 64 << 20),
+    "pe_rows": st.integers(1, 512),
+    "pe_cols": st.integers(1, 512),
+    "vector_lanes": st.integers(1, 1024),
+})
+table_schemes = st.tuples(
+    st.integers(1 << 10, 1 << 20).map(lambda n: ("bp", {"cache_bytes": n})),
+    st.integers(16, 4096).map(lambda n: ("guardnn-ci", {"chunk_bytes": n})),
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(overrides=accel_overrides,
+       dataflow=st.sampled_from(list(Dataflow)),
+       bytes_per_element=st.sampled_from((1, 2, 4)),
+       paper=st.sampled_from(("alexnet", "mobilenet", "dlrm", "vgg16")),
+       extended=st.sampled_from(("resnet18", "vgg11", "mobilenet-0.25x")),
+       training=st.booleans(), batch=st.integers(1, 16), schemes=table_schemes)
+def test_layer_table_matches_scalar(overrides, dataflow, bytes_per_element,
+                                    paper, extended, training, batch, schemes):
+    """One layer table per graph, every scheme off it, against the
+    per-node reference: each ``LayerTiming`` field, the totals, the
+    per-kind breakdown and the ``accel_run`` row."""
+    from repro.accel.accelerator import AcceleratorModel, LayerTable, TPU_V1_CONFIG
+    from repro.accel.dfg import build_inference_dfg, build_training_dfg
+    from repro.experiments.executors import accel_run, resolve_model
+    from repro.protection import build_scheme
+
+    config = dataclasses.replace(TPU_V1_CONFIG, dataflow=dataflow,
+                                 bytes_per_element=bytes_per_element, **overrides)
+    build_dfg = build_training_dfg if training else build_inference_dfg
+    schemes = ("np", "guardnn-c") + schemes
+    for zoo, name in (("paper", paper), ("extended", extended)):
+        model, _ = resolve_model(name, zoo)
+        accel = AcceleratorModel(config)
+        table = LayerTable(model, build_dfg(model, batch, bytes_per_element), config, batch)
+        for entry in schemes:
+            scheme_name, params = entry if isinstance(entry, tuple) else (entry, {})
+            fast = accel.run_table(table, build_scheme(scheme_name, **params))
+            with perf.scalar_mode():
+                reference = AcceleratorModel(config).run(
+                    model, build_scheme(scheme_name, **params), training, batch)
+            assert fast == reference  # totals, breakdown and config
+            assert fast.layers == reference.layers
+
+            job = {"model": name, "zoo": zoo, "scheme": scheme_name,
+                   "scheme_params": params, "batch": batch,
+                   "training": training, "config": overrides}
+            with fast_mode():
+                row = accel_run(job)
+            with perf.scalar_mode():
+                assert row == accel_run(job)
+
+
+def test_layer_table_shared_by_schemes_and_bandwidths():
+    """The four schemes at three bandwidths of one grid point run off
+    one table, and ``perf.clear_caches()`` drops it."""
+    from repro.experiments import executors
+    from repro.experiments.spec import DEFAULT_SCHEMES
+
+    tables = set()
+    with fast_mode():
+        perf.clear_caches()
+        for gbps in (12.345, 34.0, 63.2):
+            for scheme in DEFAULT_SCHEMES:
+                executors.accel_run({"model": "alexnet", "zoo": "paper",
+                                     "scheme": scheme, "batch": 4, "training": True,
+                                     "config": {"dram_bandwidth_gbps": gbps}})
+                tables.update(map(id, executors._TABLE_MEMO.values()))
+        assert len(tables) == 1 and len(executors._TABLE_MEMO) == 1
+        perf.clear_caches()
+        assert not executors._TABLE_MEMO
+
+
+def test_layer_table_memo_is_a_bounded_lru(monkeypatch):
+    from repro.experiments import executors
+
+    monkeypatch.setattr(executors, "_TABLE_MEMO_LIMIT", 2)
+    with fast_mode():
+        perf.clear_caches()
+        for batch in (1, 2, 1, 3):  # batch 2 is the least recent at 3
+            executors.accel_run({"model": "alexnet", "scheme": "np", "batch": batch})
+        assert [key[3] for key in executors._TABLE_MEMO] == [1, 3]
+        perf.clear_caches()
+
+
+def test_materialized_layers_are_fresh_objects():
+    """Results that share a table and a column own their layers."""
+    from repro.accel.accelerator import AcceleratorModel, LayerTable, TPU_V1_CONFIG
+    from repro.accel.dfg import build_training_dfg
+    from repro.accel.models import build_model
+    from repro.protection import build_scheme
+
+    model = build_model("alexnet")
+    accel = AcceleratorModel(TPU_V1_CONFIG)
+    table = LayerTable(model, build_training_dfg(model, 2), TPU_V1_CONFIG, 2)
+    scheme = build_scheme("bp")
+    first, second = accel.run_table(table, scheme), accel.run_table(table, scheme)
+    assert first.layers is first.layers
+    untouched = copy.deepcopy(second.layers)
+    first.layers[0].total_cycles += 1
+    first.layers[0].breakdown.clear()
+    first.metadata_breakdown.clear()
+    assert second.layers == untouched
+    assert accel.run_table(table, scheme).layers == untouched
+    assert second.metadata_breakdown == accel.run_table(table, scheme).metadata_breakdown != {}

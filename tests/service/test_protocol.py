@@ -62,6 +62,27 @@ class TestSweepParsing:
                                "spec": {"models": ["alexnet"],
                                         "configs": [{"bogus": 1}]}})
 
+    @pytest.mark.parametrize("config,match", [
+        ({"dram_bandwidth_gbps": -5}, "dram_bandwidth_gbps must be a positive finite"),
+        ({"dram_bandwidth_gbps": 0}, "dram_bandwidth_gbps must be a positive finite"),
+        ({"dram_bandwidth_gbps": True}, "dram_bandwidth_gbps must be a positive finite"),
+        ({"dram_bandwidth_gbps": "34"}, "dram_bandwidth_gbps must be a positive finite"),
+        ({"freq_mhz": -700.0}, "freq_mhz must be a positive finite"),
+        ({"pe_rows": 2.5}, "pe_rows must be a positive integer"),
+        ({"vector_lanes": -1}, "vector_lanes must be a positive integer"),
+        ({"vector_lanes": 0}, "vector_lanes must be a positive integer"),
+        ({"sram_bytes": True}, "sram_bytes must be a positive integer"),
+    ], ids=["negative-bandwidth", "zero-bandwidth", "bool-bandwidth",
+            "string-bandwidth", "negative-freq", "fractional-pe-rows",
+            "negative-lanes", "zero-lanes", "bool-sram"])
+    def test_malformed_config_value_rejected_at_submission(self, config, match):
+        """A config value that would time a silently wrong row, or fail
+        as a flight, is a 400 at submission."""
+        with pytest.raises(ProtocolError, match=f"invalid sweep spec: {match}"):
+            parse_job_request({"kind": "sweep",
+                               "spec": {"models": ["alexnet"],
+                                        "configs": [config]}})
+
     @pytest.mark.parametrize("scheme,match", [
         (["bp", {"bogus": 1}], "bogus"),
         (["np", {"cache_bytes": 1}], "no parameters"),

@@ -323,3 +323,21 @@ def test_cli_and_service_imports_leave_the_distributed_tier_out():
                            env=dict(os.environ, PYTHONPATH=src),
                            capture_output=True, text=True, timeout=60)
     assert child.stdout.strip() == "[]"
+
+
+def test_listenerless_coordinator_leaves_http_server_out():
+    """A daemon's pipeline flight runs under ``SweepCoordinator(port=None)``,
+    which opens no listener, so it loads no ``http.server`` either."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(perf.__file__)))
+    code = ("import sys\n"
+            "from repro.distributed import SweepCoordinator\n"
+            "from repro.experiments.jobs import Job, canonical_json\n"
+            "job = Job('pipeline_run', canonical_json({'workload': 'streaming', "
+            "'nbytes': 4096, 'chunk_requests': 16, 'schemes': ['np']}))\n"
+            "(rows,) = SweepCoordinator([job], port=None, cache=None).run()\n"
+            "assert rows[0]['chunks'] == 4, rows\n"
+            "print('http.server' in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", code], check=True,
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=60)
+    assert child.stdout.strip() == "False"
