@@ -29,13 +29,32 @@ every scheme's rewriter + controller in one pass, amortizing trace
 generation across the whole comparison. Schemes that leave the stream
 unchanged (``np``, ``guardnn-c``: no rewriter) share one controller,
 so each chunk is timed once per distinct stream.
+
+**Scheme lanes**: after the fork, the distinct streams share no state,
+so each one's work on a chunk (its ``rewrite_batch``, then its
+session's ``feed``) is a *lane*, and so is rendering the next chunk,
+which depends on nothing but its request window. The calling thread
+and up to one helper thread per further CPU take lanes from one list,
+longest first by each lane's time on the previous chunk, and every
+lane joins before the chunk's seam: the ``pipeline.chunk`` fault hook,
+``on_chunk``, cancellation, checkpoints and envelopes see the same
+states as a one-lane run, every output is the same, and an error met
+rendering a chunk is raised when that chunk starts. The compiled
+kernels release the interpreter lock, so helpers run only when the
+lanes run them (fast mode, kernels loaded), with at least two CPUs and
+two distinct streams; otherwise the same loop runs every lane on the
+calling thread. Helpers live only inside one
+:meth:`TracePipeline.run` call.
 """
 
 from __future__ import annotations
 
+import os
+import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import native, perf
 from repro.checkpoint import (
     CHECKPOINT_VERSION,
     ENVELOPE_KIND,
@@ -78,6 +97,98 @@ def _build_trace_rewriter(name: str, source, **params):
 #: kernels, small enough that a chunk (plus its rewritten form and the
 #: controller's burst arrays) stays a few MB
 DEFAULT_CHUNK_REQUESTS = 1 << 16
+
+
+def _cpus() -> int:
+    """CPUs this process may run on, each one lane at a time."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Lane:
+    """One distinct stream's work on a chunk: its rewriter's
+    ``rewrite_batch`` (none for the unchanged stream), then its
+    session's ``feed``. A lane keeps its time on the last chunk, which
+    orders the next one, and the error it raised, which
+    :func:`_run_lanes` raises once every lane has stopped."""
+
+    __slots__ = ("rewriter", "session", "seconds", "error")
+
+    def __init__(self, rewriter, session):
+        self.rewriter = rewriter
+        self.session = session
+        # before any timing: rewritten streams first, since the
+        # unchanged one never has more work
+        self.seconds = 0.0 if rewriter is None else 1.0
+        self.error = None
+
+    def run(self, batch) -> None:
+        started = time.perf_counter()
+        try:
+            self.session.feed(batch if self.rewriter is None
+                              else self.rewriter.rewrite_batch(batch))
+        except Exception as error:  # raised after every lane stops
+            self.error = error
+        self.seconds = time.perf_counter() - started
+
+
+class _Render:
+    """The next chunk's generation, run as one more lane of the current
+    chunk: a window's batch depends on nothing but the window, so it
+    overlaps the streams' lanes. What it rendered, or the error it met,
+    waits for that chunk to start (:meth:`take`)."""
+
+    __slots__ = ("source", "window", "batch", "seconds")
+
+    def __init__(self, source):
+        self.source = source
+        self.window = None
+        self.batch = None  # the next chunk's batch, or its error
+        self.seconds = 0.0
+
+    def run(self, _batch) -> None:
+        started = time.perf_counter()
+        try:
+            self.batch = self.source.batch(*self.window)
+        except Exception as error:  # raised when its chunk starts
+            self.batch = error
+        self.seconds = time.perf_counter() - started
+
+    def take(self, window: Tuple[int, int]):
+        """``window``'s batch, rendered during the last chunk or now."""
+        batch, self.batch = self.batch, None
+        if batch is None:
+            return self.source.batch(*window)
+        if isinstance(batch, Exception):
+            raise batch
+        return batch
+
+
+def _run_lanes(lanes: List[_Lane], batch, pool, helpers: int,
+               render: Optional[_Render] = None) -> None:
+    """Run every lane on ``batch``, and ``render`` if given: the calling
+    thread and ``helpers`` threads of ``pool`` take them from one list,
+    longest first, and this returns once all have stopped, raising the
+    first failed lane's error in stream order."""
+    queue = sorted(lanes if render is None else [*lanes, render],
+                   key=lambda lane: lane.seconds)  # pop(): longest
+
+    def take() -> None:
+        try:
+            while True:
+                queue.pop().run(batch)
+        except IndexError:  # every lane is taken
+            pass
+
+    waits = [pool.submit(take) for _ in range(helpers)]
+    take()
+    for wait in waits:
+        wait.result()
+    for lane in lanes:
+        if lane.error is not None:
+            raise lane.error
 
 
 @dataclass
@@ -183,12 +294,26 @@ class TracePipeline:
                 f"checkpoint cursor {cursor} is not a chunk seam of "
                 f"{total} requests at chunk size {self.chunk_requests}")
         for name in self.schemes:
-            scheme_state = state["schemes"][name]
-            if self.rewriters[name] is not None:
-                self.rewriters[name].load_state(scheme_state["rewriter"])
-            # schemes that share a session carry equal states
-            sessions[self.controllers[name]].load_state(scheme_state["session"])
-        return int(state["chunks"]), cursor
+            try:
+                scheme_state = state["schemes"][name]
+                if self.rewriters[name] is not None:
+                    self.rewriters[name].load_state(scheme_state["rewriter"])
+                # schemes that share a session carry equal states
+                sessions[self.controllers[name]].load_state(
+                    scheme_state["session"])
+            except (AttributeError, IndexError, KeyError, TypeError,
+                    ValueError) as error:
+                # damage the header checks cannot see: the caller
+                # restarts from request zero, as for a stale envelope
+                raise CheckpointError(
+                    f"resume_from envelope has no usable {name!r} state "
+                    f"({type(error).__name__}: {error})") from None
+        try:
+            return int(state["chunks"]), cursor
+        except (KeyError, TypeError, ValueError) as error:
+            raise CheckpointError(
+                "resume_from envelope has no usable chunk count "
+                f"({type(error).__name__}: {error})") from None
 
     def run(self, on_chunk=None, checkpoint_every: int = 0,
             checkpoint_request=None, resume_from=None,
@@ -198,11 +323,12 @@ class TracePipeline:
 
         ``on_chunk(chunk_index, requests_done, total_requests)`` is
         called after each chunk has been rewritten and fed through every
-        scheme (1-based chunk index) — the progress hook the service
-        streams to clients. A hook that raises stops the run there; the
-        service cancels a flight by raising :class:`PipelineCancelled`
-        (a chunk is the unit of work, so cancellation latency is one
-        chunk).
+        scheme, once every lane has joined (1-based chunk index) — the
+        progress hook the service streams to clients. A hook that raises
+        stops the run there; the service cancels a flight by raising
+        :class:`PipelineCancelled` (a chunk is the unit of work, so
+        cancellation latency is one chunk). A lane that raises stops the
+        run once the chunk's other lanes have finished it.
 
         **Checkpointing** (all off by default, zero overhead when off):
         the full mid-stream state is captured in an envelope every
@@ -236,6 +362,8 @@ class TracePipeline:
         streams = {self.controllers[name]: self.rewriters[name]
                    for name in self.schemes}
         sessions = {controller: controller.session() for controller in streams}
+        lanes = [_Lane(rewriter, sessions[controller])
+                 for controller, rewriter in streams.items()]
         chunks = 0
         requests_done = 0
         total = self.source.total_requests
@@ -246,28 +374,45 @@ class TracePipeline:
             on_checkpoint(self._capture(sessions, chunks, requests_done),
                           chunks, requests_done)
 
-        for start in range(requests_done, total, self.chunk_requests):
-            if checkpoint_request is not None and checkpoint_request():
-                write_checkpoint()
-                raise PipelineCheckpointed(chunks, requests_done)
-            if faults.enabled():
-                faults.fire("pipeline.chunk", chunks)
-            batch = self.source.batch(
-                start, min(start + self.chunk_requests, total))
-            chunks += 1
-            requests_done += len(batch)
-            for controller, rewriter in streams.items():
-                sessions[controller].feed(
-                    rewriter.rewrite_batch(batch) if rewriter is not None
-                    else batch)
-            if on_chunk is not None:
-                on_chunk(chunks, requests_done, total)
-            if (checkpoint_every and chunks % checkpoint_every == 0
-                    and requests_done < total):
-                write_checkpoint()
-        for controller, rewriter in streams.items():
-            if rewriter is not None:
-                sessions[controller].feed(rewriter.flush_batch())
+        # the Python oracles hold the interpreter lock: helpers only
+        # for lanes that run the compiled kernels
+        helpers = (min(_cpus(), len(lanes)) - 1
+                   if perf.fast_enabled() and native.kernels() is not None
+                   else 0)
+        render = _Render(self.source)
+        pool = None
+        if helpers > 0:
+            # imported here, not with the module, and shut down before
+            # run returns: no helper outlives the call
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(helpers, thread_name_prefix="repro-lane")
+        try:
+            for start in range(requests_done, total, self.chunk_requests):
+                if checkpoint_request is not None and checkpoint_request():
+                    write_checkpoint()
+                    raise PipelineCheckpointed(chunks, requests_done)
+                if faults.enabled():
+                    faults.fire("pipeline.chunk", chunks)
+                batch = render.take(
+                    (start, min(start + self.chunk_requests, total)))
+                chunks += 1
+                requests_done += len(batch)
+                after = start + self.chunk_requests
+                render.window = (after, min(after + self.chunk_requests, total))
+                _run_lanes(lanes, batch, pool, helpers,
+                           render if after < total else None)
+                if on_chunk is not None:
+                    on_chunk(chunks, requests_done, total)
+                if (checkpoint_every and chunks % checkpoint_every == 0
+                        and requests_done < total):
+                    write_checkpoint()
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        for lane in lanes:
+            if lane.rewriter is not None:
+                lane.session.feed(lane.rewriter.flush_batch())
         return {name: PipelineResult(
                     scheme=name, result=sessions[self.controllers[name]].finish(),
                     source_requests=self.source.total_requests,

@@ -94,6 +94,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import threading
 from typing import Dict, List, Optional
 
 ENV_VAR = "REPRO_FAULT_PLAN"
@@ -165,6 +166,10 @@ class _Point:
 
 
 _PLAN: Optional[List[_Point]] = None
+#: makes a point's match and claim one step, so threads that reach a
+#: site together (a pipeline's rewriter lanes) fire a point ``times``
+#: times in all
+_CLAIM = threading.Lock()
 
 
 def enabled() -> bool:
@@ -214,9 +219,10 @@ def _load_from_env() -> None:
 
 
 def _match(site: str, index: Optional[int]) -> Optional[_Point]:
-    for point in _PLAN:
-        if point.matches(site, index) and point.claim():
-            return point
+    with _CLAIM:
+        for point in _PLAN or ():  # a plan cleared since the caller looked
+            if point.matches(site, index) and point.claim():
+                return point
     return None
 
 

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -98,6 +99,39 @@ class TestFiring:
         assert faults.check("cache.put", 0) is None
         assert faults.check("cache.put", 1) == "corrupt"
         assert faults.check("cache.put", 1) is None  # times=1 default
+
+    def test_threads_reaching_a_point_together_fire_it_times_times(self):
+        """Threads calling one site together (a pipeline's rewriter
+        lanes reach ``rewriter.rewrite`` at once) fire its point
+        exactly ``times`` times in all: the match and the claim are one
+        step. The threads are all calling when the last firing goes,
+        and a short switch interval makes some rounds switch threads
+        between a match and its claim."""
+        threads, times, rounds = 4, 100, 50
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(rounds):
+                faults.install({"points": [
+                    {"site": "cache.put", "action": "corrupt", "times": times}]})
+                start = threading.Barrier(threads, timeout=30)
+                fired = []
+
+                def hit():
+                    start.wait()
+                    for _ in range(times):
+                        if faults.check("cache.put", round_):
+                            fired.append(round_)
+
+                workers = [threading.Thread(target=hit) for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=30)
+                    assert not worker.is_alive()
+                assert len(fired) == times, f"round {round_}: {len(fired)} firings"
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestEnvTransport:

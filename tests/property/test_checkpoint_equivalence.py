@@ -13,6 +13,7 @@ envelope validation around it (fingerprint pinning, version checks,
 cursor seams).
 """
 
+import itertools
 import json
 import os
 
@@ -243,3 +244,74 @@ def test_checkpoint_requires_a_path():
         pipeline.run(checkpoint_every=2)
     with pytest.raises(ValueError):
         pipeline.run(checkpoint_request=lambda *a: False)
+
+
+#: a three-distinct-stream pipeline job, parked after its second chunk
+#: by :func:`_parked_envelope`
+DAMAGE_PARAMS = {"workload": "streaming", "nbytes": 1 << 14,
+                 "chunk_requests": 32, "schemes": ["np", "guardnn-ci", "bp"]}
+
+
+def _parked_envelope():
+    from repro.experiments.executors import pipeline_rows
+
+    kept = []
+    polls = itertools.count()
+    with pytest.raises(PipelineCheckpointed):
+        pipeline_rows(dict(DAMAGE_PARAMS), on_checkpoint=keep_latest(kept),
+                      checkpoint_request=lambda: next(polls) == 2)
+    return kept[0]
+
+
+#: structural damage to an envelope's body, which the header checks
+#: pass: (what the error names, how the envelope is damaged)
+BODY_DAMAGE = {
+    "missing scheme": ("'bp' state", lambda e: e["schemes"].pop("bp")),
+    "missing session field": (
+        "'np' state", lambda e: e["schemes"]["np"]["session"].pop("cycle")),
+    "non-integer session field": (
+        "'guardnn-ci' state", lambda e: e["schemes"]["guardnn-ci"]["session"]
+        .update(cycle="many")),
+    "short bank list": (
+        "'bp' state",
+        lambda e: e["schemes"]["bp"]["session"]["dram"]["banks"].pop()),
+    "null rewriter state": (
+        "'guardnn-ci' state",
+        lambda e: e["schemes"]["guardnn-ci"].update(rewriter=None)),
+    "schemes as a list": (
+        "'np' state", lambda e: e.update(schemes=list(e["schemes"].values()))),
+    "missing chunk count": ("chunk count", lambda e: e.pop("chunks")),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BODY_DAMAGE))
+def test_damaged_envelope_body_is_a_checkpoint_error(damage):
+    """Damage inside the body passes the header checks; restoring it
+    raises :class:`CheckpointError` naming the scheme (or the chunk
+    count), not the ``KeyError``, ``TypeError`` or ``ValueError``
+    underneath."""
+    from repro.experiments.executors import pipeline_rows
+
+    names, damage_it = BODY_DAMAGE[damage]
+    envelope = _parked_envelope()
+    damage_it(envelope)
+    with pytest.raises(CheckpointError, match=names):
+        pipeline_rows(dict(DAMAGE_PARAMS), resume_from=envelope)
+
+
+def test_damaged_envelope_restarts_a_pipeline_unit():
+    """A unit leased with a damaged envelope restarts from request zero
+    and commits the rows of an uninterrupted run."""
+    from repro.distributed.coordinator import run_pipeline_unit
+    from repro.experiments.executors import pipeline_rows
+    from repro.experiments.jobs import Job, canonical_json
+
+    envelope = _parked_envelope()
+    envelope["schemes"]["bp"]["session"]["dram"]["banks"].pop()
+    resumed = []
+    rows = run_pipeline_unit(
+        {"checkpoint": envelope}, Job("pipeline_run",
+                                      canonical_json(DAMAGE_PARAMS)),
+        upload=lambda state: None, on_resume=resumed.append)
+    assert resumed == [envelope]
+    assert rows == pipeline_rows(dict(DAMAGE_PARAMS))

@@ -11,18 +11,26 @@ that contract, plus the generator-level contracts underneath it
 """
 
 import contextlib
+import itertools
+import json
 import random
+import threading
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import perf
+from repro import native, perf
+from repro.mem import pipeline as pipeline_module
 from repro.mem.batch import RequestBatch
 from repro.mem.controller import MemoryController
 from repro.mem.layout import AddressLayout
-from repro.mem.pipeline import (DEFAULT_CHUNK_REQUESTS, TracePipeline,
+from repro.mem.pipeline import (DEFAULT_CHUNK_REQUESTS, PipelineCancelled,
+                                PipelineCheckpointed, TracePipeline,
                                 run_materialized)
+from repro.testing import faults
 from repro.mem.trace import MemoryRequest
 from repro.protection.trace_rewriter import build_trace_rewriter
 from repro.workloads import (
@@ -453,6 +461,184 @@ def test_controller_session_matches_scalar_on_benchmark_streams(trace, params,
                     == oracle.controller.dram.state_dict()), scheme
     finally:
         perf.set_fast(previous)
+
+
+# -- scheme lanes -----------------------------------------------------------
+
+
+#: CPUs the lane tests report to the pipeline: 4 gives a three-stream
+#: run two helper threads on any host (when the kernels are loaded), 1
+#: gives it none
+LANES, ONE_LANE = 4, 1
+
+
+def _cpus(count):
+    return mock.patch.object(pipeline_module, "_cpus", lambda: count)
+
+
+def _outcome(pipeline, results):
+    """Everything a run leaves: per scheme its cycles, bursts, traffic,
+    DRAM state and (BP) metadata-cache state."""
+    return {name: (outcome.result.cycles, outcome.result.bursts,
+                   outcome.result.requests, outcome.result.stats.state_dict(),
+                   pipeline.controllers[name].dram.state_dict(),
+                   pipeline.rewriters[name].cache.state_dict()
+                   if name == "bp" else None)
+            for name, outcome in results.items()}
+
+
+def _lane_run(spec, schemes, chunk, cpus, mode, **hooks):
+    pipeline = TracePipeline(spec, schemes=schemes, chunk_requests=chunk)
+    with mode(), _cpus(cpus):
+        results = pipeline.run(**hooks)
+    return _outcome(pipeline, results)
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=spec_strategy, chunk=st.integers(1, 2048),
+       schemes=st.lists(st.sampled_from(("np", "guardnn-c", "guardnn-ci", "bp")),
+                        min_size=1, max_size=4, unique=True))
+def test_lanes_match_one_lane_and_the_scalar_oracle(spec, chunk, schemes):
+    """A run whose lanes go to helper threads equals a one-lane run and
+    the scalar oracle: cycles, bursts, traffic, DRAM and MEE cache
+    state, for any trace, chunk size and scheme subset."""
+    chunk = min(chunk, max(spec.total_requests, 1))
+    lanes = _lane_run(spec, schemes, chunk, LANES, fast_mode)
+    assert lanes == _lane_run(spec, schemes, chunk, ONE_LANE, fast_mode)
+    assert lanes == _lane_run(spec, schemes, chunk, LANES, perf.scalar_mode)
+
+
+def _envelopes(spec, chunk, cpus, stop_at, how):
+    """The envelopes a three-stream run hands ``on_checkpoint`` (as a
+    journal stores them) when it is checkpointed every chunk, parked by
+    ``checkpoint_request`` or cancelled by ``on_chunk`` at seam
+    ``stop_at``, and how it ended."""
+    kept = []
+    polls = itertools.count()
+
+    def cancel(chunks, done, total):
+        if chunks == stop_at:
+            raise PipelineCancelled("cancelled at a seam")
+
+    hooks = {"on_checkpoint": lambda envelope, chunks, done: kept.append(
+        json.loads(json.dumps(envelope))),
+             "checkpoint_every": 0 if how == "park" else 1}
+    if how == "park":
+        hooks["checkpoint_request"] = lambda: next(polls) == stop_at
+    elif how == "cancel":
+        hooks["on_chunk"] = cancel
+    try:
+        ended = _lane_run(spec, SCHEMES, chunk, cpus, fast_mode, **hooks)
+    except (PipelineCheckpointed, PipelineCancelled) as stopped:
+        ended = type(stopped).__name__
+    return kept, ended
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=spec_strategy, chunk=st.integers(64, 512), stop_at=st.integers(1, 6),
+       how=st.sampled_from(["every", "park", "cancel"]))
+def test_lanes_hand_seams_the_one_lane_envelopes(spec, chunk, stop_at, how):
+    """Every lane joins before its chunk's seam: checkpoints, a
+    ``checkpoint_request`` park and an ``on_chunk`` cancellation see
+    the same envelopes, and end the same way, with lanes or without."""
+    chunk = min(chunk, max(spec.total_requests, 1))
+    assert (_envelopes(spec, chunk, LANES, stop_at, how)
+            == _envelopes(spec, chunk, ONE_LANE, stop_at, how))
+
+
+def _count_feeds(pipeline, fed, meet=None):
+    """Count each stream's session feeds into ``fed``; with ``meet`` (a
+    barrier), the named streams' first feeds wait for each other."""
+    for name, controller in pipeline.controllers.items():
+        open_session = controller.session
+
+        def session(open_session=open_session, name=name):
+            live = open_session()
+            feed = live.feed
+
+            def counted(batch):
+                if meet is not None and name in meet[1] and not fed[name]:
+                    meet[0].wait()
+                feed(batch)
+                fed[name] += 1
+
+            live.feed = counted
+            return live
+
+        controller.session = session
+
+
+@pytest.mark.parametrize("cpus", [LANES, ONE_LANE], ids=["lanes", "one-lane"])
+def test_a_lane_fault_surfaces_after_the_chunk_s_other_lanes(cpus):
+    """A rewriter fault in one lane is raised only once the chunk's
+    other lanes have finished it, and no helper outlives the run."""
+    spec = StreamingSpec(1 << 16, write_fraction=0.3)
+    before = threading.active_count()
+    faults.install({"points": [
+        {"site": "rewriter.rewrite", "at": 1, "action": "raise"}]})
+    try:
+        pipeline = TracePipeline(spec, schemes=SCHEMES, chunk_requests=256)
+        fed = Counter()
+        _count_feeds(pipeline, fed)
+        with fast_mode(), _cpus(cpus), pytest.raises(faults.FaultInjected):
+            pipeline.run()
+    finally:
+        faults.clear()
+    # the faulted lane fed its first chunk only; the others both chunks
+    faulted = [name for name in SCHEMES if fed[name] == 1]
+    assert len(faulted) == 1 and faulted[0] != "np"
+    assert sorted(fed.values()) == [1, 2, 2]
+    assert threading.active_count() == before
+
+
+class _FailingAt:
+    """A trace spec whose window starting at ``fail_at`` cannot be
+    rendered."""
+
+    def __init__(self, spec, fail_at):
+        self._spec = spec
+        self._fail_at = fail_at
+
+    def __getattr__(self, name):
+        return getattr(self._spec, name)
+
+    def batch(self, start, stop):
+        if start == self._fail_at:
+            raise ValueError(f"cannot render request {start}")
+        return self._spec.batch(start, stop)
+
+
+@pytest.mark.parametrize("cpus", [LANES, ONE_LANE], ids=["lanes", "one-lane"])
+def test_a_render_error_surfaces_when_its_chunk_starts(cpus):
+    """The next chunk is rendered beside the current chunk's lanes, but
+    an error met rendering it is raised when that chunk starts: every
+    earlier chunk has reached ``on_chunk``."""
+    spec = _FailingAt(StreamingSpec(1 << 16, write_fraction=0.3), 3 * 256)
+    pipeline = TracePipeline(spec, schemes=SCHEMES, chunk_requests=256)
+    seen = []
+    with fast_mode(), _cpus(cpus), pytest.raises(ValueError, match="768"):
+        pipeline.run(on_chunk=lambda chunks, done, total: seen.append(chunks))
+    assert seen == [1, 2, 3]
+
+
+def test_lanes_overlap_and_no_helper_outlives_the_run():
+    """With the compiled kernels, two lanes of the first chunk run at
+    the same time (each waits for the other), and after the run the
+    thread count is what it was before."""
+    if native.kernels() is None:
+        pytest.skip("no compiled kernels: every lane runs on the caller")
+    spec = StreamingSpec(1 << 16, write_fraction=0.3)
+    before = threading.active_count()
+    pipeline = TracePipeline(spec, schemes=SCHEMES, chunk_requests=256)
+    fed = Counter()
+    _count_feeds(pipeline, fed, (threading.Barrier(2, timeout=30),
+                                 ("np", "bp")))
+    with fast_mode(), _cpus(LANES):
+        lanes = _outcome(pipeline, pipeline.run())
+    assert threading.active_count() == before
+    # four chunks each, and the rewritten streams' flushes
+    assert fed == {"np": 4, "guardnn-ci": 5, "bp": 5}
+    assert lanes == _lane_run(spec, SCHEMES, 256, ONE_LANE, fast_mode)
 
 
 # -- generator-level contracts ---------------------------------------------
