@@ -11,8 +11,9 @@ What it checks (the service acceptance contract):
    execution (coalescing observable in ``/metrics``) with byte-identical
    results — made deterministic by occupying the single executor slot
    with a long pipeline flight first, so both sweeps overlap in the
-   queue; closing the blocker's stream also exercises
-   subscription-driven cancellation;
+   queue; while the blocker runs, the ``running``/``queued``/
+   ``inflight``/``subscribers`` gauges read 1/1/2/3; closing the
+   blocker's stream also exercises subscription-driven cancellation;
 3. an **LLM pipeline job** (scaled-down gpt2) streams per-chunk
    progress and matches the direct ``pipeline_rows`` output exactly;
 4. the **/metrics** snapshot is coherent with the observed traffic.
@@ -109,6 +110,20 @@ def main() -> int:
             fail(f"second identical sweep did not coalesce: {accepted_b}")
         if accepted_a["key"] != accepted_b["key"]:
             fail("identical requests produced different content keys")
+        # the blocker holds the only slot: the gauges the daemon derives
+        # from its flight table are then fixed
+        deadline = time.monotonic() + 30
+        gauges = client.metrics()["gauges"]
+        while gauges["running"] != 1:
+            if time.monotonic() > deadline:
+                fail("the blocker never started running")
+            time.sleep(0.05)
+            gauges = client.metrics()["gauges"]
+        expected = {"running": 1, "queued": 1, "inflight": 2,
+                    "subscribers": 3}
+        if {name: gauges[name] for name in expected} != expected:
+            fail(f"gauges with the blocker running and the shared sweep "
+                 f"queued: {gauges}, expected {expected}")
         blocker.close()  # disconnect -> cooperative cancellation
         result_a, result_b = drain(stream_a), drain(stream_b)
         if result_a != result_b:
@@ -126,6 +141,7 @@ def main() -> int:
         if after["cancelled_total"] - before["cancelled_total"] != 1:
             fail(f"expected the blocker cancellation to be counted: {after}")
         print("# coalescing: 2 identical submissions -> 1 execution; "
+              "gauges 1 running, 1 queued, 2 in flight, 3 subscribers; "
               "blocker cancellation observed")
 
         # 3. LLM pipeline over the wire == direct pipeline_rows

@@ -864,8 +864,6 @@ class SweepCoordinator:
         self.pool_manager = pool_manager
         self.wait_workers = float(wait_workers)
 
-        self._hit_rows: Dict[int, List[dict]] = {}
-
         fingerprint = cache.fingerprint if cache is not None else code_fingerprint()
         size = unit_jobs or default_unit_jobs(len(self.jobs))
         # shard in job order; a pipeline job always gets its own unit so
@@ -940,12 +938,9 @@ class SweepCoordinator:
             raise JobExecutionError(err.get("executor", "?"),
                                     err.get("params", "{}"),
                                     err.get("cause", "remote job failed"))
-        if self._unit_indices:
-            per_unit = self.state.results()
-            for chunk, unit_rows in zip(self._unit_indices, per_unit):
-                for job_index, rows in zip(chunk, unit_rows):
-                    self._hit_rows[job_index] = rows
-        return [self._hit_rows[i] for i in range(len(self.jobs))]
+        # the units are consecutive slices of the job list, in order
+        return [rows for unit_rows in self.state.results()
+                for rows in unit_rows]
 
     def _drive(self, **hooks) -> None:
         """The degradation loop: while remote workers are live, just
@@ -953,7 +948,9 @@ class SweepCoordinator:
         has passed), lease units to the local pool through the very
         same state machine — first valid result wins either way, so a
         worker that reappears mid-fallback is harmless. Without a
-        listener no worker can appear, so every unit is leased at once.
+        listener no worker can appear, so the local pool leases from the
+        first pass: one unit at a time, each run to its commit before
+        the next lease.
         A multi-chunk pipeline unit runs on this thread through
         :func:`run_pipeline_unit`, journaling its seams through
         ``state.checkpoint`` like a remote holder's uploads."""

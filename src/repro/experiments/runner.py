@@ -135,9 +135,12 @@ def recovery_counts() -> Dict[str, int]:
 #: mutate what they receive. Eviction is LRU: lookups re-append their
 #: key (dict insertion order is the recency order) and an overflowing
 #: put evicts oldest-first, so a hot entry survives a long sweep
-#: instead of being wiped with the whole table.
+#: instead of being wiped with the whole table. ``repro serve`` recalls
+#: and remembers rows from several flight threads at once, and a touch
+#: or an eviction is a check-then-act on the dict: both hold the lock.
 _MEMORY_CACHE: Dict[Job, List[dict]] = {}
 _MEMORY_CACHE_LIMIT = 4096
+_MEMORY_LOCK = threading.Lock()
 
 perf.register_cache(_MEMORY_CACHE.clear)
 
@@ -156,23 +159,26 @@ def _copy_rows(rows: List[dict]) -> List[dict]:
 def _memory_get(job: Job) -> Optional[List[dict]]:
     if not perf.fast_enabled():
         return None
-    rows = _MEMORY_CACHE.get(job)
-    if rows is None:
-        return None
-    # LRU touch: move the key to the recent end of the insertion order
-    _MEMORY_CACHE[job] = _MEMORY_CACHE.pop(job)
+    with _MEMORY_LOCK:
+        # LRU touch: move the key to the recent end of the insertion order
+        rows = _MEMORY_CACHE.pop(job, None)
+        if rows is None:
+            return None
+        _MEMORY_CACHE[job] = rows
     return _copy_rows(rows)
 
 
 def _memory_put(job: Job, rows: List[dict]) -> None:
     if not perf.fast_enabled():
         return
-    if job in _MEMORY_CACHE:
-        _MEMORY_CACHE.pop(job)  # re-insert at the recent end
-    else:
-        while len(_MEMORY_CACHE) >= _MEMORY_CACHE_LIMIT:
-            _MEMORY_CACHE.pop(next(iter(_MEMORY_CACHE)))
-    _MEMORY_CACHE[job] = _copy_rows(rows)
+    rows = _copy_rows(rows)
+    with _MEMORY_LOCK:
+        if job in _MEMORY_CACHE:
+            _MEMORY_CACHE.pop(job)  # re-insert at the recent end
+        else:
+            while len(_MEMORY_CACHE) >= _MEMORY_CACHE_LIMIT:
+                _MEMORY_CACHE.pop(next(iter(_MEMORY_CACHE)))
+        _MEMORY_CACHE[job] = rows
 
 
 def recall_rows(job: Job, cache: Optional[ResultCache] = None) -> Optional[List[dict]]:

@@ -11,29 +11,21 @@ See :mod:`repro.service.protocol` for the wire format,
 :mod:`repro.service.client` for the blocking stdlib client.
 """
 
-from repro.service.admission import AdmissionController, AdmissionDecision
+from repro.service.admission import AdmissionDecision, admit
 from repro.service.client import (
     ServiceCancelled,
     ServiceClient,
     ServiceJobError,
     ServiceRejected,
 )
-from repro.service.coalescer import Flight, JobCoalescer
+from repro.service.coalescer import Flight
 from repro.service.metrics import ServiceMetrics, StreamingHistogram
 from repro.service.protocol import JobRequest, ProtocolError, parse_job_request
-from repro.service.server import (
-    FlightCancelled,
-    ReproService,
-    ServeConfig,
-    run_serve,
-)
+from repro.service.server import ReproService, ServeConfig, run_serve
 
 __all__ = [
-    "AdmissionController",
     "AdmissionDecision",
     "Flight",
-    "FlightCancelled",
-    "JobCoalescer",
     "JobRequest",
     "ProtocolError",
     "ReproService",
@@ -44,6 +36,7 @@ __all__ = [
     "ServiceMetrics",
     "ServiceRejected",
     "StreamingHistogram",
+    "admit",
     "parse_job_request",
     "run_serve",
 ]

@@ -9,6 +9,11 @@ executes:
 * **queue depth** — at most ``max_queued`` admitted flights may wait
   for a thread.
 
+The service keeps no admission counters: it counts the flights of its
+one flight table that have and have not ``started`` and asks
+:func:`admit`, a pure function of those counts and the capacity
+(``ServeConfig`` refuses a capacity without room for one flight).
+
 A submission that would push the wait queue past ``max_queued`` is shed
 with a retry-after estimate instead of being buffered: unbounded
 buffering converts overload into unbounded memory growth and unbounded
@@ -26,7 +31,6 @@ second, not a reservation.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,55 +44,14 @@ class AdmissionDecision:
     running: int = 0
 
 
-class AdmissionController:
-    """Counts running/queued flights against the capacity model."""
-
-    def __init__(self, max_running: int = 2, max_queued: int = 8):
-        if max_running < 1 or max_queued < 0:
-            raise ValueError("max_running >= 1, max_queued >= 0")
-        self.max_running = max_running
-        self.max_queued = max_queued
-        self._lock = threading.Lock()
-        self.running = 0
-        self.queued = 0
-
-    def try_admit(self, expected_flight_seconds: float = 1.0) -> AdmissionDecision:
-        """Admit a new flight (it starts queued) or reject with a
-        retry-after hint."""
-        with self._lock:
-            if self.running < self.max_running or self.queued < self.max_queued:
-                self.queued += 1
-                return AdmissionDecision(True, queued=self.queued,
-                                         running=self.running)
-            ahead = self.running + self.queued
-            retry_after = max(1, math.ceil(
-                (ahead + 1) * max(expected_flight_seconds, 1e-3)
-                / self.max_running))
-            return AdmissionDecision(False, retry_after=retry_after,
-                                     queued=self.queued, running=self.running)
-
-    def on_start(self) -> None:
-        """A queued flight got an executor thread."""
-        with self._lock:
-            self.queued = max(0, self.queued - 1)
-            self.running += 1
-
-    def on_finish(self) -> None:
-        """A running flight finished (result, error, or cancelled)."""
-        with self._lock:
-            self.running = max(0, self.running - 1)
-
-    def on_abandon(self) -> None:
-        """An admitted flight was dropped before it ever started (its
-        only subscriber vanished while queued)."""
-        with self._lock:
-            self.queued = max(0, self.queued - 1)
-
-    def gauges(self) -> dict:
-        with self._lock:
-            return {
-                "running": self.running,
-                "queued": self.queued,
-                "max_running": self.max_running,
-                "max_queued": self.max_queued,
-            }
+def admit(running: int, queued: int, max_running: int, max_queued: int,
+          expected_flight_seconds: float = 1.0) -> AdmissionDecision:
+    """Admit a new flight (it starts queued) or reject it with a
+    retry-after hint, given the flights now running and queued."""
+    if running < max_running or queued < max_queued:
+        return AdmissionDecision(True, queued=queued + 1, running=running)
+    retry_after = max(1, math.ceil(
+        (running + queued + 1) * max(expected_flight_seconds, 1e-3)
+        / max_running))
+    return AdmissionDecision(False, retry_after=retry_after,
+                             queued=queued, running=running)

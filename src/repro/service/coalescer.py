@@ -3,11 +3,14 @@
 Two clients asking for the same computation while it is running should
 cost one computation: a :class:`Flight` is the single execution of one
 content-addressed job key, and every client watching it is a
-*subscriber* holding an ``asyncio.Queue`` of events. The flight keeps a
-replay buffer, so a subscriber joining mid-flight first receives every
-event already published — all subscribers therefore observe the exact
-same event stream regardless of when they attached (events are encoded
-canonically, so the streams are byte-identical on the wire).
+*subscriber* holding an ``asyncio.Queue`` of events. The service's one
+flight table (``ReproService._flights``, job key → flight) is the whole
+coalescer: a submission whose key is in it subscribes to that flight.
+The flight keeps a replay buffer, so a subscriber joining mid-flight
+first receives every event already published — all subscribers
+therefore observe the exact same event stream regardless of when they
+attached (events are encoded canonically, so the streams are
+byte-identical on the wire).
 
 Cancellation is subscription-driven: when the last subscriber
 disconnects before the flight finishes, the flight's ``cancel`` flag (a
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.service.protocol import JobRequest
 
@@ -43,11 +46,8 @@ class Flight:
         self.subscribers: List[asyncio.Queue] = []
         self.done = False
         self.cancel = threading.Event()
-        #: drain signal: asks a pipeline flight to persist a checkpoint
-        #: at its next chunk seam and stop (observed on a worker thread)
-        self.checkpoint_now = threading.Event()
-        #: lifetime subscriber count (coalescing-factor accounting)
-        self.total_subscribers = 0
+        #: set by the flight thread once it holds an executor slot: the
+        #: service counts running and queued flights off this flag
         self.started = False
 
     def subscribe(self) -> asyncio.Queue:
@@ -62,7 +62,6 @@ class Flight:
             # cancellation (if the worker already observed it, the
             # terminal "cancelled" event tells the client to resubmit)
             self.cancel.clear()
-        self.total_subscribers += 1
         return queue
 
     def unsubscribe(self, queue: asyncio.Queue) -> None:
@@ -82,37 +81,3 @@ class Flight:
             for queue in self.subscribers:
                 queue.put_nowait(END_OF_STREAM)
             self.subscribers.clear()
-
-
-class JobCoalescer:
-    """The in-flight map: job key → :class:`Flight`."""
-
-    def __init__(self):
-        self._flights: Dict[str, Flight] = {}
-
-    def peek(self, key: str) -> Optional[Flight]:
-        return self._flights.get(key)
-
-    def create(self, key: str, request: JobRequest) -> Flight:
-        if key in self._flights:
-            raise RuntimeError(f"flight {key} already in flight")
-        flight = Flight(key, request)
-        self._flights[key] = flight
-        return flight
-
-    def finish(self, key: str) -> None:
-        """Drop a finished flight: the next identical submission starts
-        a fresh computation (or hits the result cache)."""
-        self._flights.pop(key, None)
-
-    @property
-    def inflight(self) -> int:
-        return len(self._flights)
-
-    @property
-    def live_subscribers(self) -> int:
-        return sum(len(f.subscribers) for f in self._flights.values())
-
-    def gauges(self) -> dict:
-        return {"inflight": self.inflight,
-                "subscribers": self.live_subscribers}

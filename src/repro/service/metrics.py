@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 class StreamingHistogram:
@@ -83,7 +83,9 @@ class StreamingHistogram:
         }
 
 
-#: counter names, fixed so /metrics always reports the full schema
+#: the service's own counter names, fixed so /metrics always reports
+#: the full schema (the daemon's snapshot adds the result cache's and
+#: the runner's recovery counts, which those objects keep)
 COUNTERS = (
     "requests_total",          # every POST /v1/jobs (incl. rejected/bad)
     "bad_requests_total",      # 400s
@@ -96,11 +98,6 @@ COUNTERS = (
     "cancelled_total",         # flights cancelled (all clients gone)
     "events_streamed_total",   # NDJSON lines written to clients
     "rows_streamed_total",     # result/partial rows delivered
-    "cache_hits_total",        # on-disk result-cache hits (service runner)
-    "cache_misses_total",      # on-disk result-cache misses
-    "cache_corrupt_total",     # corrupt cache entries quarantined
-    "worker_restarts_total",   # pool rebuilds after a lost worker
-    "chunk_retries_total",     # sweep chunks re-dispatched after a loss
     "checkpoints_written_total",  # pipeline seams journaled
     "flights_resumed_total",   # flights the startup scan re-admitted
                                # from their .journal records
@@ -140,7 +137,8 @@ class ServiceMetrics:
     @property
     def expected_flight_seconds(self) -> float:
         """Smoothed recent flight latency (1 s until the first flight
-        lands) — the admission controller's retry-after unit."""
+        lands) — :func:`~repro.service.admission.admit`'s retry-after
+        unit."""
         with self._lock:
             return self._latency_ewma if self._latency_ewma is not None else 1.0
 
@@ -163,25 +161,3 @@ class ServiceMetrics:
             out["gauges"] = dict(gauges)
         return out
 
-
-def merge_cache_stats(metrics: ServiceMetrics, cache) -> None:
-    """Fold a :class:`~repro.experiments.cache.ResultCache`'s running
-    hit/miss totals into the counter registry (the cache object keeps
-    the authoritative count; the counters mirror the latest)."""
-    if cache is None:
-        return
-    with metrics._lock:
-        metrics._counters["cache_hits_total"] = cache.hits
-        metrics._counters["cache_misses_total"] = cache.misses
-        metrics._counters["cache_corrupt_total"] = cache.corrupt
-
-
-def merge_recovery_stats(metrics: ServiceMetrics) -> None:
-    """Mirror the runner's process-wide recovery counters (pool rebuilds
-    and chunk re-dispatches) into the counter registry."""
-    from repro.experiments.runner import recovery_counts
-
-    counts = recovery_counts()
-    with metrics._lock:
-        metrics._counters["worker_restarts_total"] = counts.get("worker_restarts", 0)
-        metrics._counters["chunk_retries_total"] = counts.get("chunk_retries", 0)

@@ -4,8 +4,11 @@ the sweep runner and the streaming trace pipeline.
 Architecture (all stdlib):
 
 * the **asyncio loop** owns every piece of coordination state — the
-  :class:`~repro.service.coalescer.JobCoalescer`, subscriber queues,
-  flight lifecycle — so none of it needs locking;
+  one flight table (``_flights``, job key → flight), subscriber
+  queues, flight lifecycle — so none of it needs locking. Coalescing
+  is a lookup in that table, admission counts its running and queued
+  flights (:func:`~repro.service.admission.admit`), a drain waits for
+  it to empty, and ``/metrics`` counts over a copy of it;
 * each admitted job becomes a :class:`~repro.service.coalescer.Flight`
   executed on a small ``ThreadPoolExecutor`` (``max_running`` threads —
   the occupancy half of the admission model); the thread drives the
@@ -24,8 +27,8 @@ Architecture (all stdlib):
   :class:`~repro.experiments.pool.WorkerPoolManager` — process-pool
   ownership is the service's, not any single request's — and the shared
   on-disk :class:`~repro.experiments.cache.ResultCache`, so identical
-  work is deduplicated at three levels: in-flight (coalescer), in-memory
-  (runner first-level cache), on disk;
+  work is deduplicated at three levels: in-flight (the flight table),
+  in-memory (runner first-level cache), on disk;
 * **backpressure** is admission-controlled: a submission past capacity
   gets an immediate ``429`` + ``Retry-After`` instead of a queue slot;
 * **cancellation** is subscription-driven and cooperative: when a
@@ -56,15 +59,16 @@ from typing import Dict, Optional
 from repro.experiments import ResultCache, ResultTable, get_sweep
 from repro.experiments.cache import code_fingerprint
 from repro.experiments.pool import WorkerPoolManager
-from repro.experiments.runner import JobExecutionError, Runner, default_workers
-from repro.mem.pipeline import PipelineCancelled, PipelineCheckpointed
-from repro.service.admission import AdmissionController, AdmissionDecision
-from repro.service.coalescer import END_OF_STREAM, Flight, JobCoalescer
-from repro.service.metrics import (
-    ServiceMetrics,
-    merge_cache_stats,
-    merge_recovery_stats,
+from repro.experiments.runner import (
+    JobExecutionError,
+    Runner,
+    default_workers,
+    recovery_counts,
 )
+from repro.mem.pipeline import PipelineCancelled, PipelineCheckpointed
+from repro.service.admission import AdmissionDecision, admit
+from repro.service.coalescer import END_OF_STREAM, Flight
+from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     JobRequest,
     ProtocolError,
@@ -81,10 +85,6 @@ _MAX_BODY_BYTES = 1 << 20  # a job request is a description, not data
 #: ``<key><suffix>``: its coordinator's journal, whose header carries
 #: the resubmittable request in its meta
 _RECORD_SUFFIX = ".journal"
-
-
-class FlightCancelled(RuntimeError):
-    """Raised inside a flight when every subscriber has disconnected."""
 
 
 def _service_pool_context() -> Optional[str]:
@@ -142,6 +142,8 @@ class ServeConfig:
     dist_wait_workers: float = 0.0
 
     def __post_init__(self):
+        if self.max_running < 1 or self.max_queued < 0:
+            raise ValueError("max_running >= 1, max_queued >= 0")
         if self.checkpoint_every and not self.checkpoint_dir:
             # periodic checkpoints are files in that directory: without
             # one, the setting would silently write nothing
@@ -159,9 +161,9 @@ class ReproService:
         self.cache = (ResultCache(self.config.cache_dir)
                       if self.config.cache else None)
         self.metrics = ServiceMetrics()
-        self.admission = AdmissionController(self.config.max_running,
-                                             self.config.max_queued)
-        self.coalescer = JobCoalescer()
+        #: the daemon's one record of its flights (job key → flight),
+        #: written on the loop thread only
+        self._flights: Dict[str, Flight] = {}
         self._flight_executor = ThreadPoolExecutor(
             max_workers=self.config.max_running,
             thread_name_prefix="repro-flight")
@@ -220,19 +222,17 @@ class ReproService:
 
     def _begin_drain(self) -> None:
         """Graceful shutdown, phase one (loop thread): stop admitting,
-        ask every in-flight pipeline to checkpoint at its next chunk
-        seam, and force shutdown after the grace period if work is
-        still running. Idempotent — repeated signals don't reset the
-        grace timer."""
+        which also asks every in-flight pipeline to checkpoint at its
+        next chunk seam (each reads ``_draining``), and force shutdown
+        after the grace period if work is still running. Idempotent —
+        repeated signals don't reset the grace timer."""
         if self._draining:
             return
         self._draining = True
-        print(f"repro serve: draining ({self.coalescer.inflight} in flight, "
+        print(f"repro serve: draining ({len(self._flights)} in flight, "
               f"grace {self.config.drain_grace:g}s)",
               file=sys.stderr, flush=True)
-        for flight in list(self.coalescer._flights.values()):
-            flight.checkpoint_now.set()
-        if self.coalescer.inflight == 0:
+        if not self._flights:
             self._loop.create_task(self._drain_complete())
         else:
             self._loop.call_later(self.config.drain_grace, self._shutdown.set)
@@ -339,14 +339,31 @@ class ReproService:
     # -- metrics -----------------------------------------------------------
 
     def metrics_snapshot(self) -> dict:
-        merge_cache_stats(self.metrics, self.cache)
-        merge_recovery_stats(self.metrics)
-        gauges = {**self.admission.gauges(), **self.coalescer.gauges(),
+        # one copy of the table: a caller off the loop thread may read
+        # while the loop adds or drops a flight
+        flights = list(self._flights.values())
+        running = sum(flight.started for flight in flights)
+        gauges = {"running": running,
+                  "queued": len(flights) - running,
+                  "max_running": self.config.max_running,
+                  "max_queued": self.config.max_queued,
+                  "inflight": len(flights),
+                  "subscribers": sum(len(flight.subscribers)
+                                     for flight in flights),
                   "pool_workers": self.pool_manager.active_workers,
                   "sweep_workers": self.workers,
                   "distributed": self.config.distributed,
                   "draining": self._draining}
         snapshot = self.metrics.snapshot(gauges)
+        cache = (self.cache.counters if self.cache is not None
+                 else dict.fromkeys(("hits", "misses", "corrupt"), 0))
+        recovery = recovery_counts()
+        snapshot["counters"].update(
+            cache_hits_total=cache["hits"],
+            cache_misses_total=cache["misses"],
+            cache_corrupt_total=cache["corrupt"],
+            worker_restarts_total=recovery["worker_restarts"],
+            chunk_retries_total=recovery["chunk_retries"])
         snapshot["protocol_version"] = 1
         return snapshot
 
@@ -370,7 +387,7 @@ class ReproService:
                                      {"error": str(error)})
             return
         key = request.key(self._fingerprint)
-        flight = self.coalescer.peek(key)
+        flight = self._flights.get(key)
         coalesced = flight is not None
         if coalesced:
             self.metrics.incr("coalesced_total")
@@ -384,7 +401,7 @@ class ReproService:
                                    decision.running),
                     extra={"Retry-After": str(decision.retry_after)})
                 return
-            flight = self.coalescer.peek(key)
+            flight = self._flights[key]
         queue = flight.subscribe()
 
         writer.write(self._head("200 OK", "application/x-ndjson", {}, None))
@@ -433,11 +450,13 @@ class ReproService:
         """Admit a new flight for ``key`` and start it on a flight
         thread (loop thread only). A rejection starts nothing: the
         client is shed, or the startup scan stops resuming."""
-        decision = self.admission.try_admit(
-            self.metrics.expected_flight_seconds)
+        running = sum(flight.started for flight in self._flights.values())
+        decision = admit(running, len(self._flights) - running,
+                         self.config.max_running, self.config.max_queued,
+                         self.metrics.expected_flight_seconds)
         if decision.admitted:
             self.metrics.incr("admitted_total")
-            flight = self.coalescer.create(key, request)
+            flight = self._flights[key] = Flight(key, request)
             self._loop.run_in_executor(self._flight_executor,
                                        self._run_flight, flight)
         return decision
@@ -455,10 +474,9 @@ class ReproService:
             self._loop.call_soon_threadsafe(
                 self._finish_flight, flight,
                 {"event": "cancelled", "reason": "abandoned before start"},
-                None, False)
+                None)
             return
         flight.started = True
-        self._loop.call_soon_threadsafe(self.admission.on_start)
         self.metrics.incr("executions_total")
         if faults.enabled():
             faults.fire("service.flight", self._flight_seq)
@@ -469,7 +487,7 @@ class ReproService:
                 final = self._execute_sweep(flight)
             else:
                 final = self._execute_pipeline(flight)
-        except (FlightCancelled, PipelineCancelled) as error:
+        except PipelineCancelled as error:
             self.metrics.incr("cancelled_total")
             final = {"event": "cancelled", "reason": str(error)}
         except PipelineCheckpointed as checkpointed:
@@ -490,31 +508,29 @@ class ReproService:
                      "message": f"{type(error).__name__}: {error}"}
         latency = time.perf_counter() - started
         self._loop.call_soon_threadsafe(self._finish_flight, flight, final,
-                                        latency, True)
+                                        latency)
 
     def _finish_flight(self, flight: Flight, final: dict,
-                       latency: Optional[float], started: bool) -> None:
+                       latency: Optional[float]) -> None:
         flight.publish(final, final=True)
-        self.coalescer.finish(flight.key)
+        # the next identical submission starts a fresh computation (or
+        # hits the result cache)
+        del self._flights[flight.key]
         if final["event"] == "result":
-            # only now, with the flight gone from the coalescer: a request
+            # only now, with the flight gone from the table: a request
             # that finds the record gone cannot join the finished flight
             self._retire(flight.key)
             self.metrics.incr("completed_total")
-        if started:
-            self.admission.on_finish()
-        else:
-            self.admission.on_abandon()
         if latency is not None:
             self.metrics.observe_flight(latency)
-        if self._draining and self.coalescer.inflight == 0:
+        if self._draining and not self._flights:
             # drain complete: don't wait out the grace (but do let open
             # streams deliver the terminal events just published)
             self._loop.create_task(self._drain_complete())
 
     def _check_cancel(self, flight: Flight) -> None:
         if flight.cancel.is_set():
-            raise FlightCancelled("every subscriber disconnected")
+            raise PipelineCancelled("every subscriber disconnected")
 
     def _execute_sweep(self, flight: Flight) -> dict:
         request = flight.request
@@ -543,8 +559,7 @@ class ReproService:
 
     def _execute_pipeline(self, flight: Flight) -> dict:
         def on_chunk(chunk, requests_done, total_requests):
-            if flight.cancel.is_set():
-                raise PipelineCancelled("every subscriber disconnected")
+            self._check_cancel(flight)
             self._emit(flight, {"event": "progress", "chunk": chunk,
                                 "requests_done": requests_done,
                                 "total_requests": total_requests})
@@ -555,7 +570,7 @@ class ReproService:
                                 "chunks": envelope.get("chunks")})
 
         # a drain parks the flight only where its journal can keep it
-        park = (flight.checkpoint_now.is_set if self.config.checkpoint_dir
+        park = ((lambda: self._draining) if self.config.checkpoint_dir
                 else None)
         rows_per_job, cached = self._coordinate(
             flight, flight.request.jobs(), on_chunk=on_chunk,

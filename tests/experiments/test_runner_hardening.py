@@ -3,6 +3,10 @@
 eviction in the in-memory cache, and failure identity + partial-result
 preservation when a job blows up inside a batch."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 import repro.experiments.runner as runner_module
@@ -14,6 +18,8 @@ from repro.experiments.runner import (
     _memory_get,
     _memory_put,
     default_workers,
+    recall_rows,
+    remember_rows,
 )
 
 
@@ -28,6 +34,16 @@ def _hardening_probe(params):
 
 def probe(x, boom=False):
     return Job.make("hardening_probe", x=x, boom=boom)
+
+
+class YieldingJob(Job):
+    """A job whose hash lets other threads run: a ``Job`` hashes in
+    Python, so a dict lookup can be cut short by another thread, and
+    the yield makes that happen at every lookup."""
+
+    def __hash__(self):
+        time.sleep(0)  # releases the interpreter lock
+        return super().__hash__()
 
 
 @pytest.fixture
@@ -99,6 +115,47 @@ class TestMemoryCacheLRU:
         assert len(fresh_memory_cache) == 2
         assert _memory_get(probe(1)) is not None
         assert _memory_get(probe(0))[0]["fresh"] is True
+
+    def test_threads_recall_and_remember_without_racing(
+            self, fresh_memory_cache, monkeypatch):
+        """``repro serve`` flights recall and remember rows on several
+        threads at once: a touch or an eviction that interleaves with
+        another thread's must not lose the key it just looked up, nor
+        grow the cache past its limit."""
+        monkeypatch.setattr(runner_module, "_MEMORY_CACHE_LIMIT", 6)
+        jobs = [YieldingJob.make("hardening_probe", x=i) for i in range(8)]
+        for job in jobs:
+            remember_rows(job, [{"x": job.params["x"]}])
+        errors = []
+        start = threading.Barrier(4)
+
+        def hammer(offset):
+            try:
+                start.wait(timeout=10)
+                for step in range(200):
+                    job = jobs[(step + offset) % len(jobs)]
+                    if step % 4 == 3:
+                        remember_rows(job, [{"x": job.params["x"]}])
+                    else:
+                        rows = recall_rows(job)
+                        assert rows in (None, [{"x": job.params["x"]}])
+            except Exception as error:  # reported by the main thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(offset,))
+                       for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(fresh_memory_cache) <= 6
 
 
 class TestJobFailureIdentity:

@@ -215,8 +215,8 @@ def record_finished_flights(service, streams):
     clientless flight."""
     finish = service._finish_flight
 
-    def recording(flight, final, latency, started):
-        finish(flight, final, latency, started)
+    def recording(flight, final, latency):
+        finish(flight, final, latency)
         streams.append(list(flight.events))
 
     service._finish_flight = recording

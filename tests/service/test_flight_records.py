@@ -163,13 +163,13 @@ def test_cache_hit_flight_deletes_its_checkpoint(tmp_path):
 
 def test_flight_retires_its_records_after_leaving_the_coalescer(tmp_path):
     """A request that sees a flight's record gone must not join that
-    flight: the records go only once the coalescer has let it go."""
+    flight: the records go only once the flight table has let it go."""
     service, client, thread = start_service(checkpoint_dir=str(tmp_path))
     registered = []
     retire = service._retire
 
     def recording(key):
-        registered.append(service.coalescer.peek(key))
+        registered.append(service._flights.get(key))
         retire(key)
 
     service._retire = recording

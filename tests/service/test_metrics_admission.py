@@ -1,11 +1,17 @@
 """Unit tests for the service's capacity model and observability
 primitives: the streaming latency histogram, the counter registry, and
-the admission controller's bounded front door."""
+the bounded front door's admission decision."""
 
 import pytest
 
-from repro.service.admission import AdmissionController
+from repro.service.admission import admit
+from repro.service.coalescer import Flight
 from repro.service.metrics import COUNTERS, ServiceMetrics, StreamingHistogram
+from repro.service.protocol import parse_job_request
+from repro.service.server import ReproService, ServeConfig
+
+SWEEP_REQUEST = parse_job_request(
+    {"kind": "sweep", "spec": {"models": ["alexnet"], "schemes": ["np"]}})
 
 
 class TestStreamingHistogram:
@@ -88,59 +94,84 @@ class TestServiceMetrics:
         assert metrics.snapshot()["coalescing_factor"] == 2.0
 
 
+@pytest.fixture
+def idle_service():
+    """A daemon that never serves: tests place flights in its table."""
+    service = ReproService(ServeConfig(port=0, workers=1, cache=False,
+                                       max_running=1, max_queued=1))
+    yield service
+    service._flight_executor.shutdown()
+    service.pool_manager.close()
+
+
+def hold(service, key, started):
+    flight = service._flights[key] = Flight(key, SWEEP_REQUEST)
+    flight.started = started
+    return flight
+
+
+def admit_next(service):
+    """The decision the daemon's table would give a new submission."""
+    gauges = service.metrics_snapshot()["gauges"]
+    return admit(gauges["running"], gauges["queued"],
+                 gauges["max_running"], gauges["max_queued"])
+
+
 class TestAdmissionController:
+    """Admission control: :func:`admit` over the counts of the flight
+    table, and the capacity :class:`ServeConfig` accepts."""
+
     def test_admits_until_queue_full(self):
-        admission = AdmissionController(max_running=1, max_queued=2)
-        # first flight occupies the runner slot
-        assert admission.try_admit().admitted
-        admission.on_start()
-        # two may wait; the third is shed
-        assert admission.try_admit().admitted
-        assert admission.try_admit().admitted
-        decision = admission.try_admit()
+        # one flight holds the only slot; two may wait, the third is shed
+        assert admit(1, 0, max_running=1, max_queued=2).admitted
+        assert admit(1, 1, max_running=1, max_queued=2).admitted
+        decision = admit(1, 2, max_running=1, max_queued=2)
         assert not decision.admitted
         assert decision.retry_after >= 1
         assert (decision.queued, decision.running) == (2, 1)
 
     def test_zero_queue_rejects_while_running(self):
-        admission = AdmissionController(max_running=1, max_queued=0)
-        assert admission.try_admit().admitted
-        admission.on_start()
-        assert not admission.try_admit().admitted
-        admission.on_finish()
-        assert admission.try_admit().admitted
+        assert admit(0, 0, max_running=1, max_queued=0).admitted
+        assert not admit(1, 0, max_running=1, max_queued=0).admitted
 
     def test_retry_after_scales_with_backlog_and_latency(self):
-        admission = AdmissionController(max_running=1, max_queued=0)
-        admission.try_admit()
-        admission.on_start()
-        short = admission.try_admit(expected_flight_seconds=1.0).retry_after
-        long = admission.try_admit(expected_flight_seconds=30.0).retry_after
+        short = admit(1, 0, 1, 0, expected_flight_seconds=1.0).retry_after
+        long = admit(1, 0, 1, 0, expected_flight_seconds=30.0).retry_after
         assert long >= short
         assert long >= 30
+        backlog = admit(2, 4, 2, 4, expected_flight_seconds=10.0).retry_after
+        idle = admit(2, 0, 2, 0, expected_flight_seconds=10.0).retry_after
+        assert backlog > idle
 
-    def test_abandon_releases_queue_slot(self):
-        admission = AdmissionController(max_running=1, max_queued=1)
-        admission.try_admit()
-        admission.on_start()
-        admission.try_admit()          # fills the queue
-        assert not admission.try_admit().admitted
-        admission.on_abandon()         # the queued flight's client left
-        assert admission.try_admit().admitted
+    def test_abandon_releases_queue_slot(self, idle_service):
+        hold(idle_service, "running", started=True)
+        queued = hold(idle_service, "queued", started=False)
+        assert not admit_next(idle_service).admitted
+        # the queued flight's client left before it started
+        idle_service._finish_flight(
+            queued, {"event": "cancelled", "reason": "abandoned"}, None)
+        assert admit_next(idle_service).admitted
 
-    def test_gauges_track_lifecycle(self):
-        admission = AdmissionController(max_running=2, max_queued=4)
-        admission.try_admit()
-        assert admission.gauges() == {"running": 0, "queued": 1,
-                                      "max_running": 2, "max_queued": 4}
-        admission.on_start()
-        assert admission.gauges()["running"] == 1
-        assert admission.gauges()["queued"] == 0
-        admission.on_finish()
-        assert admission.gauges()["running"] == 0
+    def test_gauges_track_lifecycle(self, idle_service):
+        flight = hold(idle_service, "key", started=False)
+        flight.subscribe()
+        gauges = idle_service.metrics_snapshot()["gauges"]
+        assert {name: gauges[name] for name in (
+            "running", "queued", "max_running", "max_queued", "inflight",
+            "subscribers")} == {"running": 0, "queued": 1, "max_running": 1,
+                                "max_queued": 1, "inflight": 1,
+                                "subscribers": 1}
+        flight.started = True
+        gauges = idle_service.metrics_snapshot()["gauges"]
+        assert (gauges["running"], gauges["queued"]) == (1, 0)
+        idle_service._finish_flight(flight, {"event": "cancelled",
+                                             "reason": "test"}, None)
+        gauges = idle_service.metrics_snapshot()["gauges"]
+        assert (gauges["running"], gauges["inflight"],
+                gauges["subscribers"]) == (0, 0, 0)
 
     def test_rejects_bad_construction(self):
-        with pytest.raises(ValueError):
-            AdmissionController(max_running=0)
-        with pytest.raises(ValueError):
-            AdmissionController(max_queued=-1)
+        with pytest.raises(ValueError, match="max_running >= 1"):
+            ServeConfig(max_running=0)
+        with pytest.raises(ValueError, match="max_queued >= 0"):
+            ServeConfig(max_queued=-1)

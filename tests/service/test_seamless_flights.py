@@ -114,11 +114,11 @@ def test_flight_cancelled_before_start_never_reaches_the_pool(served):
     lent = spy_on_pool(service)
     blocker = client.submit(BLOCKER_JOB)
     assert next(blocker)["event"] == "accepted"
-    wait_for(lambda: service.admission.gauges()["running"] == 1)
+    wait_for(lambda: service.metrics_snapshot()["gauges"]["running"] == 1)
     queued = client.submit(RANDOM_JOB)
     key = next(queued)["key"]
     queued.close()  # its only subscriber leaves while it waits
-    wait_for(lambda: service.coalescer.peek(key).cancel.is_set())
+    wait_for(lambda: service._flights[key].cancel.is_set())
     blocker.close()
     wait_for(lambda: service.metrics.get("cancelled_total") == 2)
     assert service.metrics.get("executions_total") == 1  # the blocker

@@ -57,8 +57,8 @@ def fresh_memory_cache():
     perf.clear_caches()
 
 
-def start_service(**overrides):
-    config = ServeConfig(port=0, workers=2, cache=False, **overrides)
+def start_service(cache=False, **overrides):
+    config = ServeConfig(port=0, workers=2, cache=cache, **overrides)
     service = ReproService(config)
     ready = threading.Event()
     thread = threading.Thread(
@@ -75,6 +75,10 @@ def service_and_client(fresh_memory_cache):
     yield service, client
     service.request_shutdown()
     thread.join(15)
+
+
+def gauge(service, name):
+    return service.metrics_snapshot()["gauges"][name]
 
 
 def drain(events):
@@ -190,7 +194,7 @@ class TestAdmissionControl:
             assert next(blocker)["event"] == "accepted"
             # the blocker must hold the slot (not just the queue) before
             # a zero-length queue can demonstrably shed load
-            wait_for(lambda: service.admission.gauges()["running"] == 1,
+            wait_for(lambda: gauge(service, "running") == 1,
                      timeout=20.0)
             with pytest.raises(ServiceRejected) as rejected:
                 client.run(SWEEP_JOB)
@@ -200,7 +204,7 @@ class TestAdmissionControl:
             blocker.close()
             # capacity frees once the cancellation lands; the same job
             # is then admitted
-            wait_for(lambda: service.admission.gauges()["running"] == 0,
+            wait_for(lambda: gauge(service, "running") == 0,
                      timeout=20.0)
             assert client.run(SWEEP_JOB)["event"] == "result"
         finally:
@@ -212,7 +216,7 @@ class TestAdmissionControl:
         try:
             blocker = client.submit(BLOCKER_JOB)
             assert next(blocker)["event"] == "accepted"
-            wait_for(lambda: service.admission.gauges()["running"] == 1,
+            wait_for(lambda: gauge(service, "running") == 1,
                      timeout=20.0)
             # identical to the running flight: joins it instead of
             # consuming (unavailable) capacity
@@ -234,14 +238,14 @@ class TestCancellation:
         service, client = service_and_client
         blocker = client.submit(BLOCKER_JOB)
         assert next(blocker)["event"] == "accepted"
-        wait_for(lambda: service.admission.gauges()["running"] == 1,
+        wait_for(lambda: gauge(service, "running") == 1,
                  timeout=20.0)
         blocker.close()  # last subscriber gone -> cooperative cancel
         wait_for(lambda: service.metrics.get("cancelled_total") == 1,
                  timeout=20.0)
-        wait_for(lambda: service.admission.gauges()["running"] == 0,
+        wait_for(lambda: gauge(service, "running") == 0,
                  timeout=20.0)
-        assert service.coalescer.inflight == 0
+        assert gauge(service, "inflight") == 0
         # the slot is genuinely reusable
         assert client.run(SWEEP_JOB)["event"] == "result"
 
@@ -249,7 +253,7 @@ class TestCancellation:
         service, client = service_and_client
         blocker = client.submit(BLOCKER_JOB)
         assert next(blocker)["event"] == "accepted"
-        wait_for(lambda: service.admission.gauges()["running"] == 1,
+        wait_for(lambda: gauge(service, "running") == 1,
                  timeout=20.0)
         blocker.close()
         wait_for(lambda: service.metrics.get("cancelled_total") == 1,
@@ -278,6 +282,58 @@ class TestMetricsEndpoint:
         assert snapshot["gauges"]["running"] == 0
         assert snapshot["gauges"]["inflight"] == 0
         assert snapshot["protocol_version"] == 1
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cache"])
+    def test_snapshot_keeps_its_key_sets(self, fresh_memory_cache, tmp_path,
+                                         cache):
+        """perfbench's serve-mixed and scripts/serve_smoke.py read these
+        names; the counts the result cache and the runner keep are in
+        the schema whether or not the daemon has a disk cache."""
+        service, client, thread = start_service(
+            cache=cache, cache_dir=str(tmp_path), max_running=1)
+        try:
+            client.run(SWEEP_JOB)
+            snapshot = service.metrics_snapshot()
+        finally:
+            service.request_shutdown()
+            thread.join(15)
+        assert set(snapshot) == {"coalescing_factor", "counters", "gauges",
+                                 "latency", "protocol_version"}
+        assert set(snapshot["counters"]) == {
+            "requests_total", "bad_requests_total", "rejected_total",
+            "admitted_total", "coalesced_total", "executions_total",
+            "completed_total", "failed_total", "cancelled_total",
+            "events_streamed_total", "rows_streamed_total",
+            "cache_hits_total", "cache_misses_total", "cache_corrupt_total",
+            "worker_restarts_total", "chunk_retries_total",
+            "checkpoints_written_total", "flights_resumed_total",
+            "distributed_flights_total", "journal_units_replayed_total",
+            "journals_quarantined_total"}
+        assert set(snapshot["gauges"]) == {
+            "running", "queued", "max_running", "max_queued", "inflight",
+            "subscribers", "pool_workers", "sweep_workers", "distributed",
+            "draining"}
+
+    def test_repeated_sweep_reads_the_disk_cache(self, fresh_memory_cache,
+                                                 tmp_path):
+        jobs = len(SweepSpec(models=tuple(SWEEP_SPEC["models"]),
+                             schemes=tuple(SWEEP_SPEC["schemes"])).jobs())
+        service, client, thread = start_service(
+            cache=True, cache_dir=str(tmp_path), max_running=1)
+        try:
+            first = client.run(SWEEP_JOB)
+            after_first = client.metrics()["counters"]
+            fresh_memory_cache.clear()  # the repeat must reach the disk
+            assert client.run(SWEEP_JOB) == first
+            after_repeat = client.metrics()["counters"]
+        finally:
+            service.request_shutdown()
+            thread.join(15)
+        assert (after_first["cache_hits_total"],
+                after_first["cache_misses_total"]) == (0, jobs)
+        assert (after_repeat["cache_hits_total"],
+                after_repeat["cache_misses_total"]) == (jobs, jobs)
+        assert after_repeat["cache_corrupt_total"] == 0
 
     def test_bad_request_is_counted_not_fatal(self, service_and_client):
         _, client = service_and_client
